@@ -22,6 +22,7 @@ from .errors import (
     DgcnError,
     EmptyDataset,
     FormatVersionMismatch,
+    InvalidSetting,
     MissingColumn,
     NonFiniteLoss,
     NotPositiveDefinite,
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, InvalidSetting) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as exc:

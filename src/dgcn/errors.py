@@ -68,5 +68,9 @@ class MissingColumn(DgcnError):
     """Requested target column is not present in the file header."""
 
 
+class InvalidSetting(DgcnError, ValueError):
+    """An environment setting such as DGCN_THREADS has an unusable value."""
+
+
 class MemoryCapExceeded(DgcnError):
     """A full-batch timing row would exceed the configured memory cap."""

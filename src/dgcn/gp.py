@@ -21,13 +21,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger as _dger
 from scipy.spatial.distance import cdist
 from scipy.stats import norm as _norm
 from scipy.stats import t as _student_t
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidAlpha, StaleMask
-from .kernels import KernelSet, cov_matrix, kernel_deriv, kernel_value, theta_block
+# kernel_value/kernel_deriv go unused but stay: benchmarks/ pins gp's aliases.
+from .kernels import (  # noqa: F401
+    KernelSet,
+    cov_matrix,
+    kernel_deriv,
+    kernel_value,
+    kernel_value_slope,
+    theta_block,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -117,44 +126,52 @@ class HyperGradients:
 def nll_hyper_grad(batch: GpBatch, kset: KernelSet) -> HyperGradients:
     """Exact dNLL/dtheta and dNLL/dsigma2 for every point of the batch.
 
-    Uses dNLL/dK = 0.5 (K^-1 - alpha alpha^T) with alpha = K^-1 y, then the
-    distance chain rule per kernel.  Zero distances contribute nothing (the
-    diagonal is constant).  Warped points and distances are computed once
-    and shared between the covariance and its gradient.
+    Uses dNLL/dK = 0.5 G with G = K^-1 - alpha alpha^T and alpha = K^-1 y.
+    One pass per kernel over the warped distances gives its value k(d) and
+    its slope over distance k'(d) / d (kernels.kernel_value_slope, which is
+    exactly 0 at d == 0).  Entry (p, q) of the covariance depends on the
+    length-scales of both p and q, and the two halves of 0.5 G contribute
+    equally, so the chain rule needs only W = G * k'(d) / d, elementwise:
+
+        dNLL/dtheta_p = x_p * (z_p * sum_q W_pq - sum_q W_pq z_q).
+
+    G is built in the inverse's buffer and each W in its slope's buffer,
+    so the chain from the inverse to the gradient allocates no n x n array.
     """
     x = batch.x
     theta = batch.hyper.theta
     n, n_v = x.shape
     warped = []
-    k = np.zeros((n, n))
+    k = None
     for i, kern in enumerate(kset.kernels):
         z = x * theta_block(theta, n_v, i)
-        dist = cdist(z, z)
-        k += kernel_value(kern, dist)
-        warped.append((z, dist))
+        value, slope_over_d = kernel_value_slope(kern, cdist(z, z))
+        if k is None:
+            k = value
+        else:
+            k += value
+        warped.append((z, slope_over_d))
     k[np.diag_indices_from(k)] += batch.hyper.sigma2
     factor = linalg.cholesky_jittered(k)
     alpha = linalg.solve_spd(factor, batch.y)
     value = float(
         0.5 * batch.y @ alpha + 0.5 * linalg.logdet(factor) + 0.5 * n * LOG_2PI
     )
-    k_inv = linalg.inverse_spd(factor)
-    g = 0.5 * (k_inv - np.outer(alpha, alpha))
+    # dger subtracts alpha alpha^T in place from a Fortran-ordered array,
+    # which inverse_spd returns (any other layout gets an updated copy).  G
+    # is symmetric, so its transpose is G in C order, like the slope arrays.
+    g = _dger(-1.0, alpha, alpha, a=linalg.inverse_spd(factor), overwrite_a=True).T
 
     grad_theta = np.empty_like(theta)
-    for i, kern in enumerate(kset.kernels):
-        z, dist = warped[i]
-        slope = kernel_deriv(kern, dist)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(dist > 0.0, 2.0 * g * slope / dist, 0.0)
-        row_sum = w.sum(axis=1)
+    for i, (z, w) in enumerate(warped):
+        w *= g
         grad_theta[:, i * n_v : (i + 1) * n_v] = x * (
-            z * row_sum[:, None] - w @ z
+            z * w.sum(axis=1)[:, None] - w @ z
         )
     return HyperGradients(
         value=value,
         theta=grad_theta,
-        sigma2=np.diag(g).copy(),
+        sigma2=0.5 * np.diag(g),
         jitter_used=factor.jitter_used,
     )
 

@@ -14,6 +14,22 @@ equals 1 at zero distance, so the summed matrix has diagonal exactly n_k.
 
 Length-scale fields are stored as an (N, n_v * n_k) block matrix: columns
 [i*n_v, (i+1)*n_v) hold the per-dimension scales for kernel i.
+
+Each kernel is one function in a table.  Prediction asks it for the value
+k(d) alone.  The likelihood gradient, whose chain rule through
+d = ||z_p - z_q|| needs the slope over distance k'(d) / d, gets both from
+one exp:
+
+    squared_exp         e = exp(-d^2 / 2),  k = e,  k'/d = -e
+    matern32            e = exp(-sqrt3 d),  k = (1 + sqrt3 d) e,  k'/d = -3 e
+    matern52            e = exp(-sqrt5 d),  k = (1 + sqrt5 d + 5/3 d^2) e,
+                        k'/d = -5/3 (1 + sqrt5 d) e
+    abs_exp             k = exp(-d),  k'/d = -k / d
+    rational_quadratic  k = (1 + d/4)^-2,  k'/d = -k / (2 (1 + d/4) d)
+
+The last two divide by d.  For every kernel k'(d) / d is set to exactly 0
+where d == 0: a zero distance joins identical warped points, whose
+correlation is the constant 1, so no gradient flows through it.
 """
 
 from __future__ import annotations
@@ -73,47 +89,110 @@ class KernelSet:
         return cls(tuple(KernelId(n) for n in names))
 
 
+def _squared_exp(d, slope):
+    e = d * -0.5
+    e *= d
+    np.exp(e, out=e)
+    return (e, -e) if slope else e
+
+
+def _abs_exp(d, slope):
+    e = np.negative(d)
+    np.exp(e, out=e)
+    if not slope:
+        return e
+    with np.errstate(divide="ignore"):
+        s = np.divide(e, d)  # d == 0 gives inf here, cleared by the caller
+    np.negative(s, out=s)
+    return e, s
+
+
+def _matern32(d, slope):
+    e = d * -_SQRT3
+    np.exp(e, out=e)
+    value = d * _SQRT3
+    value += 1.0
+    value *= e
+    if not slope:
+        return value
+    e *= -3.0
+    return value, e
+
+
+def _matern52(d, slope):
+    e = d * -_SQRT5
+    np.exp(e, out=e)
+    p = d * _SQRT5
+    p += 1.0
+    value = d * (5.0 / 3.0)
+    value *= d
+    value += p
+    value *= e
+    if not slope:
+        return value
+    p *= e
+    p *= -5.0 / 3.0
+    return value, p
+
+
+def _rational_quadratic(d, slope):
+    # Linear distance term by design; see README notes.
+    b = d * 0.25
+    b += 1.0
+    value = b ** -2.0
+    if not slope:
+        return value
+    b *= d
+    with np.errstate(divide="ignore"):
+        np.divide(value, b, out=b)  # k'/d = -0.5 k / ((1 + d/4) d)
+    b *= -0.5
+    return value, b
+
+
+# form(d, slope) on an array d returns k(d), or (k(d), k'(d) / d) when slope
+# is true; the value takes the same operations either way.
+_FORMS = {
+    KernelId.SQUARED_EXP: _squared_exp,
+    KernelId.ABS_EXP: _abs_exp,
+    KernelId.MATERN32: _matern32,
+    KernelId.MATERN52: _matern52,
+    KernelId.RATIONAL_QUADRATIC: _rational_quadratic,
+}
+
+
 def kernel_value(kernel: KernelId, d):
     """Correlation at distance d >= 0 (scalar or array, vectorized)."""
     d = np.asarray(d, dtype=np.float64)
-    if kernel is KernelId.SQUARED_EXP:
-        out = np.exp(-0.5 * d * d)
-    elif kernel is KernelId.ABS_EXP:
-        out = np.exp(-d)
-    elif kernel is KernelId.MATERN32:
-        out = (1.0 + _SQRT3 * d) * np.exp(-_SQRT3 * d)
-    elif kernel is KernelId.MATERN52:
-        out = (1.0 + _SQRT5 * d + (5.0 / 3.0) * d * d) * np.exp(-_SQRT5 * d)
-    elif kernel is KernelId.RATIONAL_QUADRATIC:
-        # Linear distance term by design; see README notes.
-        out = (1.0 + 0.25 * d) ** -2.0
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown kernel {kernel!r}")
-    return out if out.ndim else float(out)
+    if d.ndim:
+        return _FORMS[kernel](d, False)
+    return float(_FORMS[kernel](d.reshape(1), False)[0])
+
+
+def kernel_value_slope(kernel: KernelId, d):
+    """Correlation and slope over distance, k(d) and k'(d) / d, in one pass.
+
+    d is an array of distances (ndim >= 1) and is not modified.  The value
+    equals kernel_value(kernel, d) bit for bit.  k'(d) / d is exactly 0
+    wherever d == 0, for every kernel; besides removing the divide by zero
+    of abs_exp and rational_quadratic, this keeps the terms
+    w_pp * z_p - w_pp * z_p of the length-scale gradient out of its sums,
+    where on a near-singular covariance they need not cancel exactly.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    value, slope_over_d = _FORMS[kernel](d, True)
+    slope_over_d[d == 0.0] = 0.0
+    return value, slope_over_d
 
 
 def kernel_deriv(kernel: KernelId, d):
     """Derivative of kernel_value with respect to the distance.
 
-    Defined as 0 at d == 0 for every kernel: zero distance only occurs on
-    the covariance diagonal, whose value is constant 1, so no gradient
-    flows through it even for the kernels that are non-smooth there.
+    Defined as 0 at d == 0 for every kernel (see kernel_value_slope).
     """
     d = np.asarray(d, dtype=np.float64)
-    if kernel is KernelId.SQUARED_EXP:
-        out = -d * np.exp(-0.5 * d * d)
-    elif kernel is KernelId.ABS_EXP:
-        out = -np.exp(-d)
-    elif kernel is KernelId.MATERN32:
-        out = -3.0 * d * np.exp(-_SQRT3 * d)
-    elif kernel is KernelId.MATERN52:
-        out = -(5.0 / 3.0) * d * (1.0 + _SQRT5 * d) * np.exp(-_SQRT5 * d)
-    elif kernel is KernelId.RATIONAL_QUADRATIC:
-        out = -0.5 * (1.0 + 0.25 * d) ** -3.0
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown kernel {kernel!r}")
-    out = np.where(d == 0.0, 0.0, out)
-    return out if out.ndim else float(out)
+    if d.ndim:
+        return kernel_value_slope(kernel, d)[1] * d
+    return float(kernel_value_slope(kernel, d.reshape(1))[1][0] * d)
 
 
 def scale_points(x, theta) -> np.ndarray:

@@ -47,15 +47,20 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER) -> CholeskyFactor:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    # max() propagates NaN, so this one scan rejects NaN as well as inf and
+    # scipy's own finiteness check can be skipped below.
     scale = np.abs(a).max() if a.size else 0.0
     if not np.isfinite(scale):
         raise NotPositiveDefinite("matrix contains non-finite entries")
     if a.size and np.abs(a - a.T).max() > 1e-10 * max(scale, 1.0):
         raise DimensionMismatch("matrix is not symmetric")
-    eye = np.eye(a.shape[0])
     for jitter in jitter_ladder:
+        shifted = a
+        if jitter:
+            shifted = a.copy()
+            shifted[np.diag_indices_from(shifted)] += jitter
         try:
-            lower = _cholesky(a + jitter * eye if jitter else a, lower=True)
+            lower = _cholesky(shifted, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             continue
         return CholeskyFactor(lower=lower, jitter_used=float(jitter))

@@ -19,6 +19,7 @@ order, and a trailing CRC32 over everything before it.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -32,6 +33,7 @@ from .errors import (
     ChecksumMismatch,
     DimensionMismatch,
     FormatVersionMismatch,
+    InvalidSetting,
     NonFiniteLoss,
     NotPositiveDefinite,
     SchemaMismatch,
@@ -40,6 +42,7 @@ from .kernels import KernelSet
 from .mlp import (
     LayerSpec,
     Mlp,
+    MlpParams,
     OptimizerConfig,
     OptimizerState,
     RegularizerSpec,
@@ -52,11 +55,14 @@ MODEL_FORMAT_VERSION = 1
 
 
 def worker_count() -> int:
-    """Worker cap from DGCN_THREADS (default 1 = serial)."""
-    try:
-        return max(1, int(os.environ.get("DGCN_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Worker cap from DGCN_THREADS (unset or empty means 1 = serial).
+
+    Raises InvalidSetting unless the value is an integer >= 1.
+    """
+    raw = os.environ.get("DGCN_THREADS", "").strip() or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise InvalidSetting(f"DGCN_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -538,9 +544,8 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     variance = np.empty(n_star)
     ci_low = np.empty(n_star)
     ci_high = np.empty(n_star)
-    clamped = [0]
 
-    def solve_group(item):
+    def solve_group(item) -> int:
         key, ids = item
         sel = np.asarray(key, dtype=np.intp)
         ids = np.asarray(ids, dtype=np.intp)
@@ -552,16 +557,17 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
         variance[ids] = pred.variance
         ci_low[ids] = pred.ci_low
         ci_high[ids] = pred.ci_high
-        clamped[0] += pred.clamped
+        return pred.clamped
 
+    # Groups write disjoint rows of the output arrays; the clamp counts are
+    # returned per group and summed here, so no state is shared.
     workers = worker_count()
     if workers > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(solve_group, groups.items()))
+            clamped = sum(pool.map(solve_group, groups.items()))
     else:
-        for item in groups.items():
-            solve_group(item)
-    pred = gp.Prediction(mean, variance, ci_low, ci_high, alpha_level, clamped[0])
+        clamped = sum(map(solve_group, groups.items()))
+    pred = gp.Prediction(mean, variance, ci_low, ci_high, alpha_level, clamped)
     return _destandardize(model, pred)
 
 
@@ -615,7 +621,13 @@ def save(model: TrainedModel, path) -> None:
 
 
 def load(path) -> TrainedModel:
-    """Read a model file; checks magic, version and CRC before decoding."""
+    """Read a model file; checks magic, version and CRC before decoding.
+
+    Raises FormatVersionMismatch when the CRC matches but the manifest does
+    not decode into a consistent model (bad JSON, missing keys, wrong
+    types, array shapes that do not fit the networks), and
+    ChecksumMismatch when the declared arrays do not cover the payload.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MODEL_MAGIC) + 1:
@@ -634,14 +646,23 @@ def load(path) -> TrainedModel:
     (stored_crc,) = struct.unpack("<I", data[-4:])
     if zlib.crc32(data[:-4]) != stored_crc:
         raise ChecksumMismatch("CRC32 does not match file contents")
+    try:
+        return _decode(data, head)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FormatVersionMismatch(f"malformed model manifest: {exc!r}") from exc
+
+
+def _decode(data: bytes, head: int) -> TrainedModel:
     (manifest_len,) = struct.unpack("<I", data[head : head + 4])
     body = head + 4
     manifest = json.loads(data[body : body + manifest_len].decode())
     offset = body + manifest_len
     arrays = {}
     for entry in manifest["arrays"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        shape = tuple(entry["shape"])
+        if not all(type(s) is int and s >= 0 for s in shape):
+            raise ValueError(f"array {entry['name']!r} has shape {entry['shape']!r}")
+        count = math.prod(shape)
         raw = data[offset : offset + 8 * count]
         if len(raw) != 8 * count:
             raise ChecksumMismatch("array section is truncated")
@@ -652,27 +673,40 @@ def load(path) -> TrainedModel:
 
     config = TrainConfig.from_dict(manifest["config"])
     scaler = Scaler.from_dict(manifest["scaler"])
+    theta_specs = _specs_from_json(manifest["theta_specs"])
+    sigma_specs = _specs_from_json(manifest["sigma_specs"])
+    columns = manifest["columns"]
+    x, y = arrays["train_x"], arrays["train_y"]
+    n_v = theta_specs[0].in_units
+    if (
+        x.shape != (y.size, n_v)
+        or y.ndim != 1
+        or sigma_specs[0].in_units != n_v
+        or theta_specs[-1].out_units != n_v * config.kernels.n_k
+        or sigma_specs[-1].out_units != 1
+        or scaler.x_mean.shape != (n_v,)
+        or scaler.x_std.shape != (n_v,)
+        or not (columns is None or (isinstance(columns, list) and len(columns) == n_v))
+    ):
+        raise ValueError("training data, scaler and network widths disagree")
     reg = RegularizerSpec(config.dropout_rate, config.input_noise_std)
 
-    def rebuild(prefix, specs_json):
-        specs = _specs_from_json(specs_json)
-        from .mlp import MlpParams
+    def rebuild(prefix, specs):
+        weights = [arrays[f"{prefix}_w{i}"] for i in range(len(specs))]
+        biases = [arrays[f"{prefix}_b{i}"] for i in range(len(specs))]
+        for i, spec in enumerate(specs):
+            if (weights[i].shape != (spec.out_units, spec.in_units)
+                    or biases[i].shape != (spec.out_units,)):
+                raise ValueError(f"{prefix} layer {i} arrays do not match its spec")
+        return Mlp(specs, params=MlpParams(weights, biases), regularizer=reg)
 
-        params = MlpParams(
-            weights=[arrays[f"{prefix}_w{i}"] for i in range(len(specs))],
-            biases=[arrays[f"{prefix}_b{i}"] for i in range(len(specs))],
-        )
-        return Mlp(specs, params=params, regularizer=reg)
-
-    theta_net = rebuild("theta", manifest["theta_specs"])
-    sigma_net = rebuild("sigma", manifest["sigma_specs"])
     return _assemble(
-        theta_net,
-        sigma_net,
+        rebuild("theta", theta_specs),
+        rebuild("sigma", sigma_specs),
         scaler,
         config,
-        arrays["train_x"],
-        arrays["train_y"],
-        manifest["columns"],
+        x,
+        y,
+        columns,
         TrainingLog.from_dict(manifest["log"]),
     )

@@ -6,6 +6,8 @@ import pytest
 
 from dgcn import cli, trainer
 
+from test_trainer import rewrite_manifest
+
 
 @pytest.fixture()
 def sine_csv(tmp_path):
@@ -117,6 +119,28 @@ class TestPredict:
     def test_missing_model_file_is_data_error(self, tmp_path, sine_csv):
         assert run(["predict", "--model", tmp_path / "none.dgcn",
                     "--data", sine_csv]) == 3
+
+    def test_malformed_manifest_is_data_error(self, tmp_path, sine_csv,
+                                              fast_config_json, capsys):
+        model = self.fit_model(tmp_path, sine_csv, fast_config_json)
+
+        def drop_scaler(raw):
+            manifest = json.loads(raw)
+            del manifest["scaler"]
+            return json.dumps(manifest).encode()
+
+        rewrite_manifest(model, drop_scaler)
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", sine_csv,
+                    "--out", tmp_path / "pred.csv"]) == 3
+        assert "malformed model manifest" in capsys.readouterr().err
+
+    def test_bad_thread_setting_is_usage_error(self, tmp_path, sine_csv,
+                                               fast_config_json, monkeypatch):
+        model = self.fit_model(tmp_path, sine_csv, fast_config_json)
+        monkeypatch.setenv("DGCN_THREADS", "banana")
+        assert run(["predict", "--model", model, "--data", sine_csv,
+                    "--out", tmp_path / "pred.csv"]) == 2
 
 
 class TestCrossval:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from dgcn.errors import DimensionMismatch, InvalidAlpha, StaleMask
 from dgcn.kernels import ALL_KERNELS, KernelId, KernelSet
 from dgcn.mlp import Mlp, OptimizerConfig, OptimizerState, RegularizerSpec
 
-from oracles import STUDENT_T_TABLE, stationary_gp
+from oracles import STUDENT_T_TABLE, masked_divide_hyper_grad, stationary_gp
 
 NO_REG = RegularizerSpec(0.0, 0.0)
 
@@ -139,7 +141,10 @@ class TestNllHyperGrad:
 
     @pytest.mark.parametrize("kernels", [(k,) for k in ALL_KERNELS] + [ALL_KERNELS])
     def test_network_gradients_match_finite_differences(self, kernels):
-        rng = np.random.default_rng(hash(kernels) % 2**32)
+        # A stable per-combination seed: hash() of the enum tuple is salted
+        # per process, so it drew different data on every run.
+        rng = np.random.default_rng(
+            zlib.crc32(",".join(k.value for k in kernels).encode()))
         kset = KernelSet(kernels)
         n, n_v = 10, 2
         x = rng.standard_normal((n, n_v))
@@ -164,6 +169,51 @@ class TestNllHyperGrad:
                     fd = (up - down) / (2 * h)
                     if abs(fd) > 1e-8:
                         assert abs(gflat[i] - fd) / abs(fd) < 1e-4
+
+    @pytest.mark.parametrize("kernels", [(k,) for k in ALL_KERNELS] + [ALL_KERNELS])
+    def test_duplicated_rows_near_singular(self, kernels):
+        # Repeated inputs carry repeated hyperparameters, as a hypernetwork
+        # gives them, so several off-diagonal distances are exactly 0, and
+        # with sigma2 = 1e-6 the covariance is close to singular.
+        rng = np.random.default_rng(21)
+        kset = KernelSet(kernels)
+        n0, n_v = 8, 2
+        x0 = rng.uniform(-1.0, 1.0, (n0, n_v))
+        theta0 = rng.uniform(0.5, 1.5, (n0, n_v * kset.n_k))
+        rows = np.r_[np.arange(n0), [1, 4, 4, 6]]
+        x = x0[rows]
+        y = np.sin(2.0 * x0[:, 0] + x0[:, 1])[rows]
+        sigma2 = np.full(rows.size, 1e-6)
+        res = gp.nll_hyper_grad(
+            gp.GpBatch(x, y, gp.HyperField(theta0[rows], sigma2)), kset)
+
+        want_theta, want_sigma2 = masked_divide_hyper_grad(
+            kset.names(), x, y, theta0[rows], sigma2)
+        assert np.all(np.isfinite(res.theta))
+        assert (np.abs(res.theta - want_theta).max()
+                < 1e-8 * np.abs(want_theta).max())
+        assert (np.abs(res.sigma2 - want_sigma2).max()
+                < 1e-8 * np.abs(want_sigma2).max())
+
+        # Finite differences move each distinct point's scales together
+        # with its copies', so zero distances stay zero; apart, they would
+        # cross the kink of abs_exp and rational_quadratic at 0.
+        tied = np.zeros_like(theta0)
+        np.add.at(tied, rows, res.theta)
+
+        def nll_at(theta):
+            return gp.nll(gp.GpBatch(x, y, gp.HyperField(theta[rows], sigma2)),
+                          kset)
+
+        h = 1e-5
+        fd = np.empty_like(theta0)
+        for p in range(n0):
+            for c in range(theta0.shape[1]):
+                up, down = theta0.copy(), theta0.copy()
+                up[p, c] += h
+                down[p, c] -= h
+                fd[p, c] = (nll_at(up) - nll_at(down)) / (2 * h)
+        assert np.abs(tied - fd).max() < 1e-3 * np.abs(tied).max()
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(16)

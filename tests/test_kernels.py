@@ -12,10 +12,20 @@ from dgcn.kernels import (
     cov_matrix,
     kernel_deriv,
     kernel_value,
+    kernel_value_slope,
     scale_points,
 )
 
-from oracles import warped_cov
+from oracles import scalar_kernel_deriv, warped_cov
+
+
+def distance_grid():
+    """Distances with exact zeros, tiny and large values, as a 2-D array."""
+    rng = np.random.default_rng(5)
+    d = np.concatenate([[0.0, 1e-300, 1e-12, 1e-6, 0.5, 1.0, 40.0],
+                        rng.uniform(0.0, 6.0, 993)])
+    d[rng.integers(0, d.size, 50)] = 0.0
+    return d.reshape(40, 25)
 
 
 class TestScalePoints:
@@ -96,6 +106,37 @@ class TestKernelDeriv:
         got = kernel_deriv(kern, d)
         rel = np.abs(got - fd) / np.maximum(np.abs(fd), 1e-12)
         assert rel.max() < 1e-6
+
+
+class TestKernelValueSlope:
+    @pytest.mark.parametrize("kern", ALL_KERNELS)
+    def test_value_is_kernel_value_bit_for_bit(self, kern):
+        d = distance_grid()
+        value, _ = kernel_value_slope(kern, d)
+        np.testing.assert_array_equal(value, kernel_value(kern, d))
+
+    @pytest.mark.parametrize("kern", ALL_KERNELS)
+    def test_slope_over_distance_times_distance_is_the_derivative(self, kern):
+        d = distance_grid()
+        _, slope_over_d = kernel_value_slope(kern, d)
+        got = slope_over_d * d
+        for want in (kernel_deriv(kern, d), scalar_kernel_deriv(kern.value, d)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kern", ALL_KERNELS)
+    def test_slope_over_distance_is_zero_exactly_at_zero(self, kern):
+        d = distance_grid()
+        _, slope_over_d = kernel_value_slope(kern, d)
+        assert np.all(slope_over_d[d == 0.0] == 0.0)
+        assert np.all(np.isfinite(slope_over_d)) and np.all(slope_over_d <= 0.0)
+
+    @pytest.mark.parametrize("kern", ALL_KERNELS)
+    def test_input_is_not_modified(self, kern):
+        d = distance_grid()
+        before = d.copy()
+        kernel_value_slope(kern, d)
+        kernel_value(kern, d)
+        np.testing.assert_array_equal(d, before)
 
 
 class TestCovMatrix:

@@ -34,6 +34,23 @@ class TestCholeskyJittered:
         off[np.diag_indices(2)] = 0.0
         assert np.abs(off).max() < 1e-12
 
+    def test_jitter_leaves_input_untouched(self):
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        f = linalg.cholesky_jittered(a)
+        np.testing.assert_array_equal(a, np.ones((2, 2)))
+        want = linalg.cholesky_jittered(a + f.jitter_used * np.eye(2), (0.0,))
+        np.testing.assert_array_equal(f.lower, want.lower)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # scipy's own finiteness check is off; the max-abs scan must catch
+        # NaN too, on or off the diagonal.
+        for where in ((0, 0), (0, 1)):
+            a = np.eye(3)
+            a[where] = a[where[::-1]] = bad
+            with pytest.raises(NotPositiveDefinite):
+                linalg.cholesky_jittered(a)
+
     def test_hopeless_matrix_raises(self):
         with pytest.raises(NotPositiveDefinite):
             linalg.cholesky_jittered(np.array([[1.0, 0.0], [0.0, -5.0]]))

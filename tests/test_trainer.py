@@ -1,3 +1,9 @@
+import dataclasses
+import json
+import struct
+import sys
+import zlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +12,7 @@ from dgcn.errors import (
     ChecksumMismatch,
     DimensionMismatch,
     FormatVersionMismatch,
+    InvalidSetting,
     SchemaMismatch,
 )
 from dgcn.mlp import OptimizerConfig
@@ -180,6 +187,60 @@ class TestPredictBatched:
         np.testing.assert_array_equal(serial.mean, threaded.mean)
         np.testing.assert_array_equal(serial.variance, threaded.variance)
 
+    @staticmethod
+    def clamping_model():
+        """A model whose near-singular solves clamp many variances to 0."""
+        data = sine_dataset(n=40)
+        model = trainer.fit(data, quiet_config(batch_size=20, max_epochs=2,
+                                               sigma2_floor=1e-20))
+        # Constant networks: huge length-scales decorrelate the points, and
+        # a noise variance of ~1e-20 leaves n_k - k*^T K^-1 k* at round-off.
+        theta_net, sigma_net = model.theta_net, model.sigma_net
+        theta_net.params.weights[-1][:] = 0.0
+        theta_net.params.biases[-1][:] = 50.0
+        sigma_net.params.weights[-1][:] = 0.0
+        sigma_net.params.biases[-1][:] = -60.0
+        model = trainer._assemble(theta_net, sigma_net, model.scaler,
+                                  model.config, model.x, model.y,
+                                  model.columns, model.log)
+        return model, np.concatenate([data.x, data.x + 1e-3])
+
+    @pytest.mark.parametrize("threads", ["2", "8"])
+    def test_threaded_prediction_equals_serial_with_clamp_count(
+            self, monkeypatch, threads):
+        model, probe = self.clamping_model()
+        serial = trainer.predict_batched(model, probe, k=10)
+        assert serial.clamped > 0
+        monkeypatch.setenv("DGCN_THREADS", threads)
+        # More workers than cores and frequent thread switches: a lost
+        # update to a shared counter would show up as a smaller count.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                threaded = trainer.predict_batched(model, probe, k=10)
+                for f in dataclasses.fields(serial):
+                    np.testing.assert_array_equal(getattr(threaded, f.name),
+                                                  getattr(serial, f.name))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("value, want", [(None, 1), ("", 1), ("1", 1),
+                                             ("3", 3), (" 2 ", 2)])
+    def test_worker_count_accepts_positive_integers(self, monkeypatch, value,
+                                                    want):
+        if value is None:
+            monkeypatch.delenv("DGCN_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DGCN_THREADS", value)
+        assert trainer.worker_count() == want
+
+    @pytest.mark.parametrize("value", ["banana", "0", "-1", "2.5", "1e3"])
+    def test_worker_count_rejects_other_values(self, monkeypatch, value):
+        monkeypatch.setenv("DGCN_THREADS", value)
+        with pytest.raises(InvalidSetting):
+            trainer.worker_count()
+
 
 class TestUpdate:
     def test_zero_epochs_keeps_weights_and_grows_index(self):
@@ -299,3 +360,85 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + bytes(100))
         with pytest.raises(FormatVersionMismatch):
             trainer.load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: b"{not json",
+        lambda m: b"\xff\xfe",
+        lambda m: b"[]",
+    ], ids=["bad-json", "bad-utf8", "not-an-object"])
+    def test_undecodable_manifest_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.dgcn"
+        trainer.save(self.make_model(), path)
+        rewrite_manifest(path, edit)
+        with pytest.raises(FormatVersionMismatch):
+            trainer.load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("scaler"),
+        lambda m: m.pop("config"),
+        lambda m: m.pop("log"),
+        lambda m: m.pop("sigma_specs"),
+        lambda m: m["arrays"][0].pop("shape"),
+        lambda m: m["scaler"].pop("x_std"),
+        lambda m: m["scaler"].update(y_std="wide"),
+        lambda m: m["scaler"].update(x_mean=[0.0, 1.0]),
+        lambda m: m["config"].update(kernels=["no_such_kernel"]),
+        lambda m: m["config"].update(batch_size="big"),
+        lambda m: m["theta_specs"][0].__setitem__(2, "tanh"),
+        lambda m: m.update(theta_specs=[]),
+        lambda m: m.update(columns=["x", "z"]),
+        lambda m: array_entry(m, "train_y").update(shape=["30"]),
+        lambda m: array_entry(m, "train_y").update(shape=30),
+        lambda m: array_entry(m, "train_y").update(shape=[-30]),
+        # Same byte count as the payload, wrong layout for the networks.
+        lambda m: array_entry(m, "theta_w0").update(
+            shape=array_entry(m, "theta_w0")["shape"][::-1]),
+        lambda m: array_entry(m, "train_x").update(shape=[15, 2]),
+        lambda m: array_entry(m, "train_y").update(shape=[30, 1]),
+    ], ids=[
+        "no-scaler", "no-config", "no-log", "no-sigma-specs", "no-shape",
+        "no-x-std", "y-std-text", "x-mean-width", "unknown-kernel",
+        "batch-size-text", "unknown-activation", "no-theta-layers",
+        "columns-width", "shape-text", "shape-scalar", "shape-negative",
+        "weights-transposed", "train-x-reshaped", "train-y-2d",
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.dgcn"
+        trainer.save(self.make_model(), path)
+
+        def apply(raw):
+            manifest = json.loads(raw)
+            edit(manifest)
+            return json.dumps(manifest).encode()
+
+        rewrite_manifest(path, apply)
+        with pytest.raises(FormatVersionMismatch):
+            trainer.load(path)
+
+    def test_declared_shapes_must_cover_payload(self, tmp_path):
+        path = tmp_path / "model.dgcn"
+        trainer.save(self.make_model(), path)
+
+        def apply(raw):
+            manifest = json.loads(raw)
+            array_entry(manifest, "train_y").update(shape=[29])
+            return json.dumps(manifest).encode()
+
+        rewrite_manifest(path, apply)
+        with pytest.raises(ChecksumMismatch):
+            trainer.load(path)
+
+
+def array_entry(manifest, name):
+    return next(e for e in manifest["arrays"] if e["name"] == name)
+
+
+def rewrite_manifest(path, edit):
+    """Replace a model file's manifest by edit(manifest bytes), with a valid CRC."""
+    blob = path.read_bytes()
+    head = len(trainer.MODEL_MAGIC) + 1
+    (size,) = struct.unpack("<I", blob[head : head + 4])
+    manifest = edit(blob[head + 4 : head + 4 + size])
+    out = (blob[:head] + struct.pack("<I", len(manifest)) + manifest
+           + blob[head + 4 + size : -4])
+    path.write_bytes(out + struct.pack("<I", zlib.crc32(out)))
