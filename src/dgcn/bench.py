@@ -316,13 +316,12 @@ class StationaryGp:
         pred = gp.predict(train, xs, self._field(xs.shape[0]), self.kset,
                           alpha_level=alpha_level, include_noise=include_noise)
         s = self.scaler
-        return gp.Prediction(
+        return replace(
+            pred,
             mean=s.inverse_y(pred.mean),
             variance=pred.variance * s.y_std**2,
             ci_low=s.inverse_y(pred.ci_low),
             ci_high=s.inverse_y(pred.ci_high),
-            alpha_level=pred.alpha_level,
-            clamped=pred.clamped,
         )
 
 

@@ -253,7 +253,7 @@ def cmd_bench_time(args) -> int:
     config = load_config(args.config, args.seed)
     report = bench.timing_benchmark(
         sizes, batches, epochs=args.epochs, synthetic_dims=args.dims,
-        seed=args.seed or 0, train_config=config,
+        seed=config.seed, train_config=config,
     )
     report.write_csv(args.out)
     for row in report.rows:

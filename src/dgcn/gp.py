@@ -17,6 +17,7 @@ interval is available via ``interval="z"``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,10 +94,12 @@ class Prediction:
     ci_high: np.ndarray
     alpha_level: float
     clamped: int = 0  # variances clipped to 0 by round-off
+    jitter_events: int = 0  # factorizations that needed diagonal jitter
+    jitter_max: float = 0.0  # highest jitter level any of them used
 
 
 def _system(batch: GpBatch, kset: KernelSet):
-    k = cov_matrix(kset, batch.x, batch.x, batch.hyper.theta, batch.hyper.theta)
+    k = cov_matrix(kset, batch.x, batch.hyper.theta)
     k[np.diag_indices_from(k)] += batch.hyper.sigma2
     factor = linalg.cholesky_jittered(k)
     alpha = linalg.solve_spd(factor, batch.y)
@@ -246,27 +249,46 @@ def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
         ci_high=high,
         alpha_level=alpha_level,
         clamped=clamped,
+        jitter_events=int(factor.jitter_used > 0.0),
+        jitter_max=factor.jitter_used,
     )
 
 
+# Prediction asks for the same few quantiles on every call; scipy's ppf
+# costs far more than the interval arithmetic around it.
+@functools.lru_cache(maxsize=256)
+def _t_quantile(alpha_level: float, n_train: int) -> float:
+    return _student_t.ppf(1.0 - alpha_level / 2.0, df=n_train - 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _z_quantile(alpha_level: float) -> float:
+    return _norm.ppf(1.0 - alpha_level / 2.0)
+
+
 def confidence_interval(mean, variance, n_train: int, alpha_level: float):
-    """mean +- t(1 - alpha/2, N-1) * sqrt(variance) / sqrt(N)."""
+    """mean +- t(1 - alpha/2, N-1) * sqrt(variance) / sqrt(N).
+
+    The quantile is computed once per (alpha, N) and cached.
+    """
     if not 0.0 < alpha_level < 1.0:
         raise InvalidAlpha(f"alpha_level must lie in (0, 1), got {alpha_level}")
     if n_train < 2:
         raise ValueError("need at least 2 training points for an interval")
     mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
-    quantile = _student_t.ppf(1.0 - alpha_level / 2.0, df=n_train - 1)
-    half = quantile * np.sqrt(variance) / math.sqrt(n_train)
+    half = _t_quantile(alpha_level, n_train) * np.sqrt(variance) / math.sqrt(n_train)
     return mean - half, mean + half
 
 
 def normal_interval(mean, variance, alpha_level: float):
-    """Conventional mean +- z(1 - alpha/2) * sqrt(variance) interval."""
+    """Conventional mean +- z(1 - alpha/2) * sqrt(variance) interval.
+
+    The quantile is computed once per alpha and cached.
+    """
     if not 0.0 < alpha_level < 1.0:
         raise InvalidAlpha(f"alpha_level must lie in (0, 1), got {alpha_level}")
     mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
-    half = _norm.ppf(1.0 - alpha_level / 2.0) * np.sqrt(variance)
+    half = _z_quantile(alpha_level) * np.sqrt(variance)
     return mean - half, mean + half

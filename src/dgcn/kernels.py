@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DimensionMismatch
 
@@ -195,47 +195,65 @@ def kernel_deriv(kernel: KernelId, d):
     return float(kernel_value_slope(kernel, d.reshape(1))[1][0] * d)
 
 
-def scale_points(x, theta) -> np.ndarray:
-    """Warp inputs by their per-point length-scales: z[p, v] = theta[p, v] * x[p, v]."""
-    x = np.asarray(x, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    if x.shape != theta.shape:
-        raise DimensionMismatch(
-            f"points {x.shape} and length-scales {theta.shape} differ in shape"
-        )
-    return x * theta
-
-
 def theta_block(theta, n_v: int, kernel_index: int) -> np.ndarray:
     """Slice the columns of the block matrix belonging to one kernel."""
     return theta[:, kernel_index * n_v : (kernel_index + 1) * n_v]
 
 
-def cov_matrix(kset: KernelSet, xa, xb, theta_a, theta_b) -> np.ndarray:
+def _checked_set(kset: KernelSet, x, theta):
+    x = np.asarray(x, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"point set {x.shape} is not (N, n_v)")
+    want = x.shape[1] * kset.n_k
+    if theta.shape != (x.shape[0], want):
+        raise DimensionMismatch(
+            "length-scale blocks must be (N, n_v * n_k) = "
+            f"({x.shape[0]}, {want}), got {theta.shape}"
+        )
+    return x, theta
+
+
+def cov_matrix(kset: KernelSet, xa, *rest) -> np.ndarray:
     """Summed covariance between two point sets under their length-scale fields.
 
-    Entry (p, q) is sum_i k_i(||theta_i_p * x_p - theta_i_q * x_q||).
-    Distances are computed pairwise and exactly, so identical rows yield a
-    distance of exactly 0 and the same-points diagonal is exactly n_k.
+    Called as cov_matrix(kset, xa, xb, theta_a, theta_b), entry (p, q) is
+    sum_i k_i(||theta_i_p * x_p - theta_i_q * x_q||).  Distances are
+    computed pairwise and exactly, so identical rows yield a distance of
+    exactly 0.
+
+    Called as cov_matrix(kset, x, theta), it is the set against itself:
+    each pair's distance and kernel values are taken once (pdist, which
+    equals cdist entry for entry), summed in condensed form and mirrored,
+    and the diagonal is exactly n_k.  The result equals
+    cov_matrix(kset, x, x, theta, theta) bit for bit.
     """
-    xa = np.asarray(xa, dtype=np.float64)
-    xb = np.asarray(xb, dtype=np.float64)
-    theta_a = np.asarray(theta_a, dtype=np.float64)
-    theta_b = np.asarray(theta_b, dtype=np.float64)
-    if xa.ndim != 2 or xb.ndim != 2 or xa.shape[1] != xb.shape[1]:
+    if len(rest) == 1:
+        return _self_cov(kset, *_checked_set(kset, xa, rest[0]))
+    if len(rest) != 3:
+        raise TypeError("cov_matrix takes (kset, x, theta) or "
+                        "(kset, xa, xb, theta_a, theta_b)")
+    xb, theta_a, theta_b = rest
+    xa, theta_a = _checked_set(kset, xa, theta_a)
+    xb, theta_b = _checked_set(kset, xb, theta_b)
+    if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatch(
             f"point sets {xa.shape} and {xb.shape} are not compatible"
         )
     n_v = xa.shape[1]
-    want = n_v * kset.n_k
-    if theta_a.shape != (xa.shape[0], want) or theta_b.shape != (xb.shape[0], want):
-        raise DimensionMismatch(
-            "length-scale blocks must be (N, n_v * n_k) = "
-            f"(*, {want}), got {theta_a.shape} and {theta_b.shape}"
-        )
     out = np.zeros((xa.shape[0], xb.shape[0]))
     for i, kern in enumerate(kset.kernels):
         za = xa * theta_block(theta_a, n_v, i)
         zb = xb * theta_block(theta_b, n_v, i)
         out += kernel_value(kern, cdist(za, zb))
+    return out
+
+
+def _self_cov(kset: KernelSet, x, theta) -> np.ndarray:
+    n_v = x.shape[1]
+    condensed = np.zeros(x.shape[0] * (x.shape[0] - 1) // 2)
+    for i, kern in enumerate(kset.kernels):
+        condensed += kernel_value(kern, pdist(x * theta_block(theta, n_v, i)))
+    out = squareform(condensed, checks=False)
+    np.fill_diagonal(out, float(kset.n_k))
     return out

@@ -24,7 +24,7 @@ import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -493,14 +493,14 @@ def _check_query(model: TrainedModel, x_star_raw) -> np.ndarray:
 
 
 def _destandardize(model: TrainedModel, pred: gp.Prediction) -> gp.Prediction:
+    """Back to the response's units; the diagnostic counts pass through."""
     s = model.scaler
-    return gp.Prediction(
+    return replace(
+        pred,
         mean=s.inverse_y(pred.mean),
         variance=pred.variance * s.y_std**2,
         ci_low=s.inverse_y(pred.ci_low),
         ci_high=s.inverse_y(pred.ci_high),
-        alpha_level=pred.alpha_level,
-        clamped=pred.clamped,
     )
 
 
@@ -534,10 +534,13 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
         k = model.config.prediction_k or model.config.batch_size
     k = min(max(int(k), 1), model.n)
 
+    # One neighbour query for the whole block; queries whose sorted
+    # neighbour sets are equal share one factorization (all of them when
+    # k = N, which keeps that case identical to predict_full).
+    nearest = np.sort(model.index.query(xs, k), axis=1)
     groups: dict = {}
-    for i in range(xs.shape[0]):
-        key = tuple(np.sort(model.index.query(xs[i], k)))
-        groups.setdefault(key, []).append(i)
+    for i, row in enumerate(nearest):
+        groups.setdefault(row.tobytes(), []).append(i)
 
     n_star = xs.shape[0]
     mean = np.empty(n_star)
@@ -545,9 +548,8 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     ci_low = np.empty(n_star)
     ci_high = np.empty(n_star)
 
-    def solve_group(item) -> int:
-        key, ids = item
-        sel = np.asarray(key, dtype=np.intp)
+    def solve_group(ids) -> tuple:
+        sel = nearest[ids[0]]
         ids = np.asarray(ids, dtype=np.intp)
         sub = gp.GpBatch(model.x[sel], model.y[sel], model.hyper.take(sel))
         pred = gp.predict(sub, xs[ids], hyper_star.take(ids), model.kernel_set,
@@ -557,17 +559,21 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
         variance[ids] = pred.variance
         ci_low[ids] = pred.ci_low
         ci_high[ids] = pred.ci_high
-        return pred.clamped
+        return pred.clamped, pred.jitter_events, pred.jitter_max
 
-    # Groups write disjoint rows of the output arrays; the clamp counts are
-    # returned per group and summed here, so no state is shared.
+    # Groups write disjoint rows of the output arrays; the clamp and jitter
+    # diagnostics are returned per group and combined here, so no state is
+    # shared.
     workers = worker_count()
     if workers > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            clamped = sum(pool.map(solve_group, groups.items()))
+            solved = list(pool.map(solve_group, groups.values()))
     else:
-        clamped = sum(map(solve_group, groups.items()))
-    pred = gp.Prediction(mean, variance, ci_low, ci_high, alpha_level, clamped)
+        solved = list(map(solve_group, groups.values()))
+    clamped, jitter_events, jitter_max = zip(*solved)
+    pred = gp.Prediction(mean, variance, ci_low, ci_high, alpha_level,
+                         clamped=sum(clamped), jitter_events=sum(jitter_events),
+                         jitter_max=max(jitter_max))
     return _destandardize(model, pred)
 
 

@@ -234,3 +234,29 @@ class TestBenchTime:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert all(float(r["seconds"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("seed_args, config_seed, want", [
+        (["--seed", 0], None, 0),
+        (["--seed", 5], None, 5),
+        ([], 7, 7),
+        (["--seed", 0], 7, 0),
+        ([], None, 0),
+    ])
+    def test_seed_comes_from_flag_then_config(self, tmp_path, monkeypatch,
+                                              seed_args, config_seed, want):
+        seen = {}
+
+        def fake_timing_benchmark(sizes, batches, **kwargs):
+            seen.update(kwargs)
+            return cli.bench.TimingReport()
+
+        monkeypatch.setattr(cli.bench, "timing_benchmark", fake_timing_benchmark)
+        args = ["bench-time", "--sizes", "128", "--batch", "64",
+                "--out", tmp_path / "timing.csv", *seed_args]
+        if config_seed is not None:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"seed": config_seed}))
+            args += ["--config", config]
+        assert run(args) == 0
+        assert seen["seed"] == want
+        assert seen["train_config"].seed == want

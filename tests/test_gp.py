@@ -2,6 +2,8 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.stats import norm
+from scipy.stats import t as student_t
 
 from dgcn import gp, trainer
 from dgcn.errors import DimensionMismatch, InvalidAlpha, StaleMask
@@ -345,6 +347,22 @@ class TestConfidenceInterval:
         lo1, hi1 = gp.normal_interval(np.zeros(1), np.ones(1), 0.05)
         lo2, hi2 = gp.normal_interval(np.zeros(1), np.ones(1), 0.5)
         assert (hi2 - lo2)[0] < (hi1 - lo1)[0]
+
+
+    @pytest.mark.parametrize("alpha, n", [(0.05, 200), (0.05, 50), (0.2, 200),
+                                          (np.float64(0.05), 200)])
+    def test_cached_quantiles_equal_fresh_ppf(self, alpha, n):
+        mean, variance = np.array([0.5, -1.0]), np.array([2.0, 0.3])
+        t_half = (student_t.ppf(1.0 - alpha / 2.0, df=n - 1)
+                  * np.sqrt(variance) / np.sqrt(n))
+        z_half = norm.ppf(1.0 - alpha / 2.0) * np.sqrt(variance)
+        for _ in range(2):  # the second call is answered from the cache
+            low, high = gp.confidence_interval(mean, variance, n, alpha)
+            np.testing.assert_array_equal(low, mean - t_half)
+            np.testing.assert_array_equal(high, mean + t_half)
+            low, high = gp.normal_interval(mean, variance, alpha)
+            np.testing.assert_array_equal(low, mean - z_half)
+            np.testing.assert_array_equal(high, mean + z_half)
 
 
 class TestTrainingSanity:

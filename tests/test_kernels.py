@@ -13,7 +13,6 @@ from dgcn.kernels import (
     kernel_deriv,
     kernel_value,
     kernel_value_slope,
-    scale_points,
 )
 
 from oracles import scalar_kernel_deriv, warped_cov
@@ -29,24 +28,38 @@ def distance_grid():
 
 
 class TestScalePoints:
+    """The warp z = x * theta that cov_matrix applies before distances."""
+
     def test_unit_scaling(self):
         np.testing.assert_array_equal(
-            scale_points([[1.0, 2.0]], [[1.0, 1.0]]), [[1.0, 2.0]]
+            np.array([[1.0, 2.0]]) * np.array([[1.0, 1.0]]), [[1.0, 2.0]]
         )
 
     def test_elementwise_product(self):
         np.testing.assert_array_equal(
-            scale_points([[1.0, 2.0]], [[2.0, 1.0]]), [[2.0, 2.0]]
+            np.array([[1.0, 2.0]]) * np.array([[2.0, 1.0]]), [[2.0, 2.0]]
         )
 
     def test_zero_scales_collapse_everything(self):
         x = np.random.default_rng(0).standard_normal((5, 3))
-        z = scale_points(x, np.zeros_like(x))
+        z = x * np.zeros_like(x)
         np.testing.assert_array_equal(z, np.zeros_like(x))
+        kset = KernelSet((KernelId.MATERN32,))
+        np.testing.assert_array_equal(cov_matrix(kset, x, np.zeros_like(x)), 1.0)
+
+    def test_covariance_is_taken_on_warped_points(self):
+        rng = np.random.default_rng(1)
+        kset = KernelSet((KernelId.MATERN52,))
+        x = rng.standard_normal((6, 3))
+        theta = rng.uniform(-2.0, 2.0, (6, 3))
+        np.testing.assert_array_equal(
+            cov_matrix(kset, x, theta), cov_matrix(kset, x * theta, np.ones_like(x))
+        )
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            scale_points(np.ones((2, 3)), np.ones((2, 2)))
+            cov_matrix(KernelSet((KernelId.SQUARED_EXP,)),
+                       np.ones((2, 3)), np.ones((2, 2)))
 
 
 class TestKernelValue:
@@ -218,6 +231,45 @@ class TestCovMatrix:
         with pytest.raises(DimensionMismatch):
             cov_matrix(kset, np.ones((2, 2)), np.ones((2, 2)),
                        np.ones((2, 3)), np.ones((2, 2)))
+
+
+    def test_one_set_form_checks_shapes(self):
+        kset = KernelSet((KernelId.SQUARED_EXP,))
+        with pytest.raises(DimensionMismatch):
+            cov_matrix(kset, np.ones(3), np.ones(3))
+        with pytest.raises(TypeError):
+            cov_matrix(kset, np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+
+
+@st.composite
+def symmetric_cases(draw):
+    """A kernel set and one point set with its field; some rows duplicated."""
+    names = [k.value for k in ALL_KERNELS]
+    kernels = draw(st.one_of(
+        st.sampled_from([[name] for name in names]),
+        st.just(names),
+    ))
+    kset = KernelSet.from_names(kernels)
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 30)))
+    n_v = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, n_v))
+    theta = rng.uniform(-3.0, 3.0, (n, n_v * kset.n_k))
+    if n > 2 and draw(st.booleans()):
+        src = rng.integers(0, n, n // 3 + 1)
+        dst = rng.integers(0, n, src.size)
+        x[dst], theta[dst] = x[src], theta[src]  # exact zero distances
+    return kset, x, theta
+
+
+class TestSymmetricCovMatrix:
+    @given(symmetric_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_one_set_equals_two_set_bit_for_bit(self, case):
+        kset, x, theta = case
+        got = cov_matrix(kset, x, theta)
+        np.testing.assert_array_equal(got, cov_matrix(kset, x, x, theta, theta))
+        np.testing.assert_array_equal(np.diag(got), float(kset.n_k))
 
 
 class TestKernelSet:

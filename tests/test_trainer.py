@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from dgcn import trainer
+from dgcn import linalg, trainer
 from dgcn.errors import (
     ChecksumMismatch,
     DimensionMismatch,
@@ -15,6 +15,7 @@ from dgcn.errors import (
     InvalidSetting,
     SchemaMismatch,
 )
+from dgcn.kernels import cov_matrix
 from dgcn.mlp import OptimizerConfig
 from dgcn.trainer import Dataset, Scaler, TrainConfig
 
@@ -153,9 +154,9 @@ class TestPredictBatched:
         probe = rng.uniform(0, 2 * np.pi, (25, 1))
         full = trainer.predict_full(model, probe)
         batched = trainer.predict_batched(model, probe, k=model.n)
-        assert np.abs(full.mean - batched.mean).max() < 1e-12
-        assert np.abs(full.variance - batched.variance).max() < 1e-12
-        assert np.abs(full.ci_low - batched.ci_low).max() < 1e-12
+        for f in dataclasses.fields(full):
+            np.testing.assert_array_equal(getattr(batched, f.name),
+                                          getattr(full, f.name))
 
     def test_small_k_groups_by_neighborhood(self):
         data = sine_dataset(n=40)
@@ -224,6 +225,64 @@ class TestPredictBatched:
                                                   getattr(serial, f.name))
         finally:
             sys.setswitchinterval(interval)
+
+    @staticmethod
+    def jitter_model():
+        """A model whose duplicated training rows and ~1e-20 noise need jitter."""
+        data = sine_dataset(n=40)
+        x = np.concatenate([data.x, data.x[:12:3]])
+        y = np.concatenate([data.y, data.y[:12:3]])
+        model = trainer.fit(Dataset(x, y), quiet_config(
+            batch_size=22, max_epochs=2, sigma2_floor=1e-20))
+        # Constant networks: every copy of a row is the same warped point,
+        # so K has equal rows that a noise variance of ~1e-20 cannot part.
+        theta_net, sigma_net = model.theta_net, model.sigma_net
+        theta_net.params.weights[-1][:] = 0.0
+        theta_net.params.biases[-1][:] = 30.0
+        sigma_net.params.weights[-1][:] = 0.0
+        sigma_net.params.biases[-1][:] = -60.0
+        model = trainer._assemble(theta_net, sigma_net, model.scaler,
+                                  model.config, model.x, model.y,
+                                  model.columns, model.log)
+        # Three probes per training row: neighbour sets are shared.
+        return model, np.linspace(-0.1, 2 * np.pi + 0.1, 90)[:, None]
+
+    @staticmethod
+    def group_jitter(model, sel):
+        """Jitter the ladder needs for one neighbour set, factored directly."""
+        k = cov_matrix(model.kernel_set, model.x[sel], model.hyper.theta[sel])
+        k[np.diag_indices_from(k)] += model.hyper.sigma2[sel]
+        return linalg.cholesky_jittered(k).jitter_used
+
+    def test_jitter_reported_for_the_full_set(self):
+        model, probe = self.jitter_model()
+        want = self.group_jitter(model, np.arange(model.n))
+        assert want > 0.0
+        for pred in (trainer.predict_full(model, probe),
+                     trainer.predict_batched(model, probe, k=model.n)):
+            assert (pred.jitter_events, pred.jitter_max) == (1, want)
+
+    def test_jitter_counted_per_group(self):
+        model, probe = self.jitter_model()
+        pred = trainer.predict_batched(model, probe, k=6)
+        xs = model.scaler.transform_x(probe)
+        sets = {tuple(np.sort(model.index.query(q, 6))) for q in xs}
+        assert len(sets) < len(probe)
+        levels = [self.group_jitter(model, list(sel)) for sel in sets]
+        needed = [level for level in levels if level > 0.0]
+        assert 0 < len(needed) < len(levels)
+        assert pred.jitter_events == len(needed)
+        assert pred.jitter_max == max(needed)
+
+    def test_threaded_jitter_equals_serial(self, monkeypatch):
+        model, probe = self.jitter_model()
+        serial = trainer.predict_batched(model, probe, k=6)
+        assert serial.jitter_events > 0
+        monkeypatch.setenv("DGCN_THREADS", "4")
+        threaded = trainer.predict_batched(model, probe, k=6)
+        for f in dataclasses.fields(serial):
+            np.testing.assert_array_equal(getattr(threaded, f.name),
+                                          getattr(serial, f.name))
 
     @pytest.mark.parametrize("value, want", [(None, 1), ("", 1), ("1", 1),
                                              ("3", 3), (" 2 ", 2)])
