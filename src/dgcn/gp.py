@@ -126,34 +126,61 @@ class HyperGradients:
     jitter_used: float
 
 
+# Entries per row block of the training step: one block array (distances,
+# kernel values, slopes, a slice of G) holds about 1 MiB of float64, so the
+# arrays a block works on at one time stay in L2.
+_BLOCK_ENTRIES = 1 << 17
+
+
 def nll_hyper_grad(batch: GpBatch, kset: KernelSet) -> HyperGradients:
     """Exact dNLL/dtheta and dNLL/dsigma2 for every point of the batch.
 
     Uses dNLL/dK = 0.5 G with G = K^-1 - alpha alpha^T and alpha = K^-1 y.
-    One pass per kernel over the warped distances gives its value k(d) and
-    its slope over distance k'(d) / d (kernels.kernel_value_slope, which is
-    exactly 0 at d == 0).  Entry (p, q) of the covariance depends on the
-    length-scales of both p and q, and the two halves of 0.5 G contribute
-    equally, so the chain rule needs only W = G * k'(d) / d, elementwise:
+    Per kernel, the warped distances give the value k(d) and the slope over
+    distance k'(d) / d (kernels.kernel_value_slope, which is exactly 0 at
+    d == 0).  Entry (p, q) of the covariance depends on the length-scales
+    of both p and q, and the two halves of 0.5 G contribute equally, so the
+    chain rule needs only W = G * k'(d) / d, elementwise:
 
         dNLL/dtheta_p = x_p * (z_p * sum_q W_pq - sum_q W_pq z_q).
 
-    G is built in the inverse's buffer and each W in its slope's buffer,
-    so the chain from the inverse to the gradient allocates no n x n array.
+    Everything is symmetric, so the work runs over the lower triangle in
+    row blocks R = [r0, r1) of about 1 MiB per block array:
+
+    - pass 1, per block and kernel: distances cdist(z_R, z_<r1), their
+      kernel values summed into K[R, :r1] and their slopes S kept; the
+      block's part left of the diagonal block is mirrored into K[:r0, R];
+    - the factorization, alpha, the log-determinant and G = K^-1 - alpha
+      alpha^T (built in the inverse's buffer), on the whole matrix;
+    - pass 2, per block and kernel: W = S * G[R, :r1] in the slope's buffer,
+      whose row sums and W @ z_<r1 give rows R their sums over columns
+      below r1, while the column sums of W[:, :r0] and W[:, :r0]^T @ z_R
+      add the mirrored half to rows below r0.
+
+    Besides K, its factor and G, memory goes to the slopes: about n^2 / 2
+    entries per kernel.  K, the NLL and the sigma2 gradient are the same
+    bit for bit whatever the block size; the theta gradient sums in block
+    order, and with a single block (n <= 362) it is the full-square sum.
     """
     x = batch.x
     theta = batch.hyper.theta
     n, n_v = x.shape
-    warped = []
-    k = None
-    for i, kern in enumerate(kset.kernels):
-        z = x * theta_block(theta, n_v, i)
-        value, slope_over_d = kernel_value_slope(kern, cdist(z, z))
-        if k is None:
-            k = value
-        else:
-            k += value
-        warped.append((z, slope_over_d))
+    blocks = linalg.row_blocks(n, _BLOCK_ENTRIES)
+    warped = [x * theta_block(theta, n_v, i) for i in range(kset.n_k)]
+    k = np.empty((n, n))
+    slopes = []  # per block, per kernel: k'(d) / d on rows R, columns :r1
+    for r0, r1 in blocks:
+        k_block = k[r0:r1, :r1]
+        block_slopes = []
+        for i, (kern, z) in enumerate(zip(kset.kernels, warped)):
+            value, slope_over_d = kernel_value_slope(kern, cdist(z[r0:r1], z[:r1]))
+            if i:
+                k_block += value
+            else:
+                k_block[...] = value
+            block_slopes.append(slope_over_d)
+        slopes.append(block_slopes)
+        k[:r0, r0:r1] = k[r0:r1, :r0].T
     k[np.diag_indices_from(k)] += batch.hyper.sigma2
     factor = linalg.cholesky_jittered(k)
     alpha = linalg.solve_spd(factor, batch.y)
@@ -165,11 +192,24 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet) -> HyperGradients:
     # is symmetric, so its transpose is G in C order, like the slope arrays.
     g = _dger(-1.0, alpha, alpha, a=linalg.inverse_spd(factor), overwrite_a=True).T
 
+    # Per kernel, w_sum[p] = sum_q W_pq and wz_sum[p] = sum_q W_pq z_q.  Rows
+    # R get nothing before their own block, which assigns them, so with one
+    # block the sums are taken exactly as on the full square.
+    w_sum = np.empty((kset.n_k, n))
+    wz_sum = np.empty((kset.n_k, n, n_v))
+    for (r0, r1), block_slopes in zip(blocks, slopes):
+        g_block = g[r0:r1, :r1]
+        for i, (w, z) in enumerate(zip(block_slopes, warped)):
+            w *= g_block
+            w_sum[i, r0:r1] = w.sum(axis=1)
+            wz_sum[i, r0:r1] = w @ z[:r1]
+            if r0:
+                w_sum[i, :r0] += w[:, :r0].sum(axis=0)
+                wz_sum[i, :r0] += w[:, :r0].T @ z[r0:r1]
     grad_theta = np.empty_like(theta)
-    for i, (z, w) in enumerate(warped):
-        w *= g
+    for i, z in enumerate(warped):
         grad_theta[:, i * n_v : (i + 1) * n_v] = x * (
-            z * w.sum(axis=1)[:, None] - w @ z
+            z * w_sum[i, :, None] - wz_sum[i]
         )
     return HyperGradients(
         value=value,

@@ -20,6 +20,10 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 
 DEFAULT_JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
+# Entries per row block of the symmetry check: one difference block holds
+# about 1 MiB of float64.
+_CHECK_BLOCK_ENTRIES = 1 << 17
+
 
 @dataclass(frozen=True)
 class CholeskyFactor:
@@ -47,13 +51,12 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER) -> CholeskyFactor:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    # max() propagates NaN, so this one scan rejects NaN as well as inf and
-    # scipy's own finiteness check can be skipped below.
-    scale = np.abs(a).max() if a.size else 0.0
+    # max() and min() propagate NaN, so the scale rejects NaN as well as inf
+    # and scipy's own finiteness check can be skipped below.
+    scale = max(a.max(), -a.min()) if a.size else 0.0
     if not np.isfinite(scale):
         raise NotPositiveDefinite("matrix contains non-finite entries")
-    if a.size and np.abs(a - a.T).max() > 1e-10 * max(scale, 1.0):
-        raise DimensionMismatch("matrix is not symmetric")
+    _check_symmetric(a, 1e-10 * max(scale, 1.0))
     for jitter in jitter_ladder:
         shifted = a
         if jitter:
@@ -67,6 +70,30 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER) -> CholeskyFactor:
     raise NotPositiveDefinite(
         f"factorization failed with jitter up to {jitter_ladder[-1]:g}"
     )
+
+
+def row_blocks(n: int, entries: int) -> list:
+    """[r0, r1) ranges over n rows, each of at most ``entries`` // n rows.
+
+    Rows of an n-wide array in one range then hold about ``entries``
+    values; every range has the same length but the last, and there is
+    at least one row per range.
+    """
+    rows = max(1, entries // max(n, 1))
+    return [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
+
+
+def _check_symmetric(a, tol: float) -> None:
+    """Raise unless max |a_pq - a_qp| <= tol.
+
+    Row block [r0, r1) compares a[r0:r1, :r1] with the transposed column
+    strip a[:r1, r0:r1], so each pair is seen once and no temporary exceeds
+    about 1 MiB.
+    """
+    for r0, r1 in row_blocks(a.shape[0], _CHECK_BLOCK_ENTRIES):
+        diff = a[r0:r1, :r1] - a[:r1, r0:r1].T
+        if np.abs(diff, out=diff).max() > tol:
+            raise DimensionMismatch("matrix is not symmetric")
 
 
 def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:
@@ -96,8 +123,12 @@ def inverse_spd(factor: CholeskyFactor) -> np.ndarray:
     if info != 0:  # pragma: no cover - factor invariant guarantees success
         inv = solve_spd(factor, np.eye(factor.n))
         return 0.5 * (inv + inv.T)
-    # dpotri fills one triangle only.
-    return inv + np.tril(inv, -1).T
+    # dpotri fills the lower triangle and leaves the upper one zero, so one
+    # add of the transpose mirrors it and doubles only the diagonal, which
+    # halving restores exactly.  Fortran order, like dpotri's output.
+    inv = np.add(inv, inv.T, order="F")
+    inv[np.diag_indices_from(inv)] *= 0.5
+    return inv
 
 
 def logdet(factor: CholeskyFactor) -> float:

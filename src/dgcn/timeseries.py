@@ -103,7 +103,9 @@ def forecast_recursive(model: TrainedModel, history, steps: int,
     """Multi-step forecast feeding each predicted mean back as a lag.
 
     Returns the vector of predicted means, or the full Prediction
-    (mean/variance/interval per step) when ``detailed`` is true.
+    (mean/variance/interval per step) when ``detailed`` is true; its
+    ``clamped`` and ``jitter_events`` are summed over the steps and
+    ``jitter_max`` is the highest level any step used.
     """
     n_lags = model.n_v
     history = np.asarray(history, dtype=np.float64).reshape(-1)
@@ -118,6 +120,8 @@ def forecast_recursive(model: TrainedModel, history, steps: int,
     variances = np.empty(steps)
     lows = np.empty(steps)
     highs = np.empty(steps)
+    clamped = jitter_events = 0
+    jitter_max = 0.0
     for step in range(steps):
         pred = trainer.predict_batched(
             model, window[None, :], k=k, alpha_level=alpha_level,
@@ -127,10 +131,15 @@ def forecast_recursive(model: TrainedModel, history, steps: int,
         variances[step] = pred.variance[0]
         lows[step] = pred.ci_low[0]
         highs[step] = pred.ci_high[0]
+        clamped += pred.clamped
+        jitter_events += pred.jitter_events
+        jitter_max = max(jitter_max, pred.jitter_max)
         window = np.roll(window, -1)
         window[-1] = means[step]
     if detailed:
-        return Prediction(means, variances, lows, highs, alpha_level)
+        return Prediction(means, variances, lows, highs, alpha_level,
+                          clamped=clamped, jitter_events=jitter_events,
+                          jitter_max=jitter_max)
     return means
 
 

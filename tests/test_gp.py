@@ -2,12 +2,21 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dger
+from scipy.spatial.distance import cdist
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
-from dgcn import gp, trainer
+from dgcn import gp, linalg, trainer
 from dgcn.errors import DimensionMismatch, InvalidAlpha, StaleMask
-from dgcn.kernels import ALL_KERNELS, KernelId, KernelSet
+from dgcn.kernels import (
+    ALL_KERNELS,
+    KernelId,
+    KernelSet,
+    cov_matrix,
+    kernel_value_slope,
+    theta_block,
+)
 from dgcn.mlp import Mlp, OptimizerConfig, OptimizerState, RegularizerSpec
 
 from oracles import STUDENT_T_TABLE, masked_divide_hyper_grad, stationary_gp
@@ -229,6 +238,102 @@ class TestNllHyperGrad:
         batch = gp.GpBatch(x, y, gp.HyperField(theta, sigma2))
         with pytest.raises(StaleMask):
             gp.nll_grad(batch, kset, theta_net, sigma_net)
+
+
+def one_block(batch, kset, monkeypatch):
+    """nll_hyper_grad with every row in a single block."""
+    with monkeypatch.context() as m:
+        m.setattr(gp, "_BLOCK_ENTRIES", batch.n * batch.n)
+        assert len(linalg.row_blocks(batch.n, gp._BLOCK_ENTRIES)) == 1
+        return gp.nll_hyper_grad(batch, kset)
+
+
+def duplicated_batch(rng, n, n_v, kset, sigma2):
+    """n points whose copies of a row share its inputs and length-scales.
+
+    Copies sit at positions spread over the whole batch, so with small row
+    blocks they fall on both sides of block boundaries.
+    """
+    n0 = max(1, (2 * n) // 3)
+    rows = np.r_[np.arange(n0), rng.integers(0, n0, n - n0)]
+    rows = rows[rng.permutation(n)]
+    x0 = rng.uniform(-1.0, 1.0, (n0, n_v))
+    theta0 = rng.uniform(0.5, 1.5, (n0, n_v * kset.n_k))
+    y = np.sin(2.0 * x0[:, 0] + x0[:, -1])[rows]
+    return gp.GpBatch(x0[rows], y, gp.HyperField(theta0[rows],
+                                                 np.full(n, sigma2)))
+
+
+class TestBlockedHyperGrad:
+    """nll_hyper_grad over the lower triangle in row blocks."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    @pytest.mark.parametrize("rows", [1, 2, 5, 16])
+    @pytest.mark.parametrize("kernels", [(k,) for k in ALL_KERNELS] + [ALL_KERNELS])
+    def test_blocks_match_one_block(self, n, rows, kernels, monkeypatch):
+        kset = KernelSet(kernels)
+        rng = np.random.default_rng([n, rows, kset.n_k])
+        batch = duplicated_batch(rng, n, 2, kset, sigma2=1e-3)
+        want = one_block(batch, kset, monkeypatch)
+        monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
+        blocks = linalg.row_blocks(n, gp._BLOCK_ENTRIES)
+        assert len(blocks) == -(-n // rows)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        got = gp.nll_hyper_grad(batch, kset)
+        assert got.value == want.value
+        np.testing.assert_array_equal(got.sigma2, want.sigma2)
+        assert got.jitter_used == want.jitter_used
+        scale = np.abs(want.theta).max()
+        assert np.abs(got.theta - want.theta).max() <= 1e-12 * scale
+        if n > 1:
+            oracle, oracle_sigma2 = masked_divide_hyper_grad(
+                kset.names(), batch.x, batch.y, batch.hyper.theta,
+                batch.hyper.sigma2)
+            # n = 2 holds one point twice: every distance is 0, so is theta.
+            assert (np.abs(got.theta - oracle).max()
+                    <= 1e-8 * np.abs(oracle).max())
+            assert (np.abs(got.sigma2 - oracle_sigma2).max()
+                    <= 1e-8 * np.abs(oracle_sigma2).max())
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 200])
+    def test_one_block_is_the_full_square_sum(self, n):
+        # Minibatch steps fit in one block; their gradient must be the
+        # full-square sum bit for bit, or training trajectories drift.
+        kset = KernelSet()
+        assert len(linalg.row_blocks(n, gp._BLOCK_ENTRIES)) == 1
+        batch = duplicated_batch(np.random.default_rng(n), n, 3, kset, 1e-2)
+        got = gp.nll_hyper_grad(batch, kset)
+        k = cov_matrix(kset, batch.x, batch.hyper.theta)
+        k[np.diag_indices_from(k)] += batch.hyper.sigma2
+        factor = linalg.cholesky_jittered(k)
+        alpha = linalg.solve_spd(factor, batch.y)
+        # BLAS dger, as in the package: it may fuse the multiply and add.
+        g = dger(-1.0, alpha, alpha, a=linalg.inverse_spd(factor)).T
+        want = np.empty_like(batch.hyper.theta)
+        for i, kern in enumerate(kset.kernels):
+            z = batch.x * theta_block(batch.hyper.theta, 3, i)
+            w = kernel_value_slope(kern, cdist(z, z))[1] * g
+            want[:, 3 * i : 3 * i + 3] = batch.x * (
+                z * w.sum(axis=1)[:, None] - w @ z)
+        np.testing.assert_array_equal(got.theta.view(np.uint64),
+                                      want.view(np.uint64))
+
+    @pytest.mark.parametrize("n, rows", [(1, 1), (17, 1), (17, 5), (64, 7),
+                                         (64, 64)])
+    def test_covariance_is_the_one_set_covariance(self, n, rows, monkeypatch):
+        # The factored matrix equals cov_matrix plus the noise diagonal bit
+        # for bit, mirrored halves and duplicated rows included.
+        kset = KernelSet()
+        batch = duplicated_batch(np.random.default_rng(n), n, 3, kset, 1e-2)
+        seen = []
+        factor = linalg.cholesky_jittered
+        monkeypatch.setattr(linalg, "cholesky_jittered",
+                            lambda a: seen.append(a.copy()) or factor(a))
+        monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
+        gp.nll_hyper_grad(batch, kset)
+        want = cov_matrix(kset, batch.x, batch.hyper.theta)
+        want[np.diag_indices_from(want)] += batch.hyper.sigma2
+        np.testing.assert_array_equal(seen[0], want)
 
 
 class TestPredict:

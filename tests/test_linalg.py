@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotri
 
 from dgcn import linalg
 from dgcn.errors import DimensionMismatch, NotPositiveDefinite
@@ -69,6 +72,78 @@ class TestCholeskyJittered:
             f = linalg.cholesky_jittered(a)
             err = np.abs(f.lower @ f.lower.T - (a + f.jitter_used * np.eye(n)))
             assert err.max() < 1e-9 * np.abs(a).max()
+
+
+def old_checks_reject(a) -> bool:
+    """The input checks as full-square expressions (n^2 temporaries)."""
+    scale = np.abs(a).max()
+    return (not np.isfinite(scale)
+            or np.abs(a - a.T).max() > 1e-10 * max(scale, 1.0))
+
+
+class TestCholeskyChecks:
+    """Finiteness and symmetry checks, scanned in row blocks."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_anywhere(self, rows, bad, monkeypatch):
+        # One entry at a time, so most placements are also asymmetric.
+        n = 5
+        monkeypatch.setattr(linalg, "_CHECK_BLOCK_ENTRIES", rows * n)
+        for p in range(n):
+            for q in range(n):
+                a = 2.0 * np.eye(n)
+                a[p, q] = bad
+                with pytest.raises(NotPositiveDefinite):
+                    linalg.cholesky_jittered(a)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("s", [0.25, 3e3])
+    @pytest.mark.parametrize("margin", [-1e-3, 1e-3])
+    def test_asymmetry_tolerance_as_before(self, rows, s, margin,
+                                           monkeypatch):
+        # Tolerance 1e-10 * max(max |a|, 1); max |a| = 2s here.
+        n = 7
+        monkeypatch.setattr(linalg, "_CHECK_BLOCK_ENTRIES", rows * n)
+        base = s * (1.5 * np.eye(n) + 0.5)
+        delta = 1e-10 * max(2.0 * s, 1.0) * (1.0 + margin)
+        for p in range(n):
+            for q in range(n):
+                if p == q:
+                    continue
+                a = base.copy()
+                a[p, q] += delta
+                assert old_checks_reject(a) == (margin > 0)
+                if margin > 0:
+                    with pytest.raises(DimensionMismatch):
+                        linalg.cholesky_jittered(a)
+                else:
+                    linalg.cholesky_jittered(a)
+
+    def test_checks_make_no_square_temporary(self):
+        # The last row breaks symmetry, so the scan covers every block and
+        # raises before scipy copies the matrix.
+        n = 1024
+        a = random_spd(np.random.default_rng(7), n)
+        a[-1, 0] += 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch):
+                linalg.cholesky_jittered(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
+
+
+def test_row_blocks_from_the_entry_budget():
+    assert linalg.row_blocks(30, 100) == [(r, r + 3) for r in range(0, 30, 3)]
+    assert linalg.row_blocks(30, 140) == [(0, 4), (4, 8), (8, 12), (12, 16),
+                                          (16, 20), (20, 24), (24, 28),
+                                          (28, 30)]
+    assert linalg.row_blocks(7, 100) == [(0, 7)]
+    assert linalg.row_blocks(101, 100) == [(r, r + 1) for r in range(101)]
+    assert linalg.row_blocks(0, 100) == []
 
 
 class TestSolveSpd:
@@ -142,3 +217,22 @@ class TestInverseSpd:
         inv = linalg.inverse_spd(linalg.cholesky_jittered(a))
         np.testing.assert_allclose(inv @ a, np.eye(9), atol=1e-10)
         np.testing.assert_array_equal(inv, inv.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_bit_equal_to_mirrored_lower_triangle(self, n, jitter):
+        rng = np.random.default_rng(n)
+        if jitter:
+            # Rank n // 2 (rank 0 for n = 1): singular until jitter is added.
+            b = rng.standard_normal((n, n // 2))
+            a = b @ b.T
+        else:
+            a = random_spd(rng, n)
+        f = linalg.cholesky_jittered(a)
+        assert (f.jitter_used > 0.0) == jitter
+        lower, info = dpotri(f.lower, lower=1)
+        assert info == 0
+        want = lower + np.tril(lower, -1).T
+        got = linalg.inverse_spd(f)
+        assert got.flags.f_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

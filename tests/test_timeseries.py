@@ -17,6 +17,8 @@ from dgcn.timeseries import (
 )
 from dgcn.trainer import TrainConfig
 
+import test_trainer
+
 TABLE_SERIES = np.array([2.0, 3.0, 1.0, 6.0, 7.0, 3.0, 9.0, 1.0])
 
 
@@ -162,6 +164,26 @@ class TestForecastRecursive:
         assert pred.mean.shape == (5,)
         assert np.all(pred.ci_low <= pred.mean + 1e-12)
         assert np.all(pred.mean <= pred.ci_high + 1e-12)
+
+    @pytest.mark.parametrize("build, k, seen", [
+        ("jitter_model", 6, "jitter_events"), ("clamping_model", 10, "clamped")])
+    def test_detailed_sums_step_diagnostics(self, build, k, seen):
+        # One-lag models whose neighbour sets need jitter or clamp
+        # variances; the reference replays the recursion step by step.  The
+        # jitter model's last step needs no jitter.
+        model, probe = getattr(test_trainer.TestPredictBatched, build)()
+        history = probe[7]  # a training input for the clamping model
+        got = forecast_recursive(model, history, steps=9, k=k, detailed=True)
+        window = history[-1:]
+        steps = []
+        for _ in range(9):
+            steps.append(trainer.predict_batched(model, window[None, :], k=k))
+            window = steps[-1].mean
+        np.testing.assert_array_equal(got.mean, [p.mean[0] for p in steps])
+        assert got.clamped == sum(p.clamped for p in steps)
+        assert got.jitter_events == sum(p.jitter_events for p in steps)
+        assert got.jitter_max == max(p.jitter_max for p in steps)
+        assert getattr(got, seen) > 0
 
 
 class TestE1Score:

@@ -2,10 +2,13 @@ import dataclasses
 import json
 import struct
 import sys
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgcn import linalg, trainer
 from dgcn.errors import (
@@ -15,7 +18,7 @@ from dgcn.errors import (
     InvalidSetting,
     SchemaMismatch,
 )
-from dgcn.kernels import cov_matrix
+from dgcn.kernels import ALL_KERNELS, KernelSet, cov_matrix
 from dgcn.mlp import OptimizerConfig
 from dgcn.trainer import Dataset, Scaler, TrainConfig
 
@@ -382,6 +385,53 @@ class TestPersistence:
         np.testing.assert_array_equal(a.variance, b.variance)
         np.testing.assert_array_equal(a.ci_low, b.ci_low)
         np.testing.assert_array_equal(a.ci_high, b.ci_high)
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(3, 40), n_v=st.integers(1, 3),
+           kernels=st.lists(st.sampled_from(ALL_KERNELS), min_size=1,
+                            max_size=5, unique=True),
+           seed=st.integers(0, 2**16), k=st.integers(2, 45),
+           strategy=st.sampled_from(["brute", "kdtree"]))
+    def test_roundtrip_keeps_every_array_and_prediction_field(
+            self, n, n_v, kernels, seed, k, strategy):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2.0, 2.0, (n, n_v))
+        x[-1] = x[0]  # a duplicated row
+        data = Dataset(x, np.sin(x.sum(axis=1)) + 0.1 * rng.standard_normal(n),
+                       columns=[f"c{v}" for v in range(n_v)])
+        model = trainer.fit(data, quiet_config(
+            batch_size=max(2, n // 2), max_epochs=2, seed=seed,
+            kernels=KernelSet(tuple(kernels)), neighbor_strategy=strategy))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/m.dgcn"
+            trainer.save(model, path)
+            loaded = trainer.load(path)
+        pairs = [(model.x, loaded.x), (model.y, loaded.y),
+                 (model.hyper.theta, loaded.hyper.theta),
+                 (model.hyper.sigma2, loaded.hyper.sigma2),
+                 (model.index.points, loaded.index.points),
+                 (model.scaler.x_mean, loaded.scaler.x_mean),
+                 (model.scaler.x_std, loaded.scaler.x_std)]
+        for net, back in ((model.theta_net, loaded.theta_net),
+                          (model.sigma_net, loaded.sigma_net)):
+            assert net.specs == back.specs
+            pairs += list(zip(net.params.arrays(), back.params.arrays()))
+        for a, b in pairs:
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert (loaded.scaler.y_mean, loaded.scaler.y_std) == (
+            model.scaler.y_mean, model.scaler.y_std)
+        assert loaded.config == model.config
+        assert loaded.columns == model.columns
+        assert loaded.log == model.log
+        assert loaded.index.strategy == model.index.strategy
+        probe = rng.uniform(-2.5, 2.5, (7, n_v))
+        for predict in (lambda m: trainer.predict_batched(m, probe, k=k),
+                        lambda m: trainer.predict_full(m, probe)):
+            a, b = predict(model), predict(loaded)
+            for f in dataclasses.fields(a):
+                np.testing.assert_array_equal(getattr(b, f.name),
+                                              getattr(a, f.name))
 
     def test_truncated_file_rejected(self, tmp_path):
         model = self.make_model()
