@@ -51,6 +51,22 @@ def seed_type(value: str) -> int:
     return seed
 
 
+def _check_prediction_args(k, alpha: float = 0.05, interval: str = "t") -> None:
+    """Reject a neighbour count or alpha that prediction cannot use.
+
+    A t interval needs at least 2 training points per prediction (its
+    quantile has N - 1 degrees of freedom), a z interval at least 1; alpha
+    must lie in (0, 1).  forecast and cats predict with t intervals at the
+    default alpha.
+    """
+    least = 2 if interval == "t" else 1
+    if k is not None and k < least:
+        raise UsageError(f"--k must be at least {least} with {interval} "
+                         f"intervals, got {k}")
+    if not 0.0 < alpha < 1.0:
+        raise UsageError(f"--alpha must lie in (0, 1), got {alpha}")
+
+
 def load_config(path, seed=None) -> TrainConfig:
     """Defaults merged with a JSON config file; unknown keys are rejected."""
     merged = TrainConfig().to_dict()
@@ -148,6 +164,7 @@ def _load_features(path, model) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
+    _check_prediction_args(args.k, args.alpha, args.interval)
     model = trainer.load(args.model)
     x = _load_features(args.data, model)
     pred = trainer.predict_batched(
@@ -197,6 +214,7 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    _check_prediction_args(args.k)
     config = load_config(args.config, args.seed)
     series = timeseries.read_series_csv(args.series)
     data = timeseries.lag_embed(series, timeseries.LagSpec(args.lags))
@@ -210,6 +228,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_cats(args) -> int:
+    _check_prediction_args(args.k)
     config = load_config(args.config, args.seed)
     series = timeseries.read_series_csv(args.series)
     lags = [int(v) for v in args.lags.split(",")]

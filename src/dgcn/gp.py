@@ -36,6 +36,7 @@ from .kernels import (  # noqa: F401
     kernel_deriv,
     kernel_value,
     kernel_value_slope,
+    one_set_cov,
     theta_block,
 )
 
@@ -62,7 +63,15 @@ class HyperField:
             raise ValueError("noise variances must be strictly positive")
 
     def take(self, idx) -> "HyperField":
-        return HyperField(self.theta[idx], self.sigma2[idx])
+        """The rows idx (fancy-indexed copies).
+
+        They passed the finite and positive checks as part of this field,
+        so the checks are not run again.
+        """
+        out = object.__new__(HyperField)
+        out.theta = self.theta[idx]
+        out.sigma2 = self.sigma2[idx]
+        return out
 
 
 @dataclass
@@ -147,40 +156,51 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet) -> HyperGradients:
     Everything is symmetric, so the work runs over the lower triangle in
     row blocks R = [r0, r1) of about 1 MiB per block array:
 
-    - pass 1, per block and kernel: distances cdist(z_R, z_<r1), their
-      kernel values summed into K[R, :r1] and their slopes S kept; the
-      block's part left of the diagonal block is mirrored into K[:r0, R];
+    - pass 1, per block: the diagonal block R x R from condensed pairs
+      (kernels.one_set_cov: one pdist and one kernel_value_slope per
+      kernel, rebuilt as squares); then, per kernel, the part left of it,
+      cdist(z_R, z_<r0), its kernel values summed into K[R, :r0] and
+      mirrored into K[:r0, R], its slopes S kept (empty when r0 = 0);
     - the factorization, alpha, the log-determinant and G = K^-1 - alpha
       alpha^T (built in the inverse's buffer), on the whole matrix;
-    - pass 2, per block and kernel: W = S * G[R, :r1] in the slope's buffer,
-      whose row sums and W @ z_<r1 give rows R their sums over columns
-      below r1, while the column sums of W[:, :r0] and W[:, :r0]^T @ z_R
-      add the mirrored half to rows below r0.
+    - pass 2, per block and kernel: W = S * G in each slope's buffer.  The
+      row sums of W and W @ z give rows R their sums over the diagonal
+      block and then over the columns left of it; the column sums of the
+      left part and its W^T @ z_R add the mirrored half to rows below r0.
 
     Besides K, its factor and G, memory goes to the slopes: about n^2 / 2
-    entries per kernel.  K, the NLL and the sigma2 gradient are the same
-    bit for bit whatever the block size; the theta gradient sums in block
-    order, and with a single block (n <= 362) it is the full-square sum.
+    entries per kernel; each kernel is evaluated on the n (n - 1) / 2
+    pairs once.  K, the NLL and the sigma2 gradient are the same bit for
+    bit whatever the block size; the theta gradient sums in block order,
+    and with a single block (n <= 362) it is the full-square sum.
     """
     x = batch.x
     theta = batch.hyper.theta
     n, n_v = x.shape
     blocks = linalg.row_blocks(n, _BLOCK_ENTRIES)
     warped = [x * theta_block(theta, n_v, i) for i in range(kset.n_k)]
-    k = np.empty((n, n))
-    slopes = []  # per block, per kernel: k'(d) / d on rows R, columns :r1
+    k = np.empty((n, n)) if len(blocks) > 1 else None
+    slopes = []  # per block: the diagonal and the left slope arrays per kernel
     for r0, r1 in blocks:
-        k_block = k[r0:r1, :r1]
-        block_slopes = []
-        for i, (kern, z) in enumerate(zip(kset.kernels, warped)):
-            value, slope_over_d = kernel_value_slope(kern, cdist(z[r0:r1], z[:r1]))
-            if i:
-                k_block += value
-            else:
-                k_block[...] = value
-            block_slopes.append(slope_over_d)
-        slopes.append(block_slopes)
-        k[:r0, r0:r1] = k[r0:r1, :r0].T
+        k_diag, diag_slopes = one_set_cov(kset, [z[r0:r1] for z in warped],
+                                          slopes=True)
+        if k is None:
+            k = k_diag  # one block: the diagonal block is all of K
+        else:
+            k[r0:r1, r0:r1] = k_diag
+        left_slopes = []
+        if r0:
+            k_left = k[r0:r1, :r0]
+            for i, (kern, z) in enumerate(zip(kset.kernels, warped)):
+                value, slope_over_d = kernel_value_slope(
+                    kern, cdist(z[r0:r1], z[:r0]))
+                if i:
+                    k_left += value
+                else:
+                    k_left[...] = value
+                left_slopes.append(slope_over_d)
+            k[:r0, r0:r1] = k_left.T
+        slopes.append((diag_slopes, left_slopes))
     k[np.diag_indices_from(k)] += batch.hyper.sigma2
     factor = linalg.cholesky_jittered(k)
     alpha = linalg.solve_spd(factor, batch.y)
@@ -193,19 +213,23 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet) -> HyperGradients:
     g = _dger(-1.0, alpha, alpha, a=linalg.inverse_spd(factor), overwrite_a=True).T
 
     # Per kernel, w_sum[p] = sum_q W_pq and wz_sum[p] = sum_q W_pq z_q.  Rows
-    # R get nothing before their own block, which assigns them, so with one
-    # block the sums are taken exactly as on the full square.
+    # R get nothing before their own block, which assigns them from the
+    # diagonal block, so with one block the sums are the full-square ones.
     w_sum = np.empty((kset.n_k, n))
     wz_sum = np.empty((kset.n_k, n, n_v))
-    for (r0, r1), block_slopes in zip(blocks, slopes):
-        g_block = g[r0:r1, :r1]
-        for i, (w, z) in enumerate(zip(block_slopes, warped)):
-            w *= g_block
+    for (r0, r1), (diag_slopes, left_slopes) in zip(blocks, slopes):
+        g_diag = g[r0:r1, r0:r1]
+        for i, (w, z) in enumerate(zip(diag_slopes, warped)):
+            w *= g_diag
             w_sum[i, r0:r1] = w.sum(axis=1)
-            wz_sum[i, r0:r1] = w @ z[:r1]
-            if r0:
-                w_sum[i, :r0] += w[:, :r0].sum(axis=0)
-                wz_sum[i, :r0] += w[:, :r0].T @ z[r0:r1]
+            wz_sum[i, r0:r1] = w @ z[r0:r1]
+        g_left = g[r0:r1, :r0]
+        for i, (w, z) in enumerate(zip(left_slopes, warped)):
+            w *= g_left
+            w_sum[i, r0:r1] += w.sum(axis=1)
+            wz_sum[i, r0:r1] += w @ z[:r0]
+            w_sum[i, :r0] += w.sum(axis=0)
+            wz_sum[i, :r0] += w.T @ z[r0:r1]
     grad_theta = np.empty_like(theta)
     for i, z in enumerate(warped):
         grad_theta[:, i * n_v : (i + 1) * n_v] = x * (

@@ -229,7 +229,10 @@ def cov_matrix(kset: KernelSet, xa, *rest) -> np.ndarray:
     cov_matrix(kset, x, x, theta, theta) bit for bit.
     """
     if len(rest) == 1:
-        return _self_cov(kset, *_checked_set(kset, xa, rest[0]))
+        x, theta = _checked_set(kset, xa, rest[0])
+        n_v = x.shape[1]
+        return one_set_cov(
+            kset, [x * theta_block(theta, n_v, i) for i in range(kset.n_k)])[0]
     if len(rest) != 3:
         raise TypeError("cov_matrix takes (kset, x, theta) or "
                         "(kset, xa, xb, theta_a, theta_b)")
@@ -249,11 +252,29 @@ def cov_matrix(kset: KernelSet, xa, *rest) -> np.ndarray:
     return out
 
 
-def _self_cov(kset: KernelSet, x, theta) -> np.ndarray:
-    n_v = x.shape[1]
-    condensed = np.zeros(x.shape[0] * (x.shape[0] - 1) // 2)
-    for i, kern in enumerate(kset.kernels):
-        condensed += kernel_value(kern, pdist(x * theta_block(theta, n_v, i)))
+def one_set_cov(kset: KernelSet, warped, slopes: bool = False):
+    """Summed covariance of one point set with itself, from condensed pairs.
+
+    warped[i] is the set scaled by kernel i's length-scales.  Each pair's
+    distance is taken once (pdist, which equals cdist entry for entry) and
+    its kernel values are summed condensed in kernel order; squareform then
+    rebuilds the square, whose diagonal is set to exactly n_k.  Returns
+    (K, S): with ``slopes`` true, S lists each kernel's k'(d) / d as a
+    square with diagonal 0, its value at d == 0; otherwise S is empty.
+    Prediction (cov_matrix(kset, x, theta)) and the diagonal blocks of the
+    training step both assemble their symmetric blocks here.
+    """
+    m = warped[0].shape[0]
+    condensed = np.zeros(m * (m - 1) // 2)
+    slope_squares = []
+    for kern, z in zip(kset.kernels, warped):
+        d = pdist(z)
+        if slopes:
+            value, slope_over_d = kernel_value_slope(kern, d)
+            slope_squares.append(squareform(slope_over_d, checks=False))
+        else:
+            value = kernel_value(kern, d)
+        condensed += value
     out = squareform(condensed, checks=False)
     np.fill_diagonal(out, float(kset.n_k))
-    return out
+    return out, slope_squares

@@ -1,10 +1,17 @@
 """Dense symmetric-positive-definite helpers.
 
-Matrices are plain float64 numpy arrays (C order).  The only non-trivial
-piece is the jitter ladder: covariance matrices built from strongly
-correlated kernels are routinely singular to machine precision, so the
-factorization retries with growing diagonal inflation and reports how much
-was needed instead of crashing.
+Matrices are plain float64 numpy arrays; factors come out of LAPACK in
+Fortran order and are handed back to it without a copy.  The only
+non-trivial piece is the jitter ladder: covariance matrices built from
+strongly correlated kernels are routinely singular to machine precision,
+so the factorization retries with growing diagonal inflation and reports
+how much was needed instead of crashing.
+
+LAPACK is called directly (dpotrf, dtrtrs, dpotri): the same routines
+scipy.linalg's cholesky and solve_triangular call for a Fortran-ordered
+factor, so the results are the same bit for bit, without scipy's
+finiteness scan of every operand.  A factor from cholesky_jittered is
+finite by construction.
 """
 
 from __future__ import annotations
@@ -12,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky as _cholesky
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf as _dpotrf
 from scipy.linalg.lapack import dpotri as _dpotri
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -52,20 +59,22 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER) -> CholeskyFactor:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     # max() and min() propagate NaN, so the scale rejects NaN as well as inf
-    # and scipy's own finiteness check can be skipped below.
+    # before LAPACK sees the matrix.
     scale = max(a.max(), -a.min()) if a.size else 0.0
     if not np.isfinite(scale):
         raise NotPositiveDefinite("matrix contains non-finite entries")
     _check_symmetric(a, 1e-10 * max(scale, 1.0))
     for jitter in jitter_ladder:
-        shifted = a
         if jitter:
-            shifted = a.copy()
+            # A Fortran-ordered copy that dpotrf may factor in place.
+            shifted = a.copy(order="F")
             shifted[np.diag_indices_from(shifted)] += jitter
-        try:
-            lower = _cholesky(shifted, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+            lower, info = _dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
+        else:
+            lower, info = _dpotrf(a, lower=1, clean=1)
+        if info > 0:  # a leading minor is not positive definite
             continue
+        _check_info("dpotrf", info)
         return CholeskyFactor(lower=lower, jitter_used=float(jitter))
     raise NotPositiveDefinite(
         f"factorization failed with jitter up to {jitter_ladder[-1]:g}"
@@ -96,25 +105,41 @@ def _check_symmetric(a, tol: float) -> None:
             raise DimensionMismatch("matrix is not symmetric")
 
 
+def _check_info(routine: str, info: int) -> None:
+    if info < 0:  # pragma: no cover - the wrappers pass valid arguments
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+    if info > 0:
+        raise NotPositiveDefinite(f"{routine}: singular factor (pivot {info})")
+
+
+def _checked_rhs(factor: CholeskyFactor, b) -> np.ndarray:
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != factor.n:
+        raise DimensionMismatch(
+            f"rhs has shape {b.shape}, factor side is {factor.n}"
+        )
+    return b
+
+
+def _triangular(factor: CholeskyFactor, b, trans: int, overwrite: int):
+    """L x = b (trans 0) or L^T x = b (trans 1) by dtrtrs; b is 1-D or 2-D."""
+    if b.size == 0:  # dtrtrs rejects an empty right-hand side
+        return np.empty_like(b)
+    x, info = _dtrtrs(factor.lower, b, lower=1, trans=trans,
+                      overwrite_b=overwrite)
+    _check_info("dtrtrs", info)
+    return x
+
+
 def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:
     """Solve (L @ L.T) x = b via a forward then a backward triangular solve."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != factor.n:
-        raise DimensionMismatch(
-            f"rhs has {b.shape[0]} rows, factor side is {factor.n}"
-        )
-    y = solve_triangular(factor.lower, b, lower=True)
-    return solve_triangular(factor.lower, y, lower=True, trans="T")
+    y = _triangular(factor, _checked_rhs(factor, b), 0, 0)
+    return _triangular(factor, y, 1, 1)
 
 
 def solve_lower(factor: CholeskyFactor, b) -> np.ndarray:
     """Forward solve L y = b (half of solve_spd; used for variance terms)."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != factor.n:
-        raise DimensionMismatch(
-            f"rhs has {b.shape[0]} rows, factor side is {factor.n}"
-        )
-    return solve_triangular(factor.lower, b, lower=True)
+    return _triangular(factor, _checked_rhs(factor, b), 0, 0)
 
 
 def inverse_spd(factor: CholeskyFactor) -> np.ndarray:

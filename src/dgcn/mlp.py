@@ -13,6 +13,7 @@ ignore both regularizers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,18 +85,37 @@ class RegularizerSpec:
         return self.dropout_rate > 0.0 or self.input_noise_std > 0.0
 
 
-@dataclass
-class MlpParams:
-    """Per-layer weights (out_units x in_units) and biases (out_units,)."""
+def _views(flat, shapes) -> list:
+    """Consecutive C-ordered views of ``flat`` with the given shapes."""
+    out, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return out
 
-    weights: list
-    biases: list
+
+class MlpParams:
+    """Per-layer weights (out_units x in_units) and biases (out_units,).
+
+    Every weight and bias is a view into one float64 vector ``flat``, laid
+    out as [W_0..W_L, b_0..b_L] (the order of :meth:`arrays`), so an
+    optimizer can step ``[flat]`` as a single array.  The constructor copies
+    the given arrays into a new buffer.
+    """
+
+    def __init__(self, weights, biases):
+        arrays = [np.asarray(a, dtype=np.float64) for a in (*weights, *biases)]
+        self.shapes = tuple(a.shape for a in arrays)
+        self.flat = np.empty(sum(a.size for a in arrays))
+        views = _views(self.flat, self.shapes)
+        for view, a in zip(views, arrays):
+            view[...] = a
+        self.weights = views[: len(weights)]
+        self.biases = views[len(weights) :]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpParams(self.weights, self.biases)
 
     def arrays(self) -> list:
         """Flat list view [W_0..W_L, b_0..b_L]; arrays are shared, not copied."""
@@ -103,14 +123,17 @@ class MlpParams:
 
     @property
     def n_params(self) -> int:
-        return sum(a.size for a in self.arrays())
+        return self.flat.size
 
 
 @dataclass
 class MlpGrads:
+    """Parameter gradients, views into ``flat`` laid out like MlpParams."""
+
     weights: list
     biases: list
     inputs: np.ndarray
+    flat: np.ndarray
 
     def arrays(self) -> list:
         return list(self.weights) + list(self.biases)
@@ -136,6 +159,7 @@ class _ForwardCache:
     x: np.ndarray
     layer_inputs: list
     preacts: list
+    outputs: list  # activations before dropout
     masks: list
 
 
@@ -194,13 +218,14 @@ class Mlp:
         h = x
         if training and reg.input_noise_std > 0.0:
             h = h + rng.normal(0.0, reg.input_noise_std, size=h.shape)
-        layer_inputs, preacts, masks = [], [], []
+        layer_inputs, preacts, outputs, masks = [], [], [], []
         last = len(self.specs) - 1
         for i, spec in enumerate(self.specs):
             layer_inputs.append(h)
             a = h @ self.params.weights[i].T + self.params.biases[i]
             preacts.append(a)
             h = _act(spec.activation, a)
+            outputs.append(h)
             mask = None
             if training and reg.dropout_rate > 0.0 and i < last:
                 keep = rng.random(h.shape) >= reg.dropout_rate
@@ -208,11 +233,16 @@ class Mlp:
                 h = h * mask
             masks.append(mask)
         if training:
-            self._cache = _ForwardCache(x, layer_inputs, preacts, masks)
+            self._cache = _ForwardCache(x, layer_inputs, preacts, outputs, masks)
         return h
 
     def backward(self, upstream) -> MlpGrads:
-        """Gradients of sum(upstream * output) for the cached forward pass."""
+        """Gradients of sum(upstream * output) for the cached forward pass.
+
+        The parameter gradients are written into views of one flat vector.
+        A sigmoid layer's slope s (1 - s) reuses the forward's outputs s,
+        and a linear layer's slope of 1 is skipped.
+        """
         cache = self._cache
         if cache is None:
             raise StaleMask("backward called without a paired training forward")
@@ -221,16 +251,23 @@ class Mlp:
             raise DimensionMismatch(
                 f"upstream gradient must be {cache.preacts[-1].shape}, got {d.shape}"
             )
-        grad_w = [None] * len(self.specs)
-        grad_b = [None] * len(self.specs)
-        for i in range(len(self.specs) - 1, -1, -1):
+        n_layers = len(self.specs)
+        flat = np.empty(self.params.flat.size)
+        views = _views(flat, self.params.shapes)
+        grad_w, grad_b = views[:n_layers], views[n_layers:]
+        for i in range(n_layers - 1, -1, -1):
             if cache.masks[i] is not None:
                 d = d * cache.masks[i]
-            d = d * _act_prime(self.specs[i].activation, cache.preacts[i])
-            grad_w[i] = d.T @ cache.layer_inputs[i]
-            grad_b[i] = d.sum(axis=0)
+            activation = self.specs[i].activation
+            if activation == "sigmoid":
+                s = cache.outputs[i]
+                d = d * (s * (1.0 - s))
+            elif activation != "linear":
+                d = d * _act_prime(activation, cache.preacts[i])
+            np.matmul(d.T, cache.layer_inputs[i], out=grad_w[i])
+            np.sum(d, axis=0, out=grad_b[i])
             d = d @ self.params.weights[i]
-        return MlpGrads(weights=grad_w, biases=grad_b, inputs=d)
+        return MlpGrads(weights=grad_w, biases=grad_b, inputs=d, flat=flat)
 
     def clear_cache(self) -> None:
         self._cache = None

@@ -348,6 +348,15 @@ def hyper_for(theta_net: Mlp, sigma_net: Mlp, xs, sigma2_floor: float) -> gp.Hyp
     return gp.HyperField(theta, sigma2)
 
 
+def _optimizers(theta_net: Mlp, sigma_net: Mlp, config: TrainConfig) -> tuple:
+    """One optimizer per network, each stepping the flat parameter vector."""
+    return (
+        OptimizerState([theta_net.params.flat], config.optimizer),
+        OptimizerState([sigma_net.params.flat],
+                       config.sigma_optimizer or config.optimizer),
+    )
+
+
 def _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
                 rng, max_epochs, early_stop, log: TrainingLog) -> None:
     n, n_v = xs.shape
@@ -375,8 +384,8 @@ def _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
                     f"non-finite NLL in epoch {log.epochs_run + 1} "
                     f"on a batch of {len(idx)} points"
                 )
-            opt_theta.step(theta_net.params.arrays(), res.theta_net.arrays())
-            opt_sigma.step(sigma_net.params.arrays(), res.sigma_net.arrays())
+            opt_theta.step([theta_net.params.flat], [res.theta_net.flat])
+            opt_sigma.step([sigma_net.params.flat], [res.sigma_net.flat])
             log.optimizer_steps += 1
             total += res.value
             if res.jitter_used > 0.0:
@@ -408,10 +417,7 @@ def fit(data: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:
     xs = scaler.transform_x(data.x)
     ys = scaler.transform_y(data.y)
     theta_net, sigma_net = build_networks(data.n_v, config, rng)
-    opt_theta = OptimizerState(theta_net.params.arrays(), config.optimizer)
-    opt_sigma = OptimizerState(
-        sigma_net.params.arrays(), config.sigma_optimizer or config.optimizer
-    )
+    opt_theta, opt_sigma = _optimizers(theta_net, sigma_net, config)
     log = TrainingLog()
     _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
                 rng, config.max_epochs, True, log)
@@ -466,10 +472,7 @@ def update(model: TrainedModel, new_data: Dataset, epochs: int) -> TrainedModel:
     )
     if epochs > 0:
         rng = np.random.default_rng([config.seed, xs.shape[0], epochs])
-        opt_theta = OptimizerState(theta_net.params.arrays(), config.optimizer)
-        opt_sigma = OptimizerState(
-            sigma_net.params.arrays(), config.sigma_optimizer or config.optimizer
-        )
+        opt_theta, opt_sigma = _optimizers(theta_net, sigma_net, config)
         _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma,
                     config, rng, epochs, False, log)
     return _assemble(theta_net, sigma_net, model.scaler, config, xs, ys,

@@ -2,10 +2,18 @@
 
 Everything here is deliberately written the slow, explicit way (dense
 inverses, double loops) and never imports the package's own linear-algebra
-or covariance code paths, so it can serve as an oracle for them.
+or covariance code paths, so it can serve as an oracle for them.  The one
+exception is :func:`full_square_hyper_grad`, a bit-for-bit reference that
+takes the package's kernel forms (see its docstring).
 """
 
+import math
+
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpotri
+from scipy.spatial.distance import cdist
 
 SQRT3 = np.sqrt(3.0)
 SQRT5 = np.sqrt(5.0)
@@ -123,3 +131,58 @@ def masked_divide_hyper_grad(names, x, y, theta, sigma2):
             z * w.sum(axis=1)[:, None] - w @ z
         )
     return grad, np.diag(g).copy()
+
+
+def full_square_hyper_grad(kset, x, y, theta, sigma2, jitter_ladder):
+    """The training step's NLL and gradient on the full square, in one piece.
+
+    The length-scale gradient as the training step computed it before its
+    diagonal blocks moved to condensed pairs: every kernel on cdist(z, z),
+    values summed into K in kernel order, W = k'(d)/d * G on the whole
+    square, and its row sums and W @ z.  Kernel values and slopes come from
+    the package's kernel_value_slope, and the linear algebra from scipy's
+    cholesky (with the same jitter ladder), solve_triangular, dpotri and
+    dger, so a single-block step must match it bit for bit.
+
+    Returns (value, theta gradient, sigma2 gradient, jitter used).
+    """
+    from dgcn.kernels import kernel_value_slope
+
+    n, n_v = x.shape
+    warped, slopes = [], []
+    k = np.empty((n, n))
+    for i, kern in enumerate(kset.kernels):
+        z = x * theta[:, i * n_v : (i + 1) * n_v]
+        value, slope_over_d = kernel_value_slope(kern, cdist(z, z))
+        if i:
+            k += value
+        else:
+            k[...] = value
+        warped.append(z)
+        slopes.append(slope_over_d)
+    k[np.diag_indices_from(k)] += sigma2
+    for jitter in jitter_ladder:
+        shifted = k.copy()
+        shifted[np.diag_indices_from(shifted)] += jitter
+        try:
+            lower = cholesky(shifted, lower=True, check_finite=False)
+        except LinAlgError:
+            continue
+        break
+    else:
+        raise LinAlgError("not positive definite at the top of the ladder")
+    alpha = solve_triangular(
+        lower, solve_triangular(lower, y, lower=True), lower=True, trans="T")
+    logdet = float(2.0 * np.sum(np.log(np.diag(lower))))
+    value = float(0.5 * y @ alpha + 0.5 * logdet
+                  + 0.5 * n * math.log(2.0 * math.pi))
+    inv, _ = dpotri(lower, lower=1)
+    inv = np.add(inv, inv.T, order="F")
+    inv[np.diag_indices_from(inv)] *= 0.5
+    g = dger(-1.0, alpha, alpha, a=inv, overwrite_a=True).T
+    grad = np.empty_like(theta)
+    for i, (z, w) in enumerate(zip(warped, slopes)):
+        w *= g
+        grad[:, i * n_v : (i + 1) * n_v] = x * (
+            z * w.sum(axis=1)[:, None] - w @ z)
+    return value, grad, 0.5 * np.diag(g), float(jitter)

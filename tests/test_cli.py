@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,15 @@ def fast_config_json(tmp_path):
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+def assert_usage_error(capsys, args):
+    """Exit 2 with a one-line message on stderr and no traceback."""
+    capsys.readouterr()
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 class TestTrain:
@@ -143,6 +156,45 @@ class TestPredict:
                     "--out", tmp_path / "pred.csv"]) == 2
 
 
+    @pytest.mark.parametrize("extra", [
+        ["--k", 0], ["--k", 1], ["--k", -3], ["--k", 0, "--interval", "z"],
+        ["--alpha", 0], ["--alpha", 1], ["--alpha", 2], ["--alpha", -0.5],
+        ["--alpha", "nan"],
+    ])
+    def test_unusable_k_or_alpha_is_usage_error(self, tmp_path, sine_csv,
+                                                capsys, extra):
+        # Checked before the model is read: no model file is needed.
+        assert_usage_error(capsys, ["predict", "--model", tmp_path / "none.dgcn",
+                                    "--data", sine_csv, *extra])
+
+    def test_smallest_usable_k_per_interval(self, tmp_path, sine_csv,
+                                            fast_config_json):
+        model = self.fit_model(tmp_path, sine_csv, fast_config_json)
+        for k, interval in ((2, "t"), (1, "z")):
+            out = tmp_path / f"pred{k}.csv"
+            assert run(["predict", "--model", model, "--data", sine_csv,
+                        "--k", k, "--interval", interval, "--out", out]) == 0
+            with open(out) as fh:
+                assert len(list(csv.DictReader(fh))) == 40
+
+    @pytest.mark.parametrize("extra", [["--k", 1], ["--alpha", 2]])
+    def test_usage_error_prints_no_traceback(self, tmp_path, sine_csv,
+                                             fast_config_json, extra):
+        # With a real model, so nothing but the check stops the prediction.
+        model = self.fit_model(tmp_path, sine_csv, fast_config_json)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "dgcn.cli", "predict", "--model", str(model),
+             "--data", str(sine_csv), "--out", str(tmp_path / "pred.csv"),
+             *map(str, extra)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: --")
+
+
 class TestCrossval:
     def test_smoke_writes_reports(self, tmp_path, sine_csv, fast_config_json):
         code = run(["crossval", "--data", sine_csv, "--target", "y",
@@ -183,6 +235,17 @@ class TestForecastAndGapFilling:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 10
         assert rows[0]["index"] == "120"
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_forecast_and_cats_reject_k_below_two(self, tmp_path, capsys, k):
+        # Both predict with t intervals; the check runs before any training.
+        series_path = tmp_path / "series.csv"
+        series_path.write_text("value\n" + "\n".join(map(str, range(60))) + "\n")
+        assert_usage_error(capsys, ["forecast", "--series", series_path,
+                                    "--steps", 3, "--lags", 4, "--k", k])
+        assert_usage_error(capsys, ["cats", "--series", series_path,
+                                    "--k", k, "--out-dir", tmp_path])
+        assert not (tmp_path / "forecast.csv").exists()
 
     @pytest.mark.slow
     def test_gap_filling_consistency(self, tmp_path, capsys):

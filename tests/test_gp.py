@@ -2,8 +2,8 @@ import zlib
 
 import numpy as np
 import pytest
-from scipy.linalg.blas import dger
-from scipy.spatial.distance import cdist
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
@@ -14,12 +14,15 @@ from dgcn.kernels import (
     KernelId,
     KernelSet,
     cov_matrix,
-    kernel_value_slope,
-    theta_block,
 )
 from dgcn.mlp import Mlp, OptimizerConfig, OptimizerState, RegularizerSpec
 
-from oracles import STUDENT_T_TABLE, masked_divide_hyper_grad, stationary_gp
+from oracles import (
+    STUDENT_T_TABLE,
+    full_square_hyper_grad,
+    masked_divide_hyper_grad,
+    stationary_gp,
+)
 
 NO_REG = RegularizerSpec(0.0, 0.0)
 
@@ -303,18 +306,7 @@ class TestBlockedHyperGrad:
         assert len(linalg.row_blocks(n, gp._BLOCK_ENTRIES)) == 1
         batch = duplicated_batch(np.random.default_rng(n), n, 3, kset, 1e-2)
         got = gp.nll_hyper_grad(batch, kset)
-        k = cov_matrix(kset, batch.x, batch.hyper.theta)
-        k[np.diag_indices_from(k)] += batch.hyper.sigma2
-        factor = linalg.cholesky_jittered(k)
-        alpha = linalg.solve_spd(factor, batch.y)
-        # BLAS dger, as in the package: it may fuse the multiply and add.
-        g = dger(-1.0, alpha, alpha, a=linalg.inverse_spd(factor)).T
-        want = np.empty_like(batch.hyper.theta)
-        for i, kern in enumerate(kset.kernels):
-            z = batch.x * theta_block(batch.hyper.theta, 3, i)
-            w = kernel_value_slope(kern, cdist(z, z))[1] * g
-            want[:, 3 * i : 3 * i + 3] = batch.x * (
-                z * w.sum(axis=1)[:, None] - w @ z)
+        want = reference(batch, kset)[1]
         np.testing.assert_array_equal(got.theta.view(np.uint64),
                                       want.view(np.uint64))
 
@@ -334,6 +326,119 @@ class TestBlockedHyperGrad:
         want = cov_matrix(kset, batch.x, batch.hyper.theta)
         want[np.diag_indices_from(want)] += batch.hyper.sigma2
         np.testing.assert_array_equal(seen[0], want)
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def reference(batch, kset):
+    return full_square_hyper_grad(kset, batch.x, batch.y, batch.hyper.theta,
+                                  batch.hyper.sigma2,
+                                  linalg.DEFAULT_JITTER_LADDER)
+
+
+@st.composite
+def one_block_cases(draw):
+    """A kernel set and a duplicated-row batch that fits in one row block."""
+    kset = KernelSet(draw(st.sampled_from(
+        [(k,) for k in ALL_KERNELS] + [ALL_KERNELS])))
+    n = draw(st.sampled_from([1, 2, 3, 17, 64, 200]))
+    n_v = draw(st.integers(1, 4))
+    # 1e-20 vanishes next to the diagonal n_k: copies make K singular, and
+    # the factorization climbs the jitter ladder.
+    sigma2 = draw(st.sampled_from([1e-20, 1e-6, 1e-3, 1e-1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return kset, duplicated_batch(rng, n, n_v, kset, sigma2)
+
+
+class TestCondensedDiagonalBlocks:
+    """Diagonal blocks on condensed pairs against the full-square step."""
+
+    @given(one_block_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_one_block_equals_full_square_reference(self, case):
+        kset, batch = case
+        assert len(linalg.row_blocks(batch.n, gp._BLOCK_ENTRIES)) == 1
+        got = gp.nll_hyper_grad(batch, kset)
+        value, theta, sigma2, jitter = reference(batch, kset)
+        assert_bits_equal(got.value, value)
+        assert_bits_equal(got.theta, theta)
+        assert_bits_equal(got.sigma2, sigma2)
+        assert got.jitter_used == jitter
+
+    def test_reference_sees_jitter(self):
+        # Duplicated rows whose noise vanishes next to n_k need the ladder.
+        kset = KernelSet()
+        batch = duplicated_batch(np.random.default_rng(5), 64, 2, kset, 1e-20)
+        got = gp.nll_hyper_grad(batch, kset)
+        assert got.jitter_used > 0.0
+        assert got.jitter_used == reference(batch, kset)[3]
+
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    @pytest.mark.parametrize("kernels", [(k,) for k in ALL_KERNELS] + [ALL_KERNELS])
+    def test_duplicates_inside_and_across_diagonal_blocks(self, rows, kernels,
+                                                           monkeypatch):
+        kset = KernelSet(kernels)
+        rng = np.random.default_rng([rows, kset.n_k])
+        n, n_v = 23, 2
+        x0 = rng.uniform(-1.0, 1.0, (n, n_v))
+        theta0 = rng.uniform(0.5, 1.5, (n, n_v * kset.n_k))
+        idx = np.arange(n)
+        idx[1] = 0  # rows 0 and 1 share a diagonal block
+        idx[rows + 1] = rows  # so do rows and rows + 1, one block further
+        idx[n - 1] = 2  # and row n - 1 copies a row several blocks back
+        batch = gp.GpBatch(x0[idx], np.sin(3.0 * x0[idx, 0]),
+                           gp.HyperField(theta0[idx], np.full(n, 1e-4)))
+        want = one_block(batch, kset, monkeypatch)
+        value, theta, sigma2, jitter = reference(batch, kset)
+        assert_bits_equal(want.value, value)
+        assert_bits_equal(want.theta, theta)
+        monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
+        blocks = linalg.row_blocks(n, gp._BLOCK_ENTRIES)
+        block_of = np.searchsorted([r1 for _, r1 in blocks], np.arange(n),
+                                   side="right")
+        assert block_of[0] == block_of[1] and block_of[rows] == block_of[rows + 1]
+        assert block_of[rows] > block_of[0] and block_of[n - 1] > block_of[2] + 1
+        got = gp.nll_hyper_grad(batch, kset)
+        assert_bits_equal(got.value, want.value)
+        assert_bits_equal(got.sigma2, want.sigma2)
+        assert got.jitter_used == want.jitter_used
+        assert (np.abs(got.theta - want.theta).max()
+                <= 1e-12 * np.abs(want.theta).max())
+        oracle, _ = masked_divide_hyper_grad(kset.names(), batch.x, batch.y,
+                                             batch.hyper.theta, batch.hyper.sigma2)
+        assert np.abs(got.theta - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+
+class TestHyperFieldTake:
+    def test_take_returns_the_fancy_indexed_rows(self):
+        rng = np.random.default_rng(3)
+        field = gp.HyperField(rng.standard_normal((9, 4)), rng.uniform(0.1, 1.0, 9))
+        for idx in (np.array([4, 0, 4, 8]), np.arange(9)[::-2], slice(2, 5)):
+            got = field.take(idx)
+            assert type(got) is gp.HyperField
+            assert_bits_equal(got.theta, field.theta[idx])
+            assert_bits_equal(got.sigma2, field.sigma2[idx])
+        got = field.take(np.array([1, 2]))
+        assert not np.shares_memory(got.theta, field.theta)
+        assert not np.shares_memory(got.sigma2, field.sigma2)
+
+    @pytest.mark.parametrize("theta, sigma2", [
+        ([[np.nan, 1.0]], [0.1]), ([[np.inf, 1.0]], [0.1]),
+        ([[1.0, 1.0]], [0.0]), ([[1.0, 1.0]], [-1e-3]), ([[1.0, 1.0]], [np.nan]),
+    ])
+    def test_constructor_still_checks(self, theta, sigma2):
+        with pytest.raises(ValueError):
+            gp.HyperField(np.array(theta), np.array(sigma2))
+
+    def test_constructor_still_checks_shapes(self):
+        with pytest.raises(DimensionMismatch):
+            gp.HyperField(np.ones((3, 2)), np.ones(2))
+        with pytest.raises(DimensionMismatch):
+            gp.HyperField(np.ones(3), np.ones(3))
 
 
 class TestPredict:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from dgcn import linalg
 from dgcn.errors import DimensionMismatch
+from scipy.spatial.distance import cdist
+
 from dgcn.kernels import (
     ALL_KERNELS,
     KernelId,
@@ -13,6 +15,8 @@ from dgcn.kernels import (
     kernel_deriv,
     kernel_value,
     kernel_value_slope,
+    one_set_cov,
+    theta_block,
 )
 
 from oracles import scalar_kernel_deriv, warped_cov
@@ -270,6 +274,27 @@ class TestSymmetricCovMatrix:
         got = cov_matrix(kset, x, theta)
         np.testing.assert_array_equal(got, cov_matrix(kset, x, x, theta, theta))
         np.testing.assert_array_equal(np.diag(got), float(kset.n_k))
+
+    @given(symmetric_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_helper_equals_two_set_forms(self, case):
+        # one_set_cov serves prediction and the training step's diagonal
+        # blocks: its K and its slope squares must be the full-square ones.
+        kset, x, theta = case
+        n_v = x.shape[1]
+        warped = [x * theta_block(theta, n_v, i) for i in range(kset.n_k)]
+        k, slopes = one_set_cov(kset, warped, slopes=True)
+        want = cov_matrix(kset, x, x, theta, theta)
+        np.testing.assert_array_equal(k.view(np.uint64), want.view(np.uint64))
+        assert len(slopes) == kset.n_k
+        for kern, z, got in zip(kset.kernels, warped, slopes):
+            full = kernel_value_slope(kern, cdist(z, z))[1]
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          full.view(np.uint64))
+            assert np.all(np.diag(got) == 0.0)
+        value_only, none = one_set_cov(kset, warped)
+        np.testing.assert_array_equal(value_only, k)
+        assert none == []
 
 
 class TestKernelSet:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotri
 
 from dgcn import linalg
@@ -46,8 +47,8 @@ class TestCholeskyJittered:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
-        # scipy's own finiteness check is off; the max-abs scan must catch
-        # NaN too, on or off the diagonal.
+        # LAPACK gets no finiteness check of its own; the max-abs scan must
+        # catch NaN too, on or off the diagonal.
         for where in ((0, 0), (0, 1)):
             a = np.eye(3)
             a[where] = a[where[::-1]] = bad
@@ -122,7 +123,7 @@ class TestCholeskyChecks:
 
     def test_checks_make_no_square_temporary(self):
         # The last row breaks symmetry, so the scan covers every block and
-        # raises before scipy copies the matrix.
+        # raises before LAPACK gets a copy of the matrix.
         n = 1024
         a = random_spd(np.random.default_rng(7), n)
         a[-1, 0] += 1.0
@@ -134,6 +135,80 @@ class TestCholeskyChecks:
         finally:
             tracemalloc.stop()
         assert peak < a.nbytes / 4
+
+
+def scipy_ladder(a, ladder=linalg.DEFAULT_JITTER_LADDER):
+    """scipy.linalg.cholesky climbing the jitter ladder, as the package did."""
+    for jitter in ladder:
+        shifted = a.copy()
+        shifted[np.diag_indices_from(shifted)] += jitter
+        try:
+            return cholesky(shifted, lower=True, check_finite=False), jitter
+        except LinAlgError:
+            continue
+    raise LinAlgError("ladder exhausted")
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestDirectLapack:
+    """dpotrf and dtrtrs called directly equal scipy's wrappers bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 201])
+    def test_factor_equals_scipy_cholesky(self, n):
+        a = random_spd(np.random.default_rng(n), n)
+        f = linalg.cholesky_jittered(a)
+        want, jitter = scipy_ladder(a)
+        assert f.jitter_used == jitter == 0.0
+        np.testing.assert_array_equal(bits(f.lower), bits(want))
+        assert f.lower.flags.f_contiguous
+
+    @pytest.mark.parametrize("n, copies", [(3, 1), (9, 3), (60, 20)])
+    @pytest.mark.parametrize("shift", [0.0, 5e-8, 5e-6, 5e-4])
+    def test_factor_equals_scipy_cholesky_after_jitter_retries(self, n, copies,
+                                                               shift):
+        # Exact copies of rows and columns make a singular matrix, and a
+        # negative diagonal shift sends the ladder further up.
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal((n - copies, n - copies))
+        idx = np.r_[np.arange(n - copies), rng.integers(0, n - copies, copies)]
+        a = (b @ b.T)[np.ix_(idx, idx)] - shift * np.eye(n)
+        before = a.copy()
+        f = linalg.cholesky_jittered(a)
+        want, jitter = scipy_ladder(a)
+        assert f.jitter_used == jitter > shift
+        np.testing.assert_array_equal(bits(f.lower), bits(want))
+        assert f.lower.flags.f_contiguous
+        np.testing.assert_array_equal(a, before)
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @pytest.mark.parametrize("cols", [None, 1, 3, 40])
+    def test_solves_equal_solve_triangular(self, n, cols):
+        rng = np.random.default_rng([n, cols or 0])
+        f = linalg.cholesky_jittered(random_spd(rng, n))
+        b = rng.standard_normal(n if cols is None else (n, cols))
+        before = b.copy()
+        half = solve_triangular(f.lower, b, lower=True)
+        full = solve_triangular(f.lower, half, lower=True, trans="T")
+        got_half = linalg.solve_lower(f, b)
+        got_full = linalg.solve_spd(f, b)
+        assert got_half.shape == got_full.shape == b.shape
+        np.testing.assert_array_equal(bits(got_half), bits(half))
+        np.testing.assert_array_equal(bits(got_full), bits(full))
+        np.testing.assert_array_equal(b, before)
+
+    def test_empty_right_hand_side(self):
+        f = linalg.cholesky_jittered(2.0 * np.eye(3))
+        assert linalg.solve_spd(f, np.empty((3, 0))).shape == (3, 0)
+        assert linalg.solve_lower(f, np.empty((3, 0))).shape == (3, 0)
+
+    def test_singular_factor_raises(self):
+        f = linalg.CholeskyFactor(lower=np.asfortranarray(np.diag([1.0, 0.0])),
+                                  jitter_used=0.0)
+        with pytest.raises(NotPositiveDefinite):
+            linalg.solve_spd(f, np.ones(2))
 
 
 def test_row_blocks_from_the_entry_budget():

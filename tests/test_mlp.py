@@ -3,6 +3,7 @@ import pytest
 
 from dgcn.errors import DimensionMismatch, StaleMask
 from dgcn.mlp import (
+    _act_prime,
     LayerSpec,
     Mlp,
     MlpParams,
@@ -165,6 +166,100 @@ class TestBackward:
             if abs(fd) > 1e-7:
                 got = grads.weights[0].ravel()[i]
                 assert abs(got - fd) / abs(fd) < 1e-4
+
+
+def per_array_backward(net, upstream):
+    """Backprop the array-per-layer way: every slope from the pre-activation."""
+    cache = net._cache
+    d = np.asarray(upstream, dtype=np.float64)
+    grad_w, grad_b = [None] * len(net.specs), [None] * len(net.specs)
+    for i in range(len(net.specs) - 1, -1, -1):
+        if cache.masks[i] is not None:
+            d = d * cache.masks[i]
+        d = d * _act_prime(net.specs[i].activation, cache.preacts[i])
+        grad_w[i] = d.T @ cache.layer_inputs[i]
+        grad_b[i] = d.sum(axis=0)
+        d = d @ net.params.weights[i]
+    return grad_w, grad_b, d
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFlatBuffers:
+    SIZES = [3, 20, 20, 20, 15]
+    ACTS = ["sigmoid", "sigmoid", "relu", "linear"]
+
+    def test_every_view_shares_the_flat_vector(self):
+        net = random_net(np.random.default_rng(0), self.SIZES, self.ACTS)
+        params = net.params
+        arrays = params.arrays()
+        assert len(arrays) == 2 * len(self.ACTS)
+        assert params.n_params == params.flat.size == sum(a.size for a in arrays)
+        np.testing.assert_array_equal(
+            params.flat, np.concatenate([a.ravel() for a in arrays]))
+        for a in arrays:
+            assert np.shares_memory(a, params.flat)
+            assert a.flags.c_contiguous
+        params.flat[...] = np.arange(params.flat.size)
+        assert params.weights[0][0, 1] == 1.0
+        assert params.biases[-1][0] == params.flat.size - params.biases[-1].size
+
+    def test_copy_is_independent(self):
+        params = random_net(np.random.default_rng(1), self.SIZES, self.ACTS).params
+        clone = params.copy()
+        np.testing.assert_array_equal(clone.flat, params.flat)
+        assert not np.shares_memory(clone.flat, params.flat)
+        clone.flat += 1.0
+        clone.weights[0][...] = 7.0
+        assert not np.any(params.weights[0] == 7.0)
+        assert np.all(clone.flat != params.flat)
+
+    def test_built_from_lists_round_trips(self):
+        rng = np.random.default_rng(2)
+        weights = [rng.standard_normal((4, 3)), rng.standard_normal((1, 4))]
+        biases = [rng.standard_normal(4), rng.standard_normal(1)]
+        params = MlpParams(weights, biases)
+        for got, want in zip(params.arrays(), weights + biases):
+            np.testing.assert_array_equal(got, want)
+            assert not np.shares_memory(got, want)
+        again = MlpParams(params.weights, params.biases)
+        np.testing.assert_array_equal(again.flat, params.flat)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_backward_equals_the_act_prime_path(self, dropout):
+        rng = np.random.default_rng(3)
+        for acts in (self.ACTS, ["sigmoid", "sigmoid", "relu", "softplus"]):
+            net = random_net(rng, self.SIZES, acts)
+            net.regularizer = RegularizerSpec(dropout, 0.01)
+            x = rng.standard_normal((50, 3))
+            net.forward(x, training=True, rng=np.random.default_rng(4))
+            upstream = rng.standard_normal((50, 15))
+            grads = net.backward(upstream)
+            want_w, want_b, want_in = per_array_backward(net, upstream)
+            for got, want in zip(grads.arrays(), want_w + want_b):
+                np.testing.assert_array_equal(bits(got), bits(want))
+                assert np.shares_memory(got, grads.flat)
+            np.testing.assert_array_equal(bits(grads.inputs), bits(want_in))
+            np.testing.assert_array_equal(
+                grads.flat, np.concatenate([a.ravel() for a in want_w + want_b]))
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "adam", "nadam"])
+    def test_optimizer_over_flat_equals_per_array_loop(self, algorithm):
+        rng = np.random.default_rng(5)
+        net = random_net(rng, self.SIZES, self.ACTS)
+        per_array = net.params.copy()
+        cfg = OptimizerConfig(algorithm, learning_rate=1e-2)
+        flat_state = OptimizerState([net.params.flat], cfg)
+        array_state = OptimizerState(per_array.arrays(), cfg)
+        for _ in range(20):
+            net.forward(rng.standard_normal((30, 3)), training=True)
+            grads = net.backward(rng.standard_normal((30, 15)))
+            flat_state.step([net.params.flat], [grads.flat])
+            array_state.step(per_array.arrays(), grads.arrays())
+            np.testing.assert_array_equal(bits(net.params.flat),
+                                          bits(per_array.flat))
 
 
 class TestLossSq:
