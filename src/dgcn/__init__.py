@@ -56,11 +56,8 @@ from .bench import (
     PRESETS,
     BenchReport,
     Protocol,
-    StationaryConfig,
-    StationaryGp,
     load_csv,
     run_protocol,
-    stationary_baseline,
     timing_benchmark,
 )
 
@@ -102,8 +99,6 @@ __all__ = [
     "SeriesTooShort",
     "ShapeMismatch",
     "StaleMask",
-    "StationaryConfig",
-    "StationaryGp",
     "TrainConfig",
     "TrainedModel",
     "cats_protocol",
@@ -124,7 +119,6 @@ __all__ = [
     "predict_full",
     "run_protocol",
     "save",
-    "stationary_baseline",
     "timing_benchmark",
     "update",
 ]

@@ -1,4 +1,4 @@
-"""Benchmark harness: CSV datasets, CV protocols, baseline, timing study.
+"""Benchmark harness: CSV files, CV protocols, timing study.
 
 The harness never bundles benchmark data; point it at user-supplied CSV
 files (see scripts/fetch_datasets.py for sources and schemas).  Protocols
@@ -12,36 +12,64 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 from . import gp, trainer
 from .errors import MemoryCapExceeded, MissingColumn, ParseError
-from .kernels import KernelId, KernelSet
-from .mlp import OptimizerConfig, OptimizerState, softplus_inv
 from .trainer import Dataset, TrainConfig
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# CSV files
 # ---------------------------------------------------------------------------
+
+
+def read_csv_rows(path) -> tuple:
+    """The stripped header and the data rows of a CSV file, blank rows skipped.
+
+    ParseError positions count the header as row 1 and skip blank rows, so
+    row i is rows[i - 2].
+    """
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    if len(rows) < 2:
+        raise ParseError(1, 1, "file needs a header row and at least one data row")
+    return [c.strip() for c in rows[0]], rows[1:]
+
+
+def parse_columns(rows, cols) -> np.ndarray:
+    """The cells of columns ``cols`` (0-based) of data rows as a float matrix.
+
+    Only these columns are parsed, so other columns may hold text.  A cell
+    that is missing, not a number or not finite raises ParseError with its
+    1-based position.
+    """
+    out = np.empty((len(rows), len(cols)))
+    for i, row in enumerate(rows, start=2):
+        for j, c in enumerate(cols):
+            cell = row[c].strip() if c < len(row) else ""
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(i, c + 1, f"not a number: {cell!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(i, c + 1, f"not a finite number: {cell!r}")
+            out[i - 2, j] = value
+    return out
 
 
 def load_csv(path, target_column="last") -> Dataset:
     """Numeric CSV with a header row; extracts the target column.
 
-    ``target_column`` is a header name or "last".  Non-numeric cells raise
-    ParseError with their 1-based position.
+    ``target_column`` is a header name or "last".  Ragged rows and cells
+    that are not finite numbers raise ParseError with their 1-based
+    position.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if len(rows) < 2:
-        raise ParseError(1, 1, "file needs a header row and at least one data row")
-    header = [c.strip() for c in rows[0]]
+    header, rows = read_csv_rows(path)
     if target_column == "last":
         target_idx = len(header) - 1
     else:
@@ -51,21 +79,33 @@ def load_csv(path, target_column="last") -> Dataset:
             )
         target_idx = header.index(target_column)
     width = len(header)
-    values = np.empty((len(rows) - 1, width))
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in enumerate(rows, start=2):
         if len(row) != width:
             raise ParseError(i, len(row) + 1, f"expected {width} columns")
-        for j, cell in enumerate(row):
-            try:
-                values[i - 2, j] = float(cell)
-            except ValueError:
-                raise ParseError(i, j + 1, f"not a number: {cell.strip()!r}")
+    values = parse_columns(rows, range(width))
     feature_cols = [j for j in range(width) if j != target_idx]
     return Dataset(
         x=values[:, feature_cols],
         y=values[:, target_idx],
         columns=[header[j] for j in feature_cols],
     )
+
+
+def write_prediction_csv(path, pred: gp.Prediction, index_name: str = "row",
+                         mean_name: str = "mean", start: int = 0) -> None:
+    """Columns: index_name, mean_name, variance, ci_low, ci_high.
+
+    Indices count from ``start``; values are written with repr, so they
+    read back exactly.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([index_name, mean_name, "variance", "ci_low", "ci_high"])
+        for i in range(pred.mean.size):
+            writer.writerow([start + i] + [
+                repr(float(a[i]))
+                for a in (pred.mean, pred.variance, pred.ci_low, pred.ci_high)
+            ])
 
 
 # ---------------------------------------------------------------------------
@@ -203,143 +243,38 @@ def _splits(n: int, protocol: Protocol):
                    perm[n - protocol.test_size :])
 
 
-def _run(data: Dataset, protocol: Protocol, fit_predict, fingerprint: str) -> BenchReport:
-    y = _transform_target(data.y, protocol.transform)
-    report = BenchReport(protocol=protocol, config_fingerprint=fingerprint)
-    started = time.perf_counter()
-    run_id = 0
-    for r, f, train_idx, test_idx in _splits(data.n, protocol):
-        tick = time.perf_counter()
-        pred = fit_predict(
-            Dataset(data.x[train_idx], y[train_idx], data.columns),
-            data.x[test_idx],
-            run_seed=_run_seed(protocol.seed, r, f),
-        )
-        value = _score(y[test_idx], pred, protocol.metric)
-        report.records.append(RunRecord(
-            run_id=run_id, repeat=r, fold=f, metric_value=value,
-            seconds=time.perf_counter() - tick,
-        ))
-        run_id += 1
-    report.wall_clock = time.perf_counter() - started
-    return report
-
-
 def _run_seed(base: int, repeat: int, fold: int) -> int:
     return int(np.random.SeedSequence([base, repeat, fold]).generate_state(1)[0])
 
 
 def run_protocol(data: Dataset, protocol: Protocol,
                  train_config: TrainConfig = TrainConfig()) -> BenchReport:
-    """Cross-validate the full model under a protocol."""
+    """Cross-validate a model configuration under a protocol.
 
-    def fit_predict(train_data, x_test, run_seed):
-        cfg = replace(train_config, seed=run_seed)
-        model = trainer.fit(train_data, cfg)
-        return trainer.predict_batched(model, x_test).mean
-
-    return _run(data, protocol, fit_predict,
-                _fingerprint(protocol.__dict__, train_config.to_dict()))
-
-
-# ---------------------------------------------------------------------------
-# Stationary baseline
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StationaryConfig:
-    """Single stationary kernel; one length-scale vector, one noise level."""
-
-    kernel: KernelId = KernelId.SQUARED_EXP
-    optimizer: OptimizerConfig = OptimizerConfig()
-    batch_size: int = 200
-    max_epochs: int = 100
-    seed: int = 0
-    standardize_y: bool = True
-    sigma2_floor: float = 1e-6
-    sigma2_init: float = 1e-2
-
-
-class StationaryGp:
-    """Control model: the same likelihood and optimizer, constant field.
-
-    One length-scale vector and one noise variance are shared by every
-    point, trained by the identical batched Adam loop the main model uses.
+    With ``theta_hidden=(0,)`` and ``sigma_hidden=(0,)`` both hypernetworks
+    ignore their input, so this cross-validates the stationary control
+    model: one length-scale vector and one noise variance for every point.
     """
-
-    def __init__(self, config: StationaryConfig = StationaryConfig()):
-        self.config = config
-        self.kset = KernelSet((config.kernel,))
-        self.theta = None
-        self.sigma_raw = None
-        self.scaler = None
-        self.x = None
-        self.y = None
-
-    def _sigma2(self) -> float:
-        return float(np.logaddexp(0.0, self.sigma_raw[0]) + self.config.sigma2_floor)
-
-    def fit(self, data: Dataset) -> "StationaryGp":
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        self.scaler = trainer.Scaler.fit(data.x, data.y, cfg.standardize_y)
-        self.x = self.scaler.transform_x(data.x)
-        self.y = self.scaler.transform_y(data.y)
-        n, n_v = self.x.shape
-        self.theta = np.ones(n_v)
-        self.sigma_raw = np.array(
-            [softplus_inv(cfg.sigma2_init - cfg.sigma2_floor)]
+    y = _transform_target(data.y, protocol.transform)
+    report = BenchReport(
+        protocol=protocol,
+        config_fingerprint=_fingerprint(protocol.__dict__, train_config.to_dict()),
+    )
+    started = time.perf_counter()
+    for run_id, (r, f, train_idx, test_idx) in enumerate(_splits(data.n, protocol)):
+        tick = time.perf_counter()
+        model = trainer.fit(
+            Dataset(data.x[train_idx], y[train_idx], data.columns),
+            replace(train_config, seed=_run_seed(protocol.seed, r, f)),
         )
-        opt = OptimizerState([self.theta, self.sigma_raw], cfg.optimizer)
-        for _ in range(cfg.max_epochs):
-            for idx in trainer.make_batches(n, cfg.batch_size, n_v, rng):
-                xb, yb = self.x[idx], self.y[idx]
-                hyper = self._field(len(idx))
-                grads = gp.nll_hyper_grad(gp.GpBatch(xb, yb, hyper), self.kset)
-                grad_theta = grads.theta.sum(axis=0)
-                grad_sigma = np.array(
-                    [grads.sigma2.sum() * _sigmoid(self.sigma_raw[0])]
-                )
-                opt.step([self.theta, self.sigma_raw], [grad_theta, grad_sigma])
-        return self
-
-    def _field(self, n: int) -> gp.HyperField:
-        return gp.HyperField(
-            np.tile(self.theta, (n, 1)), np.full(n, self._sigma2())
-        )
-
-    def predict(self, x_raw, alpha_level: float = 0.05,
-                include_noise: bool = False) -> gp.Prediction:
-        xs = self.scaler.transform_x(np.asarray(x_raw, dtype=np.float64))
-        train = gp.GpBatch(self.x, self.y, self._field(self.x.shape[0]))
-        pred = gp.predict(train, xs, self._field(xs.shape[0]), self.kset,
-                          alpha_level=alpha_level, include_noise=include_noise)
-        s = self.scaler
-        return replace(
-            pred,
-            mean=s.inverse_y(pred.mean),
-            variance=pred.variance * s.y_std**2,
-            ci_low=s.inverse_y(pred.ci_low),
-            ci_high=s.inverse_y(pred.ci_high),
-        )
-
-
-def stationary_baseline(data: Dataset, protocol: Protocol,
-                        config: StationaryConfig = StationaryConfig()) -> BenchReport:
-    """Same protocol, stationary control model; report shape matches."""
-
-    def fit_predict(train_data, x_test, run_seed):
-        model = StationaryGp(replace(config, seed=run_seed)).fit(train_data)
-        return model.predict(x_test).mean
-
-    return _run(data, protocol, fit_predict,
-                _fingerprint(protocol.__dict__, {
-                    "kernel": config.kernel.value,
-                    "optimizer": config.optimizer.to_dict(),
-                    "batch_size": config.batch_size,
-                    "max_epochs": config.max_epochs,
-                }))
+        pred = trainer.predict_batched(model, data.x[test_idx]).mean
+        value = _score(y[test_idx], pred, protocol.metric)
+        report.records.append(RunRecord(
+            run_id=run_id, repeat=r, fold=f, metric_value=value,
+            seconds=time.perf_counter() - tick,
+        ))
+    report.wall_clock = time.perf_counter() - started
+    return report
 
 
 # ---------------------------------------------------------------------------

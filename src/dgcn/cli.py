@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -98,20 +99,6 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_prediction_csv(path, pred, index0: int = 0, index_name: str = "row"):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([index_name, "mean", "variance", "ci_low", "ci_high"])
-        for i in range(pred.mean.size):
-            writer.writerow([
-                index0 + i,
-                repr(float(pred.mean[i])),
-                repr(float(pred.variance[i])),
-                repr(float(pred.ci_low[i])),
-                repr(float(pred.ci_high[i])),
-            ])
-
-
 def cmd_train(args) -> int:
     config = load_config(args.config, args.seed)
     data = bench.load_csv(args.data, args.target)
@@ -139,11 +126,8 @@ def cmd_train(args) -> int:
 
 
 def _load_features(path, model) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
-    if len(rows) < 2:
-        raise SchemaMismatch("prediction file needs a header and data rows")
-    header = [c.strip() for c in rows[0]]
+    """The model's input columns of a CSV file, by name or by position."""
+    header, rows = bench.read_csv_rows(path)
     if model.columns is not None and all(c in header for c in model.columns):
         cols = [header.index(c) for c in model.columns]
     elif len(header) == model.n_v:
@@ -153,14 +137,7 @@ def _load_features(path, model) -> np.ndarray:
             f"model expects columns {model.columns or model.n_v}, "
             f"file has {header}"
         )
-    out = np.empty((len(rows) - 1, len(cols)))
-    for i, row in enumerate(rows[1:], start=2):
-        for j, c in enumerate(cols):
-            try:
-                out[i - 2, j] = float(row[c])
-            except (ValueError, IndexError):
-                raise ParseError(i, c + 1, "not a number")
-    return out
+    return bench.parse_columns(rows, cols)
 
 
 def cmd_predict(args) -> int:
@@ -171,7 +148,7 @@ def cmd_predict(args) -> int:
         model, x, k=args.k, alpha_level=args.alpha,
         include_noise=args.include_noise, interval=args.interval,
     )
-    _write_prediction_csv(args.out, pred)
+    bench.write_prediction_csv(args.out, pred)
     print(f"wrote {pred.mean.size} predictions to {args.out}")
     return 0
 
@@ -188,11 +165,12 @@ def cmd_crossval(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
-        from dataclasses import replace
-
         protocol = replace(protocol, **overrides)
     if args.baseline:
-        report = bench.stationary_baseline(data, protocol)
+        # Zero-width hidden layers: each hypernetwork outputs its final bias
+        # for every point, one length-scale vector and one noise variance.
+        report = bench.run_protocol(data, protocol, replace(
+            config, theta_hidden=(0,), sigma_hidden=(0,)))
         stem = "baseline"
     else:
         report = bench.run_protocol(data, protocol, config)
@@ -222,7 +200,8 @@ def cmd_forecast(args) -> int:
     pred = timeseries.forecast_recursive(
         model, series[np.isfinite(series)], args.steps, k=args.k, detailed=True
     )
-    timeseries.write_forecast_csv(args.out, pred, start_index=series.size)
+    bench.write_prediction_csv(args.out, pred, "index", "prediction",
+                               start=series.size)
     print(f"wrote {args.steps}-step forecast to {args.out}")
     return 0
 
@@ -318,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int)
     p.add_argument("--repeats", type=int)
     p.add_argument("--baseline", action="store_true",
-                   help="run the stationary control model instead")
+                   help="run the stationary control model instead: the "
+                        "config with zero-width hidden layers")
     p.add_argument("--config")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--seed", type=seed_type)

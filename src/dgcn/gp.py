@@ -107,24 +107,6 @@ class Prediction:
     jitter_max: float = 0.0  # highest jitter level any of them used
 
 
-def _system(batch: GpBatch, kset: KernelSet):
-    k = cov_matrix(kset, batch.x, batch.hyper.theta)
-    k[np.diag_indices_from(k)] += batch.hyper.sigma2
-    factor = linalg.cholesky_jittered(k)
-    alpha = linalg.solve_spd(factor, batch.y)
-    return factor, alpha
-
-
-def nll(batch: GpBatch, kset: KernelSet) -> float:
-    """Negative marginal log-likelihood of the batch."""
-    factor, alpha = _system(batch, kset)
-    return float(
-        0.5 * batch.y @ alpha
-        + 0.5 * linalg.logdet(factor)
-        + 0.5 * batch.n * LOG_2PI
-    )
-
-
 @dataclass
 class HyperGradients:
     """NLL value and its gradient with respect to the hyperparameter field."""
@@ -253,6 +235,11 @@ class NetworkGradients:
     jitter_used: float
 
 
+def nll(batch: GpBatch, kset: KernelSet) -> float:
+    """Negative marginal log-likelihood of the batch (nll_hyper_grad's value)."""
+    return nll_hyper_grad(batch, kset).value
+
+
 def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net) -> NetworkGradients:
     """Backpropagate the batch NLL into both hypernetworks' weights.
 
@@ -291,7 +278,10 @@ def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
         )
     if x_star.shape[0] != hyper_star.theta.shape[0]:
         raise DimensionMismatch("test points and their hyperparameters disagree")
-    factor, alpha = _system(train, kset)
+    k = cov_matrix(kset, train.x, train.hyper.theta)
+    k[np.diag_indices_from(k)] += train.hyper.sigma2
+    factor = linalg.cholesky_jittered(k)
+    alpha = linalg.solve_spd(factor, train.y)
     k_star = cov_matrix(kset, train.x, x_star, train.hyper.theta, hyper_star.theta)
     mean = k_star.T @ alpha
     half = linalg.solve_lower(factor, k_star)

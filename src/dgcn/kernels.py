@@ -265,6 +265,8 @@ def one_set_cov(kset: KernelSet, warped, slopes: bool = False):
     training step both assemble their symmetric blocks here.
     """
     m = warped[0].shape[0]
+    if m == 0:  # squareform would read an empty vector as one point
+        return np.zeros((0, 0)), [np.zeros((0, 0)) for _ in warped] if slopes else []
     condensed = np.zeros(m * (m - 1) // 2)
     slope_squares = []
     for kern, z in zip(kset.kernels, warped):

@@ -56,13 +56,19 @@ def softplus_inv(y: float) -> float:
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One affine layer and its activation.
+
+    A layer may have 0 units: the layer after it then outputs its bias for
+    every row, so a network with such a layer ignores its input.
+    """
+
     in_units: int
     out_units: int
     activation: str
 
     def __post_init__(self):
-        if self.in_units < 1 or self.out_units < 1:
-            raise ValueError("layer units must be >= 1")
+        if self.in_units < 0 or self.out_units < 0:
+            raise ValueError("layer units must be >= 0")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
 

@@ -263,7 +263,7 @@ def select_lag_count(series, config: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# Series CSV I/O
+# Series CSV input
 # ---------------------------------------------------------------------------
 
 
@@ -284,21 +284,6 @@ def read_series_csv(path) -> np.ndarray:
         else:
             values.append(float(cell))
     return np.asarray(values, dtype=np.float64)
-
-
-def write_forecast_csv(path, prediction: Prediction, start_index: int = 0) -> None:
-    """Columns: index, prediction, variance, ci_low, ci_high."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "prediction", "variance", "ci_low", "ci_high"])
-        for i in range(prediction.mean.size):
-            writer.writerow([
-                start_index + i,
-                repr(float(prediction.mean[i])),
-                repr(float(prediction.variance[i])),
-                repr(float(prediction.ci_low[i])),
-                repr(float(prediction.ci_high[i])),
-            ])
 
 
 def _is_number(cell: str) -> bool:

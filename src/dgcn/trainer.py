@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 import zlib
@@ -48,7 +49,7 @@ from .mlp import (
     RegularizerSpec,
     softplus_inv,
 )
-from .neighbors import NeighborIndex
+from .neighbors import STRATEGIES, NeighborIndex
 
 MODEL_MAGIC = b"DGCN"
 MODEL_FORMAT_VERSION = 1
@@ -160,6 +161,21 @@ class Scaler:
         )
 
 
+def _integer(name: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything fit() needs; serialized verbatim into the model file."""
@@ -184,16 +200,42 @@ class TrainConfig:
     neighbor_strategy: str = "brute"
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
-        if self.sigma2_floor <= 0.0 or self.sigma2_init <= self.sigma2_floor:
+        """Check every field's type and range; raises TypeError or ValueError.
+
+        Integer fields and hidden widths are stored as Python ints, so the
+        config always serializes to JSON.
+        """
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        for name in ("theta_hidden", "sigma_hidden"):
+            widths = getattr(self, name)
+            if not isinstance(widths, (tuple, list)):
+                raise TypeError(f"{name} must be a list of layer widths, "
+                                f"got {widths!r}")
+            put(name, tuple(_integer(f"{name} width", w, 0) for w in widths))
+        for name, least in (("batch_size", 1), ("max_epochs", 1),
+                            ("early_stop_patience", 1), ("seed", 0)):
+            put(name, _integer(name, getattr(self, name), least))
+        if self.prediction_k is not None:
+            put("prediction_k", _integer("prediction_k", self.prediction_k, 1))
+        for name in ("early_stop_tol", "dropout_rate", "input_noise_std",
+                     "sigma2_floor", "sigma2_init", "theta_output_bias"):
+            _finite(name, getattr(self, name))
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must lie in [0, 1)")
+        if self.input_noise_std < 0.0:
+            raise ValueError("input_noise_std must be >= 0")
+        if not 0.0 < self.sigma2_floor < self.sigma2_init:
             raise ValueError("need sigma2_init > sigma2_floor > 0")
-        object.__setattr__(self, "theta_hidden", tuple(self.theta_hidden))
-        object.__setattr__(self, "sigma_hidden", tuple(self.sigma_hidden))
+        for name, kind in (("kernels", KernelSet), ("optimizer", OptimizerConfig),
+                           ("standardize_y", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}")
+        if not isinstance(self.sigma_optimizer, (OptimizerConfig, type(None))):
+            raise TypeError("sigma_optimizer must be an OptimizerConfig or None")
+        if self.neighbor_strategy not in STRATEGIES:
+            raise ValueError(f"neighbor_strategy must be one of {STRATEGIES}")
 
     def to_dict(self) -> dict:
         return {
@@ -224,8 +266,6 @@ class TrainConfig:
     def from_dict(cls, d) -> "TrainConfig":
         d = dict(d)
         d["kernels"] = KernelSet.from_names(d["kernels"])
-        d["theta_hidden"] = tuple(d["theta_hidden"])
-        d["sigma_hidden"] = tuple(d["sigma_hidden"])
         d["optimizer"] = OptimizerConfig.from_dict(d["optimizer"])
         if d.get("sigma_optimizer") is not None:
             d["sigma_optimizer"] = OptimizerConfig.from_dict(d["sigma_optimizer"])
@@ -297,7 +337,7 @@ class TrainedModel:
 
 def _hidden_activations(n_hidden: int) -> list:
     # All-sigmoid hidden stack with a final rectified hidden layer.
-    return ["sigmoid"] * (n_hidden - 1) + ["relu"] if n_hidden > 1 else ["relu"]
+    return ["sigmoid"] * (n_hidden - 1) + ["relu"] if n_hidden else []
 
 
 def _build_specs(n_v: int, hidden, out_units: int, out_activation: str):

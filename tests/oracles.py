@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the slow, explicit way (dense
 inverses, double loops) and never imports the package's own linear-algebra
-or covariance code paths, so it can serve as an oracle for them.  The one
-exception is :func:`full_square_hyper_grad`, a bit-for-bit reference that
-takes the package's kernel forms (see its docstring).
+or covariance code paths, so it can serve as an oracle for them.  The two
+exceptions are :func:`full_square_hyper_grad`, a bit-for-bit reference that
+takes the package's kernel forms, and :func:`stationary_fit`, a training
+loop over the package's likelihood gradient (see their docstrings).
 """
 
 import math
@@ -14,6 +15,7 @@ from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotri
 from scipy.spatial.distance import cdist
+from scipy.special import expit
 
 SQRT3 = np.sqrt(3.0)
 SQRT5 = np.sqrt(5.0)
@@ -186,3 +188,43 @@ def full_square_hyper_grad(kset, x, y, theta, sigma2, jitter_ladder):
         grad[:, i * n_v : (i + 1) * n_v] = x * (
             z * w.sum(axis=1)[:, None] - w @ z)
     return value, grad, 0.5 * np.diag(g), float(jitter)
+
+
+def stationary_fit(data, config):
+    """The stationary control model trained by hand; returns (theta, sigma2).
+
+    One length-scale block and one noise variance are shared by every
+    point.  Each batch of trainer.make_batches gets gp.nll_hyper_grad's
+    gradient for that constant field, and one Adam step over [theta, raw]
+    applies the chain rule directly: the length-scale gradient summed over
+    the rows, and sigma2 = softplus(raw) + floor giving sum(dNLL/dsigma2)
+    * sigmoid(raw).  The field starts at theta_output_bias and sigma2_init.
+    A config with zero-width hidden layers and no regularizers must train
+    the same field through the hypernetworks.
+    """
+    from dgcn import gp, trainer
+    from dgcn.mlp import OptimizerState, softplus_inv
+
+    rng = np.random.default_rng(config.seed)
+    scaler = trainer.Scaler.fit(data.x, data.y, config.standardize_y)
+    x = scaler.transform_x(data.x)
+    y = scaler.transform_y(data.y)
+    n, n_v = x.shape
+    theta = np.full(n_v * config.kernels.n_k, config.theta_output_bias)
+    raw = np.array([softplus_inv(config.sigma2_init - config.sigma2_floor)])
+    opt = OptimizerState([theta, raw], config.optimizer)
+
+    def sigma2():
+        return float(np.logaddexp(0.0, raw[0]) + config.sigma2_floor)
+
+    for _ in range(config.max_epochs):
+        for idx in trainer.make_batches(n, config.batch_size, n_v, rng):
+            hyper = gp.HyperField(np.tile(theta, (len(idx), 1)),
+                                  np.full(len(idx), sigma2()))
+            grads = gp.nll_hyper_grad(gp.GpBatch(x[idx], y[idx], hyper),
+                                      config.kernels)
+            opt.step([theta, raw], [
+                grads.theta.sum(axis=0),
+                np.array([grads.sigma2.sum() * expit(raw[0])]),
+            ])
+    return theta, sigma2()

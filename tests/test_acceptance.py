@@ -7,6 +7,7 @@ They skip with an explicit reason when the files are absent.
 """
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from dgcn import bench, gp, linalg, timeseries, trainer
 from dgcn.errors import ChecksumMismatch, FormatVersionMismatch
-from dgcn.kernels import ALL_KERNELS, KernelSet, cov_matrix
+from dgcn.kernels import ALL_KERNELS, KernelId, KernelSet, cov_matrix
 from dgcn.mlp import Mlp, OptimizerConfig, RegularizerSpec, softplus_inv
 from dgcn.trainer import Dataset, TrainConfig
 
@@ -222,19 +223,23 @@ class TestCriterion05NonStationarityWin:
             truth = piecewise(grid[:, 0])
 
             # Equal budget on both sides: 150 full-batch epochs, Adam 1e-2.
-            model = trainer.fit(data, TrainConfig(
+            cfg = TrainConfig(
                 batch_size=120, max_epochs=150, seed=seed,
                 optimizer=OptimizerConfig(learning_rate=1e-2),
                 dropout_rate=0.0, input_noise_std=0.0,
-                early_stop_patience=1000))
+                early_stop_patience=1000)
+            model = trainer.fit(data, cfg)
             ours = float(np.sqrt(np.mean(
                 (trainer.predict_batched(model, grid, k=120).mean - truth) ** 2)))
 
-            baseline = bench.StationaryGp(bench.StationaryConfig(
-                batch_size=120, max_epochs=150, seed=seed,
-                optimizer=OptimizerConfig(learning_rate=1e-2))).fit(data)
+            # The stationary control: zero-width hidden layers make both
+            # hypernetworks output one constant field.
+            baseline = trainer.fit(data, replace(
+                cfg, kernels=KernelSet((KernelId.SQUARED_EXP,)),
+                theta_hidden=(0,), sigma_hidden=(0,)))
             theirs = float(np.sqrt(np.mean(
-                (baseline.predict(grid).mean - truth) ** 2)))
+                (trainer.predict_batched(baseline, grid, k=120).mean - truth)
+                ** 2)))
             wins += ours <= theirs
             details.append(f"{ours:.3f}/{theirs:.3f}")
         criterion("criterion-5 non-stationarity win", wins >= 8,
@@ -260,11 +265,12 @@ class TestCriterion07Concrete:
         assert data.n == 1030 and data.n_v == 8
         protocol = bench.PRESETS["table4"]
         ours = bench.run_protocol(data, protocol, CV_CONFIG).summary()["mean"]
-        baseline = bench.stationary_baseline(
-            data, protocol,
-            bench.StationaryConfig(batch_size=200, max_epochs=300,
-                                   optimizer=OptimizerConfig(learning_rate=1e-2)),
-        ).summary()["mean"]
+        # The stationary control: one SE kernel, no early stopping and
+        # full-set prediction (CV_CONFIG's prediction_k).
+        baseline = bench.run_protocol(data, protocol, replace(
+            CV_CONFIG, kernels=KernelSet((KernelId.SQUARED_EXP,)),
+            theta_hidden=(0,), sigma_hidden=(0,), early_stop_patience=301,
+        )).summary()["mean"]
         criterion(
             "criterion-7 concrete",
             ours <= 5.21 and ours < baseline,

@@ -5,11 +5,11 @@ import pytest
 
 from dgcn import bench, trainer
 from dgcn.errors import MissingColumn, ParseError
-from dgcn.kernels import KernelId
+from dgcn.kernels import KernelId, KernelSet
 from dgcn.mlp import OptimizerConfig
 from dgcn.trainer import Dataset, TrainConfig
 
-from oracles import stationary_gp
+from oracles import stationary_fit, stationary_gp
 
 
 def write_csv(path, header, rows):
@@ -67,6 +67,53 @@ class TestLoadCsv:
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(ParseError):
             bench.load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_reports_position(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1,2\n\n3,{cell}\n")
+        with pytest.raises(ParseError) as err:
+            bench.load_csv(path)
+        # The blank line is not counted.
+        assert (err.value.row, err.value.col) == (3, 2)
+
+    def test_only_selected_columns_are_parsed(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("id,x,note\n7,0.5,first\n8,-1.5,second\n")
+        header, rows = bench.read_csv_rows(path)
+        assert header == ["id", "x", "note"]
+        np.testing.assert_array_equal(bench.parse_columns(rows, [1, 0]),
+                                      [[0.5, 7.0], [-1.5, 8.0]])
+        with pytest.raises(ParseError) as err:
+            bench.parse_columns(rows, [2])
+        assert (err.value.row, err.value.col) == (2, 3)
+
+    def test_missing_cell_reports_position(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("a,b,c\n1,2,3\n4\n")
+        _, rows = bench.read_csv_rows(path)
+        with pytest.raises(ParseError) as err:
+            bench.parse_columns(rows, [0, 2])
+        assert (err.value.row, err.value.col) == (3, 3)
+
+
+class TestWritePredictionCsv:
+    @pytest.mark.parametrize("names, start, head", [
+        ((), 0, "row,mean"),
+        (("index", "prediction"), 120, "index,prediction"),
+    ])
+    def test_exact_bytes(self, tmp_path, names, start, head):
+        from dgcn.gp import Prediction
+
+        pred = Prediction(np.array([0.1, -2.0]), np.array([1e-300, 0.0]),
+                          np.array([-0.3, -2.5]), np.array([0.5, -1.5]), 0.05)
+        out = tmp_path / "pred.csv"
+        bench.write_prediction_csv(out, pred, *names, start=start)
+        assert out.read_bytes() == (
+            f"{head},variance,ci_low,ci_high\n"
+            f"{start},0.1,1e-300,-0.3,0.5\n"
+            f"{start + 1},-2.0,0.0,-2.5,-1.5\n"
+        ).encode()
 
 
 class TestSplits:
@@ -180,6 +227,26 @@ class TestRunProtocol:
         assert summary["min"] <= summary["mean"] <= summary["max"]
 
 
+def stationary_config(**kwargs):
+    """The stationary control model as the main model's config.
+
+    Zero-width hidden layers make each hypernetwork output its final bias
+    for every point; one squared-exponential kernel, no regularizers and no
+    early stopping, like the control model's defaults.
+    """
+    defaults = dict(
+        kernels=KernelSet((KernelId.SQUARED_EXP,)),
+        theta_hidden=(0,),
+        sigma_hidden=(0,),
+        dropout_rate=0.0,
+        input_noise_std=0.0,
+        max_epochs=100,
+    )
+    defaults.update(kwargs)
+    defaults.setdefault("early_stop_patience", defaults["max_epochs"] + 1)
+    return TrainConfig(**defaults)
+
+
 class TestStationaryBaseline:
     def test_recovers_synthetic_stationary_gp(self):
         # Data drawn from a known stationary squared-exponential GP; the
@@ -200,39 +267,62 @@ class TestStationaryBaseline:
             "squared_exp", x[train], y[train], theta_true, sigma2_true, x[test])
         oracle_rmse = float(np.sqrt(np.mean((oracle_mean - y[test]) ** 2)))
 
-        cfg = bench.StationaryConfig(
+        cfg = stationary_config(
             optimizer=OptimizerConfig(learning_rate=3e-2),
             batch_size=60, max_epochs=200, seed=0)
-        model = bench.StationaryGp(cfg).fit(
-            Dataset(x[train], y[train], columns=["x"]))
-        rmse = float(np.sqrt(np.mean((model.predict(x[test]).mean - y[test]) ** 2)))
+        model = trainer.fit(Dataset(x[train], y[train], columns=["x"]), cfg)
+        pred = trainer.predict_full(model, x[test])
+        rmse = float(np.sqrt(np.mean((pred.mean - y[test]) ** 2)))
         assert rmse <= 1.2 * oracle_rmse + 1e-4
 
     def test_constant_target_fits_exactly(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(0, 1, (20, 2))
         data = Dataset(x, np.full(20, 3.3), columns=["a", "b"])
-        model = bench.StationaryGp(
-            bench.StationaryConfig(batch_size=20, max_epochs=10)).fit(data)
-        pred = model.predict(x)
+        model = trainer.fit(data, stationary_config(batch_size=20, max_epochs=10))
+        pred = trainer.predict_full(model, x)
         np.testing.assert_allclose(pred.mean, 3.3, atol=1e-8)
 
     def test_report_shape_matches_run_protocol(self):
         data = bench.synthetic_dataset(24, 2, seed=12)
         protocol = bench.Protocol(folds=3, repeats=2)
         main = bench.run_protocol(data, protocol, quick_config(max_epochs=3))
-        base = bench.stationary_baseline(
-            data, protocol,
-            bench.StationaryConfig(batch_size=24, max_epochs=3))
+        base = bench.run_protocol(
+            data, protocol, stationary_config(batch_size=24, max_epochs=3))
         assert len(main.records) == len(base.records) == 6
         assert set(main.summary()) == set(base.summary())
 
     def test_other_kernel_choices_accepted(self):
         data = bench.synthetic_dataset(20, 1, seed=13)
-        cfg = bench.StationaryConfig(kernel=KernelId.MATERN52,
-                                     batch_size=20, max_epochs=5)
-        model = bench.StationaryGp(cfg).fit(data)
-        assert np.all(np.isfinite(model.predict(data.x).mean))
+        cfg = stationary_config(kernels=KernelSet((KernelId.MATERN52,)),
+                                batch_size=20, max_epochs=5)
+        model = trainer.fit(data, cfg)
+        assert np.all(np.isfinite(trainer.predict_full(model, data.x).mean))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("batch_size", [120, 40])
+    def test_fit_matches_hand_written_loop(self, seed, batch_size):
+        # The oracle steps one Adam over (theta, raw sigma) with the chain
+        # rule written out; the zero-width networks must learn the same
+        # field through their output biases.  Without regularizers neither
+        # side draws anything but the batch permutations.
+        data = bench.synthetic_dataset(120, 2, seed=14)
+        cfg = stationary_config(
+            optimizer=OptimizerConfig(learning_rate=1e-2),
+            batch_size=batch_size, max_epochs=30, seed=seed)
+        model = trainer.fit(data, cfg)
+        theta, sigma2 = stationary_fit(data, cfg)
+        np.testing.assert_allclose(model.hyper.theta,
+                                   np.tile(theta, (data.n, 1)), rtol=1e-12)
+        np.testing.assert_allclose(model.hyper.sigma2, sigma2, rtol=1e-12)
+
+    def test_regularizers_cannot_reach_the_field(self):
+        data = bench.synthetic_dataset(60, 2, seed=15)
+        model = trainer.fit(data, stationary_config(
+            batch_size=20, max_epochs=5, dropout_rate=0.1, input_noise_std=0.01))
+        assert np.ptp(model.hyper.theta, axis=0).max() == 0.0
+        assert np.ptp(model.hyper.sigma2) == 0.0
+        assert model.log.epochs_run == 5
 
 
 class TestTimingBenchmark:

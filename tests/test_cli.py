@@ -48,6 +48,17 @@ def assert_usage_error(capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    return err
+
+
+def assert_data_error(capsys, args):
+    """Exit 3 with a one-line message on stderr and no traceback."""
+    capsys.readouterr()
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
 
 
 class TestTrain:
@@ -85,6 +96,53 @@ class TestTrain:
                         "--config", fast_config_json, "--out", out,
                         "--seed", 7]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("key, value", [
+        ("theta_hidden", "x"), ("theta_hidden", [-1]), ("sigma_hidden", [1.5]),
+        ("dropout_rate", 1.5), ("input_noise_std", -0.1), ("seed", 1.5),
+        ("seed", -2), ("batch_size", "abc"), ("max_epochs", 0),
+        ("prediction_k", 0), ("standardize_y", "yes"),
+        ("neighbor_strategy", "ball"), ("kernels", ["no_such_kernel"]),
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, sine_csv, capsys,
+                                             key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        err = assert_usage_error(capsys, ["train", "--data", sine_csv,
+                                          "--config", config,
+                                          "--out", tmp_path / "m.dgcn"])
+        assert not (tmp_path / "m.dgcn").exists()
+        if key != "kernels":
+            assert key in err
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_cell_is_data_error(self, tmp_path, sine_csv,
+                                               fast_config_json, capsys,
+                                               command, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x,y\n0.5,1.0\n{cell},{cell}\n")
+        if command == "train":
+            args = ["train", "--data", bad, "--target", "y",
+                    "--out", tmp_path / "m.dgcn"]
+        else:
+            model = TestPredict().fit_model(tmp_path, sine_csv, fast_config_json)
+            args = ["predict", "--model", model, "--data", bad,
+                    "--out", tmp_path / "pred.csv"]
+        err = assert_data_error(capsys, args)
+        assert "row 3, column 1" in err
+
+    def test_prediction_file_may_carry_text_columns(self, tmp_path, sine_csv,
+                                                    fast_config_json):
+        model = TestPredict().fit_model(tmp_path, sine_csv, fast_config_json)
+        data = tmp_path / "query.csv"
+        data.write_text("label,x\nfirst,0.5\nsecond,1.5\n")
+        out = tmp_path / "pred.csv"
+        assert run(["predict", "--model", model, "--data", data,
+                    "--out", out]) == 0
+        assert out.read_text().splitlines()[0] == "row,mean,variance,ci_low,ci_high"
 
 
 class TestPredict:
@@ -216,7 +274,14 @@ class TestCrossval:
                     "--baseline", "--folds", 3, "--repeats", 1,
                     "--out-dir", tmp_path, "--seed", 1])
         assert code == 0
-        assert (tmp_path / "baseline_summary.json").exists()
+        summary = json.loads((tmp_path / "baseline_summary.json").read_text())
+        assert set(summary) == {
+            "runs", "min", "mean", "max", "std", "metric",
+            "wall_clock_seconds", "config_fingerprint", "protocol"}
+        assert summary["runs"] == 3
+        lines = (tmp_path / "baseline_runs.csv").read_text().splitlines()
+        assert lines[0] == "run_id,repeat,fold,metric_value,seconds"
+        assert len(lines) == 4
 
 
 class TestForecastAndGapFilling:

@@ -72,6 +72,23 @@ class TestNll:
             assert gp.nll(batch, kset) == pytest.approx(want, abs=1e-8)
 
 
+    @pytest.mark.parametrize("n", [1, 17, 200, 400])
+    def test_value_is_the_direct_formula_bit_for_bit(self, n):
+        # nll is nll_hyper_grad's value; it must equal the NLL of the
+        # one-set covariance, its factor and alpha, also when the step
+        # assembles K in two row blocks (n = 400).
+        kset = KernelSet()
+        batch = duplicated_batch(np.random.default_rng(n), n, 3, kset, 1e-2)
+        k = cov_matrix(kset, batch.x, batch.hyper.theta)
+        k[np.diag_indices_from(k)] += batch.hyper.sigma2
+        factor = linalg.cholesky_jittered(k)
+        alpha = linalg.solve_spd(factor, batch.y)
+        want = float(0.5 * batch.y @ alpha + 0.5 * linalg.logdet(factor)
+                     + 0.5 * n * gp.LOG_2PI)
+        assert len(linalg.row_blocks(n, gp._BLOCK_ENTRIES)) == 1 + (n == 400)
+        assert gp.nll(batch, kset) == want
+
+
 class TestNllHyperGrad:
     def test_zero_response_leaves_logdet_gradient(self):
         rng = np.random.default_rng(13)

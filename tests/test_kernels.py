@@ -247,14 +247,15 @@ class TestCovMatrix:
 
 @st.composite
 def symmetric_cases(draw):
-    """A kernel set and one point set with its field; some rows duplicated."""
+    """A kernel set and a point set of 0 to 30 rows with its field; some rows
+    may be duplicated."""
     names = [k.value for k in ALL_KERNELS]
     kernels = draw(st.one_of(
         st.sampled_from([[name] for name in names]),
         st.just(names),
     ))
     kset = KernelSet.from_names(kernels)
-    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 30)))
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 30)))
     n_v = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n, n_v))

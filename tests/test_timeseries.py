@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcn import timeseries, trainer
+from dgcn import bench, timeseries, trainer
 from dgcn.errors import SeriesTooShort, ShapeMismatch
 from dgcn.mlp import OptimizerConfig
 from dgcn.timeseries import (
@@ -329,7 +329,7 @@ class TestSeriesCsv:
                             fast_config(max_epochs=3))
         pred = forecast_recursive(model, series, steps=4, detailed=True)
         out = tmp_path / "forecast.csv"
-        timeseries.write_forecast_csv(out, pred, start_index=50)
+        bench.write_prediction_csv(out, pred, "index", "prediction", start=50)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "index,prediction,variance,ci_low,ci_high"
         assert len(lines) == 5

@@ -101,6 +101,56 @@ class TestBatchPartition:
         assert len(parts) == 1
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("fields", [
+        dict(theta_hidden="x"), dict(sigma_hidden=5), dict(theta_hidden=(2.5,)),
+        dict(theta_hidden=(-1,)), dict(sigma_hidden=(True,)),
+        dict(batch_size="abc"), dict(batch_size=0), dict(max_epochs=1.0),
+        dict(early_stop_patience=0), dict(seed=1.5), dict(seed=-1),
+        dict(prediction_k=0), dict(prediction_k="all"),
+        dict(dropout_rate=1.5), dict(dropout_rate=1.0), dict(dropout_rate="x"),
+        dict(dropout_rate=float("nan")), dict(input_noise_std=-0.1),
+        dict(early_stop_tol="small"), dict(sigma2_floor=0.0),
+        dict(sigma2_init=1e-7), dict(theta_output_bias=float("inf")),
+        dict(standardize_y="yes"), dict(kernels=["squared_exp"]),
+        dict(optimizer={"learning_rate": 0.1}), dict(sigma_optimizer="adam"),
+        dict(neighbor_strategy="ball"),
+    ])
+    def test_bad_field_rejected_at_construction(self, fields):
+        with pytest.raises((TypeError, ValueError)):
+            TrainConfig(**fields)
+
+    def test_integer_fields_stored_as_python_ints(self):
+        cfg = TrainConfig(theta_hidden=[np.int64(4)], batch_size=np.int32(50),
+                          seed=np.uint64(7), prediction_k=np.int64(9))
+        assert cfg.theta_hidden == (4,)
+        assert [type(v) for v in (cfg.theta_hidden[0], cfg.batch_size,
+                                  cfg.seed, cfg.prediction_k)] == [int] * 4
+        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("hidden, hidden_acts", [
+        ((), []), ((0,), ["relu"]), ((4,), ["relu"]),
+        ((5, 4, 3), ["sigmoid", "sigmoid", "relu"]),
+    ])
+    def test_output_layers_are_linear_and_softplus(self, hidden, hidden_acts):
+        theta_net, sigma_net = trainer.build_networks(
+            2, TrainConfig(theta_hidden=hidden, sigma_hidden=hidden),
+            np.random.default_rng(0))
+        for net, out_units, act in ((theta_net, 10, "linear"),
+                                    (sigma_net, 1, "softplus")):
+            assert [s.out_units for s in net.specs] == [*hidden, out_units]
+            assert [s.activation for s in net.specs] == [*hidden_acts, act]
+
+    def test_zero_width_networks_output_their_biases(self):
+        cfg = TrainConfig(theta_hidden=(0,), sigma_hidden=(0,), sigma2_init=0.05)
+        theta_net, sigma_net = trainer.build_networks(
+            3, cfg, np.random.default_rng(1))
+        x = np.random.default_rng(2).normal(size=(6, 3))
+        field = trainer.hyper_for(theta_net, sigma_net, x, cfg.sigma2_floor)
+        np.testing.assert_array_equal(field.theta, np.ones((6, 15)))
+        np.testing.assert_allclose(field.sigma2, 0.05, rtol=1e-15)
+
+
 class TestFit:
     def test_learns_noise_free_sine(self):
         data = sine_dataset()
@@ -391,9 +441,10 @@ class TestPersistence:
            kernels=st.lists(st.sampled_from(ALL_KERNELS), min_size=1,
                             max_size=5, unique=True),
            seed=st.integers(0, 2**16), k=st.integers(2, 45),
-           strategy=st.sampled_from(["brute", "kdtree"]))
+           strategy=st.sampled_from(["brute", "kdtree"]),
+           hidden=st.sampled_from([(20, 20, 20), (0,), (3,), ()]))
     def test_roundtrip_keeps_every_array_and_prediction_field(
-            self, n, n_v, kernels, seed, k, strategy):
+            self, n, n_v, kernels, seed, k, strategy, hidden):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-2.0, 2.0, (n, n_v))
         x[-1] = x[0]  # a duplicated row
@@ -401,7 +452,8 @@ class TestPersistence:
                        columns=[f"c{v}" for v in range(n_v)])
         model = trainer.fit(data, quiet_config(
             batch_size=max(2, n // 2), max_epochs=2, seed=seed,
-            kernels=KernelSet(tuple(kernels)), neighbor_strategy=strategy))
+            kernels=KernelSet(tuple(kernels)), neighbor_strategy=strategy,
+            theta_hidden=hidden, sigma_hidden=hidden))
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/m.dgcn"
             trainer.save(model, path)
