@@ -15,7 +15,6 @@ from .errors import (
     FormatVersionMismatch,
     InvalidAlpha,
     InvalidSetting,
-    MemoryCapExceeded,
     MissingColumn,
     NonFiniteLoss,
     NotPositiveDefinite,
@@ -48,7 +47,6 @@ from .trainer import (
     fit,
     load,
     predict_batched,
-    predict_full,
     save,
     update,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "KernelSet",
     "LagSpec",
     "LayerSpec",
-    "MemoryCapExceeded",
     "MissingColumn",
     "Mlp",
     "NeighborIndex",
@@ -116,7 +113,6 @@ __all__ = [
     "nll",
     "predict",
     "predict_batched",
-    "predict_full",
     "run_protocol",
     "save",
     "timing_benchmark",

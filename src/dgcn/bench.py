@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gp, trainer
-from .errors import MemoryCapExceeded, MissingColumn, ParseError
+from .errors import MissingColumn, ParseError
 from .trainer import Dataset, TrainConfig
 
 
@@ -91,6 +91,21 @@ def load_csv(path, target_column="last") -> Dataset:
     )
 
 
+def write_csv_rows(path, header, rows) -> None:
+    """A header row, then the rows, each line ending in a bare newline."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """Indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_prediction_csv(path, pred: gp.Prediction, index_name: str = "row",
                          mean_name: str = "mean", start: int = 0) -> None:
     """Columns: index_name, mean_name, variance, ci_low, ci_high.
@@ -98,14 +113,11 @@ def write_prediction_csv(path, pred: gp.Prediction, index_name: str = "row",
     Indices count from ``start``; values are written with repr, so they
     read back exactly.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([index_name, mean_name, "variance", "ci_low", "ci_high"])
-        for i in range(pred.mean.size):
-            writer.writerow([start + i] + [
-                repr(float(a[i]))
-                for a in (pred.mean, pred.variance, pred.ci_low, pred.ci_high)
-            ])
+    columns = (pred.mean, pred.variance, pred.ci_low, pred.ci_high)
+    write_csv_rows(
+        path, [index_name, mean_name, "variance", "ci_low", "ci_high"],
+        ([start + i] + [repr(float(a[i])) for a in columns]
+         for i in range(pred.mean.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +199,13 @@ class BenchReport:
         }
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["run_id", "repeat", "fold", "metric_value", "seconds"])
-            for r in self.records:
-                writer.writerow([r.run_id, r.repeat, r.fold,
-                                 repr(r.metric_value), repr(r.seconds)])
+        write_csv_rows(
+            path, ["run_id", "repeat", "fold", "metric_value", "seconds"],
+            ([r.run_id, r.repeat, r.fold, repr(r.metric_value), repr(r.seconds)]
+             for r in self.records))
 
     def write_summary_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.summary())
 
 
 def _fingerprint(*dicts) -> str:
@@ -243,10 +251,6 @@ def _splits(n: int, protocol: Protocol):
                    perm[n - protocol.test_size :])
 
 
-def _run_seed(base: int, repeat: int, fold: int) -> int:
-    return int(np.random.SeedSequence([base, repeat, fold]).generate_state(1)[0])
-
-
 def run_protocol(data: Dataset, protocol: Protocol,
                  train_config: TrainConfig = TrainConfig()) -> BenchReport:
     """Cross-validate a model configuration under a protocol.
@@ -265,7 +269,7 @@ def run_protocol(data: Dataset, protocol: Protocol,
         tick = time.perf_counter()
         model = trainer.fit(
             Dataset(data.x[train_idx], y[train_idx], data.columns),
-            replace(train_config, seed=_run_seed(protocol.seed, r, f)),
+            replace(train_config, seed=trainer.derived_seed(protocol.seed, r, f)),
         )
         pred = trainer.predict_batched(model, data.x[test_idx]).mean
         value = _score(y[test_idx], pred, protocol.metric)
@@ -296,12 +300,10 @@ class TimingReport:
     skipped: list = field(default_factory=list)  # (n, batch, reason)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["N", "N_b", "seconds", "sec_per_epoch"])
-            for row in self.rows:
-                writer.writerow([row.n, row.batch_size,
-                                 repr(row.seconds), repr(row.sec_per_epoch)])
+        write_csv_rows(
+            path, ["N", "N_b", "seconds", "sec_per_epoch"],
+            ([r.n, r.batch_size, repr(r.seconds), repr(r.sec_per_epoch)]
+             for r in self.rows))
 
 
 def synthetic_dataset(n: int, n_v: int = 5, seed: int = 0,
@@ -338,16 +340,11 @@ def timing_benchmark(sizes, batch_sizes, epochs: int = 100,
         data = synthetic_dataset(int(n), synthetic_dims, seed)
         for nb in batch_sizes:
             batch = int(n) if nb is None else int(nb)
-            try:
-                if nb is None:
-                    # ~6 dense N x N float64 intermediates live at peak.
-                    needed = 6 * 8 * int(n) ** 2
-                    if needed > memory_cap_bytes:
-                        raise MemoryCapExceeded(
-                            f"full batch at N={n} needs ~{needed >> 20} MiB"
-                        )
-            except MemoryCapExceeded as exc:
-                report.skipped.append((int(n), batch, str(exc)))
+            # ~6 dense N x N float64 intermediates live at peak.
+            needed = 6 * 8 * int(n) ** 2
+            if nb is None and needed > memory_cap_bytes:
+                report.skipped.append((
+                    int(n), batch, f"full batch at N={n} needs ~{needed >> 20} MiB"))
                 continue
             cfg = replace(base, batch_size=batch, seed=seed)
             tick = time.perf_counter()

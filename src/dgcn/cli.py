@@ -9,7 +9,6 @@ failures.  All outputs are plain CSV/JSON files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -55,15 +54,12 @@ def seed_type(value: str) -> int:
 def _check_prediction_args(k, alpha: float = 0.05, interval: str = "t") -> None:
     """Reject a neighbour count or alpha that prediction cannot use.
 
-    A t interval needs at least 2 training points per prediction (its
-    quantile has N - 1 degrees of freedom), a z interval at least 1; alpha
-    must lie in (0, 1).  forecast and cats predict with t intervals at the
-    default alpha.
+    The neighbour-count rule is trainer.check_k's; alpha must lie in
+    (0, 1).  forecast and cats predict with t intervals at the default
+    alpha.
     """
-    least = 2 if interval == "t" else 1
-    if k is not None and k < least:
-        raise UsageError(f"--k must be at least {least} with {interval} "
-                         f"intervals, got {k}")
+    if k is not None:
+        trainer.check_k(k, interval, "--k")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"--alpha must lie in (0, 1), got {alpha}")
 
@@ -93,12 +89,6 @@ def load_config(path, seed=None) -> TrainConfig:
         raise UsageError(f"bad config: {exc}") from exc
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_train(args) -> int:
     config = load_config(args.config, args.seed)
     data = bench.load_csv(args.data, args.target)
@@ -118,7 +108,7 @@ def cmd_train(args) -> int:
         "elapsed_seconds": elapsed,
         "model_file": args.out,
     }
-    _write_json(args.log or args.out + ".log.json", log)
+    bench.write_json(args.log or args.out + ".log.json", log)
     print(f"trained on {data.n} points; "
           f"NLL {log['initial_nll']:.4f} -> {log['final_nll']:.4f} "
           f"in {log['epochs_run']} epochs; model: {args.out}")
@@ -184,7 +174,7 @@ def cmd_crossval(args) -> int:
         "transform", "metric", "seed")}
     if not args.baseline:
         s["train_config"] = config.to_dict()
-    _write_json(summary_path, s)
+    bench.write_json(summary_path, s)
     print(f"{protocol.metric} mean {s['mean']:.4f} +- {s['std']:.4f} "
           f"(min {s['min']:.4f}, max {s['max']:.4f}) over {s['runs']} runs")
     print(f"wrote {runs_path} and {summary_path}")
@@ -218,19 +208,16 @@ def cmd_cats(args) -> int:
     result = timeseries.cats_protocol(series, specs, config, truth=truth,
                                       k=args.k, strategy=args.strategy)
     pred_path = f"{args.out_dir}/cats_predictions.csv"
-    with open(pred_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["position", "prediction"])
-        pos = 0
-        for start, end in timeseries.CATS_BLOCKS.blocks:
-            for t in range(start, end + 1):
-                writer.writerow([t, repr(float(result.predictions[pos]))])
-                pos += 1
+    positions = [t for start, end in timeseries.CATS_BLOCKS.blocks
+                 for t in range(start, end + 1)]
+    bench.write_csv_rows(pred_path, ["position", "prediction"],
+                         ([t, repr(float(v))]
+                          for t, v in zip(positions, result.predictions)))
     if result.e1 is not None:
         for b, score in enumerate(result.block_scores, start=1):
             print(f"block {b}: {score:.4f}")
         print(f"E1 = {result.e1:.4f}")
-        _write_json(f"{args.out_dir}/cats_summary.json", {
+        bench.write_json(f"{args.out_dir}/cats_summary.json", {
             "block_scores": result.block_scores,
             "e1": result.e1,
             "lags": lags,

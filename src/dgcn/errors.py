@@ -69,8 +69,4 @@ class MissingColumn(DgcnError):
 
 
 class InvalidSetting(DgcnError, ValueError):
-    """An environment setting such as DGCN_THREADS has an unusable value."""
-
-
-class MemoryCapExceeded(DgcnError):
-    """A full-batch timing row would exceed the configured memory cap."""
+    """A setting such as DGCN_THREADS or a neighbour count is unusable."""

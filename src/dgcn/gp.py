@@ -63,7 +63,7 @@ class HyperField:
             raise ValueError("noise variances must be strictly positive")
 
     def take(self, idx) -> "HyperField":
-        """The rows idx (fancy-indexed copies).
+        """The rows idx (copies for an index array, views for a slice).
 
         They passed the finite and positive checks as part of this field,
         so the checks are not run again.

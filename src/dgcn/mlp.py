@@ -14,6 +14,7 @@ ignore both regularizers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,6 +293,14 @@ class Mlp:
                    regularizer=self.regularizer)
 
 
+def check_finite(name: str, value) -> None:
+    """TypeError unless value is a real number, ValueError unless finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     algorithm: str = "adam"  # sgd | adam | nadam
@@ -303,10 +312,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in ("sgd", "adam", "nadam"):
             raise ValueError("algorithm must be sgd, adam or nadam")
+        for name in ("learning_rate", "beta1", "beta2", "epsilon"):
+            check_finite(name, getattr(self, name))
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be > 0")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("betas must lie in (0, 1)")
+        if self.epsilon <= 0.0:
+            raise ValueError("epsilon must be > 0")
 
     def to_dict(self) -> dict:
         return {

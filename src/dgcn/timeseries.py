@@ -13,12 +13,13 @@ stitched 100 predictions as total squared error / 100.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import trainer
-from .errors import SeriesTooShort, ShapeMismatch
+from .errors import ParseError, SeriesTooShort, ShapeMismatch
 from .gp import Prediction
 from .trainer import Dataset, TrainConfig, TrainedModel
 
@@ -158,7 +159,8 @@ def forecast_direct(history, n_lags: int, steps: int, config: TrainConfig,
     out = np.empty(steps)
     for h in range(steps):
         data = lag_embed(history, LagSpec(n_lags, (h,)))
-        model = trainer.fit(data, replace(config, seed=_block_seed(config.seed, h)))
+        seed = trainer.derived_seed(config.seed, h)
+        model = trainer.fit(data, replace(config, seed=seed))
         out[h] = trainer.predict_batched(model, window, k=k).mean[0]
     return out
 
@@ -208,7 +210,7 @@ def cats_protocol(series, per_block_lags, config: TrainConfig,
     for b, ((start, end), spec) in enumerate(zip(blocks.blocks, per_block_lags)):
         prefix = series[: start - 1]
         steps = end - start + 1
-        block_config = replace(config, seed=_block_seed(config.seed, b))
+        block_config = replace(config, seed=trainer.derived_seed(config.seed, b))
         if strategy == "direct":
             preds.append(forecast_direct(prefix, spec.n_lags, steps,
                                          block_config, k=k))
@@ -234,11 +236,6 @@ def cats_protocol(series, per_block_lags, config: TrainConfig,
             pos += size
         e1 = float(sum(block_scores))
     return GapForecast(predictions=predictions, block_scores=block_scores, e1=e1)
-
-
-def _block_seed(seed: int, block: int) -> int:
-    # Stable per-block stream derived from the base seed.
-    return int(np.random.SeedSequence([seed, block]).generate_state(1)[0])
 
 
 def select_lag_count(series, config: TrainConfig,
@@ -268,27 +265,23 @@ def select_lag_count(series, config: TrainConfig,
 
 
 def read_series_csv(path) -> np.ndarray:
-    """Single-column CSV; empty cells and 'NaN' mark missing values."""
-    values = []
+    """Single-column CSV with an optional header row.
+
+    Empty cells and 'NaN' mark missing values.  Any other cell that is not
+    a finite number raises ParseError with its 1-based row (the header
+    counts) and column 1.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    start = 0
-    if rows:
-        cell = rows[0][0].strip() if rows[0] else ""
-        if cell and not _is_number(cell):
-            start = 1  # header
-    for row in rows[start:]:
-        cell = row[0].strip() if row else ""
-        if not cell or cell.lower() == "nan":
-            values.append(np.nan)
-        else:
-            values.append(float(cell))
+        cells = [row[0].strip() if row else "" for row in csv.reader(fh)]
+    values = []
+    for row, cell in enumerate(cells, start=1):
+        try:
+            value = float(cell) if cell else math.nan
+        except ValueError:
+            if row == 1:
+                continue  # header
+            raise ParseError(row, 1, f"not a number: {cell!r}") from None
+        if math.isinf(value):
+            raise ParseError(row, 1, f"not a finite number: {cell!r}")
+        values.append(value)
     return np.asarray(values, dtype=np.float64)
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return cell.lower() == "nan"
-    return True

@@ -8,8 +8,9 @@ relative improvement of the per-point epoch NLL.
 
 Prediction standardizes the query points, runs both networks in inference
 mode, then solves one GP system per group of test points that share the
-same nearest-neighbor set.  With k equal to the training size this
-reproduces the full, unbatched prediction bit for bit.
+same nearest-neighbor set.  With k at least the training size all test
+points form one group over the whole training set, which is the full,
+unbatched prediction.
 
 Model files are a small binary container: magic ``DGCN``, a format version
 byte, a length-prefixed JSON manifest, the raw float64 arrays in manifest
@@ -47,6 +48,7 @@ from .mlp import (
     OptimizerConfig,
     OptimizerState,
     RegularizerSpec,
+    check_finite,
     softplus_inv,
 )
 from .neighbors import STRATEGIES, NeighborIndex
@@ -64,6 +66,11 @@ def worker_count() -> int:
     if not raw.isdecimal() or int(raw) < 1:
         raise InvalidSetting(f"DGCN_THREADS must be an integer >= 1, got {raw!r}")
     return int(raw)
+
+
+def derived_seed(*keys: int) -> int:
+    """A stable seed for one run, fold or block, derived from integer keys."""
+    return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
 
 @dataclass
@@ -169,13 +176,6 @@ def _integer(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _finite(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything fit() needs; serialized verbatim into the model file."""
@@ -221,7 +221,7 @@ class TrainConfig:
             put("prediction_k", _integer("prediction_k", self.prediction_k, 1))
         for name in ("early_stop_tol", "dropout_rate", "input_noise_std",
                      "sigma2_floor", "sigma2_init", "theta_output_bias"):
-            _finite(name, getattr(self, name))
+            check_finite(name, getattr(self, name))
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.input_noise_std < 0.0:
@@ -330,9 +330,6 @@ class TrainedModel:
     @property
     def kernel_set(self) -> KernelSet:
         return self.config.kernels
-
-    def predict(self, x_star, **kwargs) -> gp.Prediction:
-        return predict_batched(self, x_star, **kwargs)
 
 
 def _hidden_activations(n_hidden: int) -> list:
@@ -547,43 +544,52 @@ def _destandardize(model: TrainedModel, pred: gp.Prediction) -> gp.Prediction:
     )
 
 
-def predict_full(model: TrainedModel, x_star_raw, alpha_level: float = 0.05,
-                 include_noise: bool = False, interval: str = "t") -> gp.Prediction:
-    """Unbatched prediction against the entire stored training set."""
-    x_raw = _check_query(model, x_star_raw)
-    if x_raw.shape[0] == 0:
-        return _empty_prediction(alpha_level)
-    xs = model.scaler.transform_x(x_raw)
-    hyper_star = hyper_for(model.theta_net, model.sigma_net, xs,
-                           model.config.sigma2_floor)
-    train = gp.GpBatch(model.x, model.y, model.hyper)
-    pred = gp.predict(train, xs, hyper_star, model.kernel_set,
-                      alpha_level=alpha_level, include_noise=include_noise,
-                      interval=interval)
-    return _destandardize(model, pred)
+def check_k(k, interval: str = "t", name: str = "k") -> int:
+    """k as an int, or InvalidSetting if an interval cannot use k neighbours.
+
+    A t interval needs at least 2 training points per prediction (its
+    quantile has N - 1 degrees of freedom), a z interval at least 1.
+    """
+    least = 2 if interval == "t" else 1
+    if k < least:
+        raise InvalidSetting(f"{name} must be at least {least} with {interval} "
+                             f"intervals, got {k}")
+    return int(k)
 
 
 def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
                     alpha_level: float = 0.05, include_noise: bool = False,
                     interval: str = "t") -> gp.Prediction:
-    """Neighbor-batched prediction (one GP solve per distinct neighbor set)."""
+    """Neighbor-batched prediction (one GP solve per distinct neighbor set).
+
+    k defaults to the config's prediction_k, else its batch_size.  At
+    k >= N every query's neighbour set is the whole training set, so all
+    queries form one group and no neighbour search runs: this is the full,
+    unbatched GP prediction.
+    """
+    if k is None:
+        k = model.config.prediction_k or model.config.batch_size
+    k = check_k(k, interval)
     x_raw = _check_query(model, x_star_raw)
     if x_raw.shape[0] == 0:
         return _empty_prediction(alpha_level)
     xs = model.scaler.transform_x(x_raw)
     hyper_star = hyper_for(model.theta_net, model.sigma_net, xs,
                            model.config.sigma2_floor)
-    if k is None:
-        k = model.config.prediction_k or model.config.batch_size
-    k = min(max(int(k), 1), model.n)
 
-    # One neighbour query for the whole block; queries whose sorted
-    # neighbour sets are equal share one factorization (all of them when
-    # k = N, which keeps that case identical to predict_full).
-    nearest = np.sort(model.index.query(xs, k), axis=1)
-    groups: dict = {}
-    for i, row in enumerate(nearest):
-        groups.setdefault(row.tobytes(), []).append(i)
+    # Each group is (training rows, query rows).
+    if k >= model.n:
+        everything = slice(None)
+        groups = [(everything, everything)]
+    else:
+        # One neighbour query for the whole block; queries whose sorted
+        # neighbour sets are equal share one factorization.
+        nearest = np.sort(model.index.query(xs, k), axis=1)
+        by_set: dict = {}
+        for i, row in enumerate(nearest):
+            by_set.setdefault(row.tobytes(), []).append(i)
+        groups = [(nearest[ids[0]], np.asarray(ids, dtype=np.intp))
+                  for ids in by_set.values()]
 
     n_star = xs.shape[0]
     mean = np.empty(n_star)
@@ -591,9 +597,8 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     ci_low = np.empty(n_star)
     ci_high = np.empty(n_star)
 
-    def solve_group(ids) -> tuple:
-        sel = nearest[ids[0]]
-        ids = np.asarray(ids, dtype=np.intp)
+    def solve_group(group) -> tuple:
+        sel, ids = group
         sub = gp.GpBatch(model.x[sel], model.y[sel], model.hyper.take(sel))
         pred = gp.predict(sub, xs[ids], hyper_star.take(ids), model.kernel_set,
                           alpha_level=alpha_level, include_noise=include_noise,
@@ -610,9 +615,9 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     workers = worker_count()
     if workers > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve_group, groups.values()))
+            solved = list(pool.map(solve_group, groups))
     else:
-        solved = list(map(solve_group, groups.values()))
+        solved = list(map(solve_group, groups))
     clamped, jitter_events, jitter_max = zip(*solved)
     pred = gp.Prediction(mean, variance, ci_low, ci_high, alpha_level,
                          clamped=sum(clamped), jitter_events=sum(jitter_events),

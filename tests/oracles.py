@@ -2,10 +2,11 @@
 
 Everything here is deliberately written the slow, explicit way (dense
 inverses, double loops) and never imports the package's own linear-algebra
-or covariance code paths, so it can serve as an oracle for them.  The two
+or covariance code paths, so it can serve as an oracle for them.  The
 exceptions are :func:`full_square_hyper_grad`, a bit-for-bit reference that
-takes the package's kernel forms, and :func:`stationary_fit`, a training
-loop over the package's likelihood gradient (see their docstrings).
+takes the package's kernel forms, :func:`stationary_fit`, a training loop
+over the package's likelihood gradient, and :func:`full_prediction`, one
+``gp.predict`` over a model's whole training set (see their docstrings).
 """
 
 import math
@@ -228,3 +229,29 @@ def stationary_fit(data, config):
                 np.array([grads.sigma2.sum() * expit(raw[0])]),
             ])
     return theta, sigma2()
+
+
+def full_prediction(model, x_star, alpha_level=0.05, include_noise=False,
+                    interval="t"):
+    """Unbatched prediction: one gp.predict over the whole stored training set.
+
+    The query is standardized and its hyperparameters drawn as in
+    prediction, then the result is taken back to the response's units by
+    hand.  It is the reference that neighbour-batched prediction at k >= N
+    must equal bit for bit.
+    """
+    from dataclasses import replace
+
+    from dgcn import gp, trainer
+
+    xs = model.scaler.transform_x(np.asarray(x_star, dtype=np.float64))
+    hyper_star = trainer.hyper_for(model.theta_net, model.sigma_net, xs,
+                                   model.config.sigma2_floor)
+    pred = gp.predict(gp.GpBatch(model.x, model.y, model.hyper), xs,
+                      hyper_star, model.kernel_set, alpha_level=alpha_level,
+                      include_noise=include_noise, interval=interval)
+    mean, std = model.scaler.y_mean, model.scaler.y_std
+    return replace(pred, mean=pred.mean * std + mean,
+                   variance=pred.variance * std**2,
+                   ci_low=pred.ci_low * std + mean,
+                   ci_high=pred.ci_high * std + mean)

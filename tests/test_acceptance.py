@@ -19,7 +19,7 @@ from dgcn.kernels import ALL_KERNELS, KernelId, KernelSet, cov_matrix
 from dgcn.mlp import Mlp, OptimizerConfig, RegularizerSpec, softplus_inv
 from dgcn.trainer import Dataset, TrainConfig
 
-from oracles import STUDENT_T_TABLE, stationary_gp
+from oracles import STUDENT_T_TABLE, full_prediction, stationary_gp
 
 DATA_DIR = Path(os.environ.get("DGCN_DATA_DIR",
                                Path(__file__).resolve().parent.parent / "data"))
@@ -192,7 +192,7 @@ class TestCriterion04KnnExactness:
             model = trainer.fit(data, TrainConfig(
                 batch_size=16, max_epochs=3, seed=seed))
             probe = rng.standard_normal((10, n_v))
-            full = trainer.predict_full(model, probe)
+            full = full_prediction(model, probe)
             batched = trainer.predict_batched(model, probe, k=model.n)
             worst = max(
                 worst,

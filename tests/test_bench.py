@@ -116,6 +116,37 @@ class TestWritePredictionCsv:
         ).encode()
 
 
+class TestReportFileBytes:
+    def test_bench_report_csv_and_summary(self, tmp_path):
+        report = bench.BenchReport(
+            protocol=bench.Protocol(folds=2, repeats=1, metric="mse"),
+            records=[bench.RunRecord(0, 0, 0, 0.25, 1.5),
+                     bench.RunRecord(1, 0, 1, 1e-300, 0.1)],
+            wall_clock=2.0, config_fingerprint="abc")
+        report.write_csv(tmp_path / "runs.csv")
+        report.write_summary_json(tmp_path / "summary.json")
+        assert (tmp_path / "runs.csv").read_bytes() == (
+            b"run_id,repeat,fold,metric_value,seconds\n"
+            b"0,0,0,0.25,1.5\n"
+            b"1,0,1,1e-300,0.1\n")
+        assert (tmp_path / "summary.json").read_bytes() == (
+            b'{\n  "config_fingerprint": "abc",\n  "max": 0.25,\n'
+            b'  "mean": 0.125,\n  "metric": "mse",\n  "min": 1e-300,\n'
+            b'  "runs": 2,\n  "std": 0.125,\n  "wall_clock_seconds": 2.0\n}\n')
+
+    def test_timing_report_csv(self, tmp_path):
+        report = bench.TimingReport(rows=[bench.TimingRow(128, 64, 0.5, 0.25),
+                                          bench.TimingRow(256, 256, 3.0, 1.5)])
+        report.write_csv(tmp_path / "timing.csv")
+        assert (tmp_path / "timing.csv").read_bytes() == (
+            b"N,N_b,seconds,sec_per_epoch\n128,64,0.5,0.25\n256,256,3.0,1.5\n")
+
+    def test_write_json(self, tmp_path):
+        bench.write_json(tmp_path / "x.json", {"b": [1, 2.5], "a": None})
+        assert (tmp_path / "x.json").read_bytes() == (
+            b'{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n')
+
+
 class TestSplits:
     def test_fold_sizes_506_into_10(self):
         protocol = bench.Protocol(folds=10, repeats=1)
@@ -206,7 +237,7 @@ class TestRunProtocol:
         from dataclasses import replace
 
         model = trainer.fit(Dataset(data.x[train], data.y[train], data.columns),
-                            replace(cfg, seed=bench._run_seed(9, r, f)))
+                            replace(cfg, seed=trainer.derived_seed(9, r, f)))
         pred = trainer.predict_batched(model, data.x[test]).mean
         hand = float(np.sqrt(np.mean((data.y[test] - pred) ** 2)))
         assert report.records[0].metric_value == pytest.approx(hand, rel=1e-12)
@@ -271,7 +302,7 @@ class TestStationaryBaseline:
             optimizer=OptimizerConfig(learning_rate=3e-2),
             batch_size=60, max_epochs=200, seed=0)
         model = trainer.fit(Dataset(x[train], y[train], columns=["x"]), cfg)
-        pred = trainer.predict_full(model, x[test])
+        pred = trainer.predict_batched(model, x[test], k=model.n)
         rmse = float(np.sqrt(np.mean((pred.mean - y[test]) ** 2)))
         assert rmse <= 1.2 * oracle_rmse + 1e-4
 
@@ -280,7 +311,7 @@ class TestStationaryBaseline:
         x = rng.uniform(0, 1, (20, 2))
         data = Dataset(x, np.full(20, 3.3), columns=["a", "b"])
         model = trainer.fit(data, stationary_config(batch_size=20, max_epochs=10))
-        pred = trainer.predict_full(model, x)
+        pred = trainer.predict_batched(model, x, k=model.n)
         np.testing.assert_allclose(pred.mean, 3.3, atol=1e-8)
 
     def test_report_shape_matches_run_protocol(self):
@@ -297,7 +328,8 @@ class TestStationaryBaseline:
         cfg = stationary_config(kernels=KernelSet((KernelId.MATERN52,)),
                                 batch_size=20, max_epochs=5)
         model = trainer.fit(data, cfg)
-        assert np.all(np.isfinite(trainer.predict_full(model, data.x).mean))
+        pred = trainer.predict_batched(model, data.x, k=model.n)
+        assert np.all(np.isfinite(pred.mean))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("batch_size", [120, 40])

@@ -117,6 +117,40 @@ class TestBadInputs:
         if key != "kernels":
             assert key in err
 
+    @pytest.mark.parametrize("block", ["optimizer", "sigma_optimizer"])
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "abc"), ("learning_rate", 0), ("beta1", "0.9"),
+        ("beta2", 1.0), ("epsilon", 0), ("epsilon", -1e-8), ("epsilon", "x"),
+        ("epsilon", float("inf")), ("learning_rate", float("nan")),
+    ])
+    def test_bad_optimizer_value_is_usage_error(self, tmp_path, sine_csv,
+                                                capsys, block, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({block: {key: value}}))
+        err = assert_usage_error(capsys, ["train", "--data", sine_csv,
+                                          "--config", config,
+                                          "--out", tmp_path / "m.dgcn"])
+        assert not (tmp_path / "m.dgcn").exists()
+        assert key in err or (key.startswith("beta") and "betas" in err)
+
+    @pytest.mark.parametrize("command", ["forecast", "cats"])
+    @pytest.mark.parametrize("cell, row", [("abc", 4), ("inf", 3), ("-inf", 5),
+                                           ("1.0.0", 2)])
+    def test_bad_series_cell_is_data_error(self, tmp_path, fast_config_json,
+                                           capsys, command, cell, row):
+        values = [str(v) for v in range(60)]
+        values[row - 2] = cell
+        series = tmp_path / "series.csv"
+        series.write_text("value\n" + "\n".join(values) + "\n")
+        if command == "forecast":
+            args = ["forecast", "--series", series, "--steps", 3, "--lags", 4,
+                    "--config", fast_config_json, "--out", tmp_path / "f.csv"]
+        else:
+            args = ["cats", "--series", series, "--config", fast_config_json,
+                    "--out-dir", tmp_path]
+        err = assert_data_error(capsys, args)
+        assert f"row {row}, column 1" in err
+
     @pytest.mark.parametrize("command", ["train", "predict"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_csv_cell_is_data_error(self, tmp_path, sine_csv,
@@ -235,6 +269,23 @@ class TestPredict:
             with open(out) as fh:
                 assert len(list(csv.DictReader(fh))) == 40
 
+    def test_unusable_config_k_is_usage_error(self, tmp_path, sine_csv,
+                                              fast_config_json, capsys):
+        # prediction_k = 1 trains; a t interval cannot use it at predict time.
+        config = tmp_path / "k1.json"
+        config.write_text(json.dumps(
+            {**json.loads(fast_config_json.read_text()), "prediction_k": 1}))
+        model = self.fit_model(tmp_path, sine_csv, config)
+        out = tmp_path / "pred.csv"
+        err = assert_usage_error(capsys, ["predict", "--model", model,
+                                          "--data", sine_csv, "--out", out])
+        assert "at least 2" in err and not out.exists()
+        for k, interval in ((2, "t"), (1, "z")):
+            assert run(["predict", "--model", model, "--data", sine_csv,
+                        "--k", k, "--interval", interval, "--out", out]) == 0
+        assert run(["predict", "--model", model, "--data", sine_csv,
+                    "--interval", "z", "--out", out]) == 0
+
     @pytest.mark.parametrize("extra", [["--k", 1], ["--alpha", 2]])
     def test_usage_error_prints_no_traceback(self, tmp_path, sine_csv,
                                              fast_config_json, extra):
@@ -311,6 +362,29 @@ class TestForecastAndGapFilling:
         assert_usage_error(capsys, ["cats", "--series", series_path,
                                     "--k", k, "--out-dir", tmp_path])
         assert not (tmp_path / "forecast.csv").exists()
+
+    def test_cats_file_bytes(self, tmp_path, monkeypatch):
+        from dgcn.timeseries import GapForecast
+
+        def fake_cats_protocol(series, specs, config, truth=None, **kwargs):
+            return GapForecast(predictions=np.arange(100) / 8.0 - 2.0,
+                               block_scores=[0.5, 0.25, 0.0, 1e-300, 2.0],
+                               e1=2.75)
+
+        monkeypatch.setattr(cli.timeseries, "cats_protocol", fake_cats_protocol)
+        series = tmp_path / "series.csv"
+        series.write_text("value\n1.0\n2.0\n")
+        assert run(["cats", "--series", series, "--truth", series,
+                    "--lags", "1,2,3,4,5", "--out-dir", tmp_path]) == 0
+        lines = (tmp_path / "cats_predictions.csv").read_bytes().split(b"\n")
+        assert lines[:3] == [b"position,prediction", b"981,-2.0", b"982,-1.875"]
+        assert lines[20:22] == [b"1000,0.375", b"1981,0.5"]
+        assert lines[100:] == [b"5000,10.375", b""]
+        summary = (tmp_path / "cats_summary.json").read_bytes()
+        assert summary.startswith(
+            b'{\n  "block_scores": [\n    0.5,\n    0.25,\n    0.0,\n'
+            b'    1e-300,\n    2.0\n  ],\n  "e1": 2.75,\n  "lags": [\n    1,\n')
+        assert summary.endswith(b"\n  }\n}\n")
 
     @pytest.mark.slow
     def test_gap_filling_consistency(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgcn import bench, timeseries, trainer
-from dgcn.errors import SeriesTooShort, ShapeMismatch
+from dgcn.errors import ParseError, SeriesTooShort, ShapeMismatch
 from dgcn.mlp import OptimizerConfig
 from dgcn.timeseries import (
     CATS_BLOCKS,
@@ -322,6 +322,17 @@ class TestSeriesCsv:
         path.write_text("1.0\n2.0\n3.0\n")
         np.testing.assert_array_equal(timeseries.read_series_csv(path),
                                       [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("text, row", [
+        ("value\n1.0\nabc\n", 3), ("value\ninf\n", 2), ("-inf\n1.0\n", 1),
+        ("1.0\n2.0\nInfinity\n", 3), ("value\n1.0\n\n2,0\nx y\n", 5),
+    ])
+    def test_text_and_infinite_cells_rejected(self, tmp_path, text, row):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            timeseries.read_series_csv(path)
+        assert (err.value.row, err.value.col) == (row, 1)
 
     def test_forecast_csv_columns(self, tmp_path):
         series = np.sin(np.arange(50) / 4.0)

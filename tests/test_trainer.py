@@ -20,7 +20,10 @@ from dgcn.errors import (
 )
 from dgcn.kernels import ALL_KERNELS, KernelSet, cov_matrix
 from dgcn.mlp import OptimizerConfig
+from dgcn.neighbors import NeighborIndex
 from dgcn.trainer import Dataset, Scaler, TrainConfig
+
+from oracles import full_prediction
 
 
 def sine_dataset(n=30, seed=0, noise=0.0):
@@ -155,7 +158,7 @@ class TestFit:
     def test_learns_noise_free_sine(self):
         data = sine_dataset()
         model = trainer.fit(data, quiet_config(batch_size=30))
-        pred = trainer.predict_full(model, data.x)
+        pred = trainer.predict_batched(model, data.x, k=model.n)
         err = np.abs(model.scaler.transform_y(pred.mean)
                      - model.scaler.transform_y(data.y))
         assert err.max() < 1e-2
@@ -200,16 +203,64 @@ class TestFit:
 
 
 class TestPredictBatched:
-    def test_k_equals_n_matches_full_prediction(self):
+    @staticmethod
+    def sine_model():
         data = sine_dataset(noise=0.1)
         model = trainer.fit(data, quiet_config(batch_size=10, max_epochs=10))
-        rng = np.random.default_rng(7)
-        probe = rng.uniform(0, 2 * np.pi, (25, 1))
-        full = trainer.predict_full(model, probe)
-        batched = trainer.predict_batched(model, probe, k=model.n)
+        return model, np.random.default_rng(7).uniform(0, 2 * np.pi, (25, 1))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("include_noise", [False, True])
+    @pytest.mark.parametrize("interval", ["t", "z"])
+    @pytest.mark.parametrize("extra", [0, 7])
+    @pytest.mark.parametrize("which", ["sine", "jitter"])
+    def test_k_equals_n_matches_full_prediction(self, monkeypatch, which, extra,
+                                                interval, include_noise,
+                                                threads):
+        monkeypatch.setenv("DGCN_THREADS", threads)
+        model, probe = (self.sine_model() if which == "sine"
+                        else self.jitter_model())
+        full = full_prediction(model, probe, include_noise=include_noise,
+                               interval=interval)
+        batched = trainer.predict_batched(model, probe, k=model.n + extra,
+                                          include_noise=include_noise,
+                                          interval=interval)
+        if which == "jitter":
+            assert full.jitter_events == 1
         for f in dataclasses.fields(full):
             np.testing.assert_array_equal(getattr(batched, f.name),
                                           getattr(full, f.name))
+
+    @pytest.mark.parametrize("extra, calls", [(-1, 1), (0, 0), (7, 0)])
+    def test_neighbour_search_only_below_n(self, monkeypatch, extra, calls):
+        model, probe = self.sine_model()
+        seen = []
+        query = NeighborIndex.query
+
+        def spy(self, points, k):
+            seen.append(k)
+            return query(self, points, k)
+
+        monkeypatch.setattr(NeighborIndex, "query", spy)
+        trainer.predict_batched(model, probe, k=model.n + extra)
+        assert seen == [model.n + extra] * calls
+
+    @pytest.mark.parametrize("k, interval", [(1, "t"), (0, "t"), (-2, "t"),
+                                             (0, "z")])
+    def test_unusable_k_rejected_before_search(self, monkeypatch, k, interval):
+        model, probe = self.sine_model()
+        monkeypatch.setattr(NeighborIndex, "query", None)
+        with pytest.raises(InvalidSetting, match=f"at least .* got {k}"):
+            trainer.predict_batched(model, probe, k=k, interval=interval)
+
+    def test_unusable_k_from_the_config_rejected(self):
+        model, probe = self.sine_model()
+        model = dataclasses.replace(
+            model, config=dataclasses.replace(model.config, prediction_k=1))
+        with pytest.raises(InvalidSetting):
+            trainer.predict_batched(model, probe)
+        pred = trainer.predict_batched(model, probe, interval="z")
+        assert pred.mean.shape == (25,)
 
     def test_small_k_groups_by_neighborhood(self):
         data = sine_dataset(n=40)
@@ -311,7 +362,7 @@ class TestPredictBatched:
         model, probe = self.jitter_model()
         want = self.group_jitter(model, np.arange(model.n))
         assert want > 0.0
-        for pred in (trainer.predict_full(model, probe),
+        for pred in (full_prediction(model, probe),
                      trainer.predict_batched(model, probe, k=model.n)):
             assert (pred.jitter_events, pred.jitter_max) == (1, want)
 
@@ -479,7 +530,7 @@ class TestPersistence:
         assert loaded.index.strategy == model.index.strategy
         probe = rng.uniform(-2.5, 2.5, (7, n_v))
         for predict in (lambda m: trainer.predict_batched(m, probe, k=k),
-                        lambda m: trainer.predict_full(m, probe)):
+                        lambda m: trainer.predict_batched(m, probe, k=m.n)):
             a, b = predict(model), predict(loaded)
             for f in dataclasses.fields(a):
                 np.testing.assert_array_equal(getattr(b, f.name),
