@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gp, trainer
-from .errors import MissingColumn, ParseError
+from .errors import InvalidSetting, MissingColumn, ParseError
+from .mlp import check_integer
 from .trainer import Dataset, TrainConfig
 
 
@@ -140,15 +141,14 @@ class Protocol:
 
     def __post_init__(self):
         if self.kind not in ("kfold", "split"):
-            raise ValueError("kind must be 'kfold' or 'split'")
-        if self.kind == "kfold" and self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+            raise InvalidSetting("kind must be 'kfold' or 'split'")
+        if self.kind == "kfold":
+            check_integer("folds", self.folds, 2)
+        check_integer("repeats", self.repeats, 1)
         if self.transform not in ("none", "log", "standardize"):
-            raise ValueError("transform must be none, log or standardize")
+            raise InvalidSetting("transform must be none, log or standardize")
         if self.metric not in ("rmse", "mse"):
-            raise ValueError("metric must be rmse or mse")
+            raise InvalidSetting("metric must be rmse or mse")
 
 
 PRESETS = {
@@ -234,7 +234,8 @@ def _score(truth, pred, metric: str) -> float:
 def _splits(n: int, protocol: Protocol):
     """Yield (repeat, fold, train_idx, test_idx) with per-repeat shuffles."""
     if protocol.kind == "kfold" and protocol.folds > n:
-        raise ValueError(f"{protocol.folds} folds need at least that many points")
+        raise InvalidSetting(f"{protocol.folds} folds need at least that many "
+                             f"points, got {n}")
     for r in range(protocol.repeats):
         rng = np.random.default_rng([protocol.seed, r])
         perm = rng.permutation(n)
@@ -246,7 +247,7 @@ def _splits(n: int, protocol: Protocol):
                 yield r, f, train, folds[f]
         else:
             if protocol.train_size + protocol.test_size > n:
-                raise ValueError("split sizes exceed the dataset")
+                raise InvalidSetting("split sizes exceed the dataset")
             yield (r, 0, perm[: protocol.train_size],
                    perm[n - protocol.test_size :])
 
@@ -327,31 +328,32 @@ def timing_benchmark(sizes, batch_sizes, epochs: int = 100,
     ``batch_sizes`` entries are ints, or None for full batch (N_b = N);
     full-batch rows whose covariance storage would exceed the memory cap
     are skipped with a recorded reason.  Early stopping is disabled so
-    every row runs the same number of epochs.  One small warm-up fit runs
-    first and is not timed.
+    every row runs the same number of epochs.  Every row's config is built
+    first, so a bad size, batch size or epoch count raises InvalidSetting
+    before any training; then one small warm-up fit runs, not timed.
     """
-    base = train_config or TrainConfig()
-    base = replace(base, max_epochs=epochs,
-                   early_stop_patience=epochs + 1, early_stop_tol=0.0)
+    base = replace(train_config or TrainConfig(), max_epochs=epochs,
+                   early_stop_patience=epochs + 1, early_stop_tol=0.0, seed=seed)
+    sizes = [check_integer("N", n, 2) for n in sizes]
+    configs = [[replace(base, batch_size=n if nb is None else nb)
+                for nb in batch_sizes] for n in sizes]
     report = TimingReport()
     warm = synthetic_dataset(64, synthetic_dims, seed)
-    trainer.fit(warm, replace(base, batch_size=64, max_epochs=2, seed=seed))
-    for n in sizes:
-        data = synthetic_dataset(int(n), synthetic_dims, seed)
-        for nb in batch_sizes:
-            batch = int(n) if nb is None else int(nb)
+    trainer.fit(warm, replace(base, batch_size=64, max_epochs=2))
+    for n, row_configs in zip(sizes, configs):
+        data = synthetic_dataset(n, synthetic_dims, seed)
+        for nb, cfg in zip(batch_sizes, row_configs):
             # ~6 dense N x N float64 intermediates live at peak.
-            needed = 6 * 8 * int(n) ** 2
+            needed = 6 * 8 * n**2
             if nb is None and needed > memory_cap_bytes:
                 report.skipped.append((
-                    int(n), batch, f"full batch at N={n} needs ~{needed >> 20} MiB"))
+                    n, cfg.batch_size, f"full batch at N={n} needs ~{needed >> 20} MiB"))
                 continue
-            cfg = replace(base, batch_size=batch, seed=seed)
             tick = time.perf_counter()
             trainer.fit(data, cfg)
             seconds = time.perf_counter() - tick
             report.rows.append(TimingRow(
-                n=int(n), batch_size=batch, seconds=seconds,
+                n=n, batch_size=cfg.batch_size, seconds=seconds,
                 sec_per_epoch=seconds / epochs,
             ))
     return report

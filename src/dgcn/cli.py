@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
     SeriesTooShort,
     ShapeMismatch,
 )
+from .mlp import check_integer
 from .trainer import TrainConfig
 
 _DATA_ERRORS = (
@@ -40,53 +41,26 @@ _DATA_ERRORS = (
 _NUMERIC_ERRORS = (NotPositiveDefinite, NonFiniteLoss)
 
 
-class UsageError(Exception):
-    pass
-
-
-def seed_type(value: str) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise argparse.ArgumentTypeError("seed must be >= 0")
-    return seed
-
-
-def _check_prediction_args(k, alpha: float = 0.05, interval: str = "t") -> None:
-    """Reject a neighbour count or alpha that prediction cannot use.
-
-    The neighbour-count rule is trainer.check_k's; alpha must lie in
-    (0, 1).  forecast and cats predict with t intervals at the default
-    alpha.
-    """
-    if k is not None:
-        trainer.check_k(k, interval, "--k")
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"--alpha must lie in (0, 1), got {alpha}")
+def _integers(flag: str, text: str) -> list:
+    """Comma-separated integers; InvalidSetting naming the flag otherwise."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidSetting(f"{flag} must be comma-separated integers, "
+                             f"got {text!r}") from None
 
 
 def load_config(path, seed=None) -> TrainConfig:
-    """Defaults merged with a JSON config file; unknown keys are rejected."""
-    merged = TrainConfig().to_dict()
+    """TrainConfig.from_dict of a JSON config file, then --seed if given."""
+    user = {}
     if path is not None:
-        with open(path) as fh:
-            user = json.load(fh)
-        unknown = set(user) - set(merged)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in user.items():
-            if isinstance(merged[key], dict) and isinstance(value, dict):
-                bad = set(value) - set(merged[key])
-                if bad:
-                    raise UsageError(f"unknown {key} keys: {sorted(bad)}")
-                merged[key] = {**merged[key], **value}
-            else:
-                merged[key] = value
-    if seed is not None:
-        merged["seed"] = seed
-    try:
-        return TrainConfig.from_dict(merged)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad config: {exc}") from exc
+        with open(path, "rb") as fh:
+            try:
+                user = json.load(fh)
+            except ValueError as exc:
+                raise InvalidSetting(f"config file is not JSON: {exc}") from exc
+    config = TrainConfig.from_dict(user)
+    return config if seed is None else replace(config, seed=seed)
 
 
 def cmd_train(args) -> int:
@@ -131,7 +105,7 @@ def _load_features(path, model) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
-    _check_prediction_args(args.k, args.alpha, args.interval)
+    trainer.check_k(args.k, args.alpha, args.interval, flags=True)
     model = trainer.load(args.model)
     x = _load_features(args.data, model)
     pred = trainer.predict_batched(
@@ -146,16 +120,9 @@ def cmd_predict(args) -> int:
 def cmd_crossval(args) -> int:
     config = load_config(args.config, args.seed)
     data = bench.load_csv(args.data, args.target)
-    protocol = bench.PRESETS[args.preset]
-    overrides = {}
-    if args.folds is not None:
-        overrides["folds"] = args.folds
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        protocol = replace(protocol, **overrides)
+    flags = {"folds": args.folds, "repeats": args.repeats, "seed": args.seed}
+    protocol = replace(bench.PRESETS[args.preset],
+                       **{k: v for k, v in flags.items() if v is not None})
     if args.baseline:
         # Zero-width hidden layers: each hypernetwork outputs its final bias
         # for every point, one length-scale vector and one noise variance.
@@ -169,9 +136,7 @@ def cmd_crossval(args) -> int:
     summary_path = f"{args.out_dir}/{stem}_summary.json"
     report.write_csv(runs_path)
     s = report.summary()
-    s["protocol"] = {k: getattr(protocol, k) for k in (
-        "kind", "folds", "repeats", "train_size", "test_size",
-        "transform", "metric", "seed")}
+    s["protocol"] = asdict(protocol)
     if not args.baseline:
         s["train_config"] = config.to_dict()
     bench.write_json(summary_path, s)
@@ -182,10 +147,12 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    _check_prediction_args(args.k)
     config = load_config(args.config, args.seed)
+    trainer.check_k(args.k, config=config, flags=True)
+    spec = timeseries.LagSpec(args.lags)
+    check_integer("--steps", args.steps, 0)
     series = timeseries.read_series_csv(args.series)
-    data = timeseries.lag_embed(series, timeseries.LagSpec(args.lags))
+    data = timeseries.lag_embed(series, spec)
     model = trainer.fit(data, config)
     pred = timeseries.forecast_recursive(
         model, series[np.isfinite(series)], args.steps, k=args.k, detailed=True
@@ -197,11 +164,11 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_cats(args) -> int:
-    _check_prediction_args(args.k)
     config = load_config(args.config, args.seed)
-    series = timeseries.read_series_csv(args.series)
-    lags = [int(v) for v in args.lags.split(",")]
+    trainer.check_k(args.k, config=config, flags=True)
+    lags = _integers("--lags", args.lags)
     specs = [timeseries.LagSpec(v) for v in lags]
+    series = timeseries.read_series_csv(args.series)
     truth = None
     if args.truth:
         truth = timeseries.read_series_csv(args.truth)
@@ -230,11 +197,9 @@ def cmd_cats(args) -> int:
 
 
 def cmd_bench_time(args) -> int:
-    sizes = [int(v) for v in args.sizes.split(",")]
-    batches = []
-    for v in args.batch.split(","):
-        v = v.strip().lower()
-        batches.append(None if v == "full" else int(v))
+    sizes = _integers("--sizes", args.sizes)
+    batches = [None if v.strip().lower() == "full" else _integers("--batch", v)[0]
+               for v in args.batch.split(",")]
     config = load_config(args.config, args.seed)
     report = bench.timing_benchmark(
         sizes, batches, epochs=args.epochs, synthetic_dims=args.dims,
@@ -264,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out", default="model.dgcn")
     p.add_argument("--log")
-    p.add_argument("--seed", type=seed_type)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict with a saved model")
@@ -288,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "config with zero-width hidden layers")
     p.add_argument("--config")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--seed", type=seed_type)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("forecast", help="recursive multi-step forecast")
@@ -298,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--config")
     p.add_argument("--out", default="forecast.csv")
-    p.add_argument("--seed", type=seed_type)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("cats", help="five-block gap-filling protocol")
@@ -310,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--config")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--seed", type=seed_type)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_cats)
 
     p = sub.add_parser("bench-time", help="training-time scaling study")
@@ -321,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=5)
     p.add_argument("--config")
     p.add_argument("--out", default="timing.csv")
-    p.add_argument("--seed", type=seed_type)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_bench_time)
     return parser
 
@@ -334,7 +299,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (UsageError, InvalidSetting) as exc:
+    except InvalidSetting as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as exc:

@@ -37,10 +37,6 @@ class ShapeMismatch(DgcnError, ValueError):
     """Array length or shape differs from the documented contract."""
 
 
-class InvalidAlpha(DgcnError, ValueError):
-    """Confidence level outside the open interval (0, 1)."""
-
-
 class FormatVersionMismatch(DgcnError):
     """Model file carries an unknown magic or an unsupported format version."""
 
@@ -69,4 +65,9 @@ class MissingColumn(DgcnError):
 
 
 class InvalidSetting(DgcnError, ValueError):
-    """A setting such as DGCN_THREADS or a neighbour count is unusable."""
+    """A setting is unusable: a config key, CLI flag, DGCN_THREADS or a
+    prediction rule (neighbour count, alpha, interval)."""
+
+
+class InvalidAlpha(InvalidSetting):
+    """Confidence level outside the open interval (0, 1)."""

@@ -28,7 +28,7 @@ from scipy.stats import norm as _norm
 from scipy.stats import t as _student_t
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidAlpha, StaleMask
+from .errors import DimensionMismatch, InvalidAlpha, InvalidSetting, StaleMask
 # kernel_value/kernel_deriv go unused but stay: benchmarks/ pins gp's aliases.
 from .kernels import (  # noqa: F401
     KernelSet,
@@ -295,7 +295,7 @@ def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
     elif interval == "z":
         low, high = normal_interval(mean, variance, alpha_level)
     else:
-        raise ValueError("interval must be 't' or 'z'")
+        raise InvalidSetting("interval must be 't' or 'z'")
     return Prediction(
         mean=mean,
         variance=variance,

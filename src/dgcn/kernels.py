@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidSetting
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -74,7 +74,7 @@ class KernelSet:
 
     def __post_init__(self):
         if not self.kernels:
-            raise ValueError("kernel set must not be empty")
+            raise InvalidSetting("kernel set must not be empty")
         object.__setattr__(self, "kernels", tuple(self.kernels))
 
     @property
@@ -86,6 +86,12 @@ class KernelSet:
 
     @classmethod
     def from_names(cls, names) -> "KernelSet":
+        """InvalidSetting unless names is a list of KernelId values."""
+        known = [k.value for k in KernelId]
+        if not isinstance(names, (list, tuple)) or not all(
+                isinstance(n, str) and n in known for n in names):
+            raise InvalidSetting(f"kernels must be a list of {known}, "
+                                 f"got {names!r}")
         return cls(tuple(KernelId(n) for n in names))
 
 

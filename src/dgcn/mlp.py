@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import expit as _sigmoid
 
-from .errors import DimensionMismatch, StaleMask
+from .errors import DimensionMismatch, InvalidSetting, StaleMask
 
 ACTIVATIONS = ("sigmoid", "relu", "linear", "softplus")
 
@@ -83,9 +83,9 @@ class RegularizerSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+            raise InvalidSetting("dropout_rate must lie in [0, 1)")
         if self.input_noise_std < 0.0:
-            raise ValueError("input_noise_std must be >= 0")
+            raise InvalidSetting("input_noise_std must be >= 0")
 
     @property
     def active(self) -> bool:
@@ -294,11 +294,34 @@ class Mlp:
 
 
 def check_finite(name: str, value) -> None:
-    """TypeError unless value is a real number, ValueError unless finite."""
+    """InvalidSetting unless value is a finite real number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
+        raise InvalidSetting(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise InvalidSetting(f"{name} must be finite, got {value!r}")
+
+
+def check_integer(name: str, value, least: int) -> int:
+    """value as a Python int; InvalidSetting unless an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSetting(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidSetting(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def known_fields(cls, d, what: str) -> dict:
+    """A copy of the JSON object d, whose keys must all be fields of cls.
+
+    InvalidSetting if d is not an object or names an unknown key.
+    """
+    if not isinstance(d, dict):
+        raise InvalidSetting(f"{what} must be a JSON object, "
+                             f"got {type(d).__name__}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise InvalidSetting(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(d)
 
 
 @dataclass(frozen=True)
@@ -311,28 +334,23 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.algorithm not in ("sgd", "adam", "nadam"):
-            raise ValueError("algorithm must be sgd, adam or nadam")
+            raise InvalidSetting("algorithm must be sgd, adam or nadam")
         for name in ("learning_rate", "beta1", "beta2", "epsilon"):
             check_finite(name, getattr(self, name))
         if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
+            raise InvalidSetting("learning_rate must be > 0")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("betas must lie in (0, 1)")
+            raise InvalidSetting("betas must lie in (0, 1)")
         if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
+            raise InvalidSetting("epsilon must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d) -> "OptimizerConfig":
-        return cls(**d)
+        """From a JSON object; missing keys take their defaults."""
+        return cls(**known_fields(cls, d, "optimizer"))
 
 
 class OptimizerState:

@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import trainer
-from .errors import ParseError, SeriesTooShort, ShapeMismatch
+from .errors import InvalidSetting, ParseError, SeriesTooShort, ShapeMismatch
 from .gp import Prediction
+from .mlp import check_integer
 from .trainer import Dataset, TrainConfig, TrainedModel
 
 
@@ -32,13 +33,12 @@ class LagSpec:
     horizons: tuple = (0,)
 
     def __post_init__(self):
-        if self.n_lags < 1:
-            raise ValueError("n_lags must be >= 1")
-        horizons = tuple(int(h) for h in self.horizons)
+        object.__setattr__(self, "n_lags", check_integer("lags", self.n_lags, 1))
+        horizons = tuple(check_integer("horizon", h, 0) for h in self.horizons)
         if not horizons:
-            raise ValueError("need at least one horizon")
-        if any(h < 0 for h in horizons) or list(horizons) != sorted(set(horizons)):
-            raise ValueError("horizons must be sorted, unique and >= 0")
+            raise InvalidSetting("need at least one horizon")
+        if list(horizons) != sorted(set(horizons)):
+            raise InvalidSetting("horizons must be sorted and unique")
         object.__setattr__(self, "horizons", horizons)
 
 
@@ -49,13 +49,12 @@ class BlockSpec:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple((int(a), int(b)) for a, b in self.blocks)
+        blocks = tuple((check_integer("block start", a, 1),
+                        check_integer("block end", b, a)) for a, b in self.blocks)
         last_end = 0
         for start, end in blocks:
-            if not (0 < start <= end):
-                raise ValueError(f"bad block ({start}, {end})")
             if start <= last_end:
-                raise ValueError("blocks must be disjoint and ascending")
+                raise InvalidSetting("blocks must be disjoint and ascending")
             last_end = end
         object.__setattr__(self, "blocks", blocks)
 
@@ -108,6 +107,7 @@ def forecast_recursive(model: TrainedModel, history, steps: int,
     ``clamped`` and ``jitter_events`` are summed over the steps and
     ``jitter_max`` is the highest level any step used.
     """
+    steps = check_integer("steps", steps, 0)
     n_lags = model.n_v
     history = np.asarray(history, dtype=np.float64).reshape(-1)
     if history.size < n_lags:
@@ -199,7 +199,7 @@ def cats_protocol(series, per_block_lags, config: TrainConfig,
     """
     series = np.asarray(series, dtype=np.float64).reshape(-1)
     if strategy not in ("recursive", "direct"):
-        raise ValueError("strategy must be 'recursive' or 'direct'")
+        raise InvalidSetting("strategy must be 'recursive' or 'direct'")
     if len(per_block_lags) != len(blocks.blocks):
         raise ShapeMismatch("need one lag spec per missing block")
     if series.size < blocks.blocks[-1][1]:

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import (
     ChecksumMismatch,
     DimensionMismatch,
     FormatVersionMismatch,
+    InvalidAlpha,
     InvalidSetting,
     NonFiniteLoss,
     NotPositiveDefinite,
@@ -49,6 +49,8 @@ from .mlp import (
     OptimizerState,
     RegularizerSpec,
     check_finite,
+    check_integer,
+    known_fields,
     softplus_inv,
 )
 from .neighbors import STRATEGIES, NeighborIndex
@@ -168,14 +170,6 @@ class Scaler:
         )
 
 
-def _integer(name: str, value, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything fit() needs; serialized verbatim into the model file."""
@@ -200,7 +194,7 @@ class TrainConfig:
     neighbor_strategy: str = "brute"
 
     def __post_init__(self):
-        """Check every field's type and range; raises TypeError or ValueError.
+        """Check every field's type and range; raises InvalidSetting.
 
         Integer fields and hidden widths are stored as Python ints, so the
         config always serializes to JSON.
@@ -211,64 +205,48 @@ class TrainConfig:
         for name in ("theta_hidden", "sigma_hidden"):
             widths = getattr(self, name)
             if not isinstance(widths, (tuple, list)):
-                raise TypeError(f"{name} must be a list of layer widths, "
-                                f"got {widths!r}")
-            put(name, tuple(_integer(f"{name} width", w, 0) for w in widths))
+                raise InvalidSetting(f"{name} must be a list of layer widths, "
+                                     f"got {widths!r}")
+            put(name, tuple(check_integer(f"{name} width", w, 0) for w in widths))
         for name, least in (("batch_size", 1), ("max_epochs", 1),
                             ("early_stop_patience", 1), ("seed", 0)):
-            put(name, _integer(name, getattr(self, name), least))
+            put(name, check_integer(name, getattr(self, name), least))
         if self.prediction_k is not None:
-            put("prediction_k", _integer("prediction_k", self.prediction_k, 1))
+            put("prediction_k", check_integer("prediction_k", self.prediction_k, 1))
         for name in ("early_stop_tol", "dropout_rate", "input_noise_std",
                      "sigma2_floor", "sigma2_init", "theta_output_bias"):
             check_finite(name, getattr(self, name))
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.input_noise_std < 0.0:
-            raise ValueError("input_noise_std must be >= 0")
+        RegularizerSpec(self.dropout_rate, self.input_noise_std)
         if not 0.0 < self.sigma2_floor < self.sigma2_init:
-            raise ValueError("need sigma2_init > sigma2_floor > 0")
+            raise InvalidSetting("need sigma2_init > sigma2_floor > 0")
         for name, kind in (("kernels", KernelSet), ("optimizer", OptimizerConfig),
                            ("standardize_y", bool)):
             if not isinstance(getattr(self, name), kind):
-                raise TypeError(f"{name} must be a {kind.__name__}")
+                raise InvalidSetting(f"{name} must be a {kind.__name__}")
         if not isinstance(self.sigma_optimizer, (OptimizerConfig, type(None))):
-            raise TypeError("sigma_optimizer must be an OptimizerConfig or None")
+            raise InvalidSetting("sigma_optimizer must be an OptimizerConfig or None")
         if self.neighbor_strategy not in STRATEGIES:
-            raise ValueError(f"neighbor_strategy must be one of {STRATEGIES}")
+            raise InvalidSetting(f"neighbor_strategy must be one of {STRATEGIES}")
 
     def to_dict(self) -> dict:
-        return {
-            "kernels": self.kernels.names(),
-            "theta_hidden": list(self.theta_hidden),
-            "sigma_hidden": list(self.sigma_hidden),
-            "optimizer": self.optimizer.to_dict(),
-            "sigma_optimizer": (
-                None if self.sigma_optimizer is None
-                else self.sigma_optimizer.to_dict()
-            ),
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "early_stop_tol": self.early_stop_tol,
-            "early_stop_patience": self.early_stop_patience,
-            "seed": self.seed,
-            "standardize_y": self.standardize_y,
-            "dropout_rate": self.dropout_rate,
-            "input_noise_std": self.input_noise_std,
-            "sigma2_floor": self.sigma2_floor,
-            "sigma2_init": self.sigma2_init,
-            "theta_output_bias": self.theta_output_bias,
-            "prediction_k": self.prediction_k,
-            "neighbor_strategy": self.neighbor_strategy,
-        }
+        """Every field, JSON-ready: kernels by name, hidden widths as lists."""
+        return {**asdict(self), "kernels": self.kernels.names(),
+                "theta_hidden": list(self.theta_hidden),
+                "sigma_hidden": list(self.sigma_hidden)}
 
     @classmethod
     def from_dict(cls, d) -> "TrainConfig":
-        d = dict(d)
-        d["kernels"] = KernelSet.from_names(d["kernels"])
-        d["optimizer"] = OptimizerConfig.from_dict(d["optimizer"])
-        if d.get("sigma_optimizer") is not None:
-            d["sigma_optimizer"] = OptimizerConfig.from_dict(d["sigma_optimizer"])
+        """From a JSON object; missing keys take their defaults.
+
+        Raises InvalidSetting for anything but an object, for an unknown key
+        and for a bad value.
+        """
+        d = known_fields(cls, d, "config")
+        if "kernels" in d:
+            d["kernels"] = KernelSet.from_names(d["kernels"])
+        for name in ("optimizer", "sigma_optimizer"):
+            if d.get(name) is not None:
+                d[name] = OptimizerConfig.from_dict(d[name])
         return cls(**d)
 
 
@@ -282,14 +260,6 @@ class TrainingLog:
     @property
     def epochs_run(self) -> int:
         return len(self.epoch_nll)
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch_nll": self.epoch_nll,
-            "jitter_events": self.jitter_events,
-            "optimizer_steps": self.optimizer_steps,
-            "stopped_early": self.stopped_early,
-        }
 
     @classmethod
     def from_dict(cls, d) -> "TrainingLog":
@@ -406,9 +376,12 @@ def _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
             xb, yb = xs[idx], ys[idx]
             theta = theta_net.forward(xb, training=True, rng=rng)
             raw = sigma_net.forward(xb, training=True, rng=rng)
-            batch = gp.GpBatch(
-                xb, yb, gp.HyperField(theta, raw[:, 0] + config.sigma2_floor)
-            )
+            try:
+                hyper = gp.HyperField(theta, raw[:, 0] + config.sigma2_floor)
+            except ValueError as exc:  # the networks overflowed
+                raise NonFiniteLoss(
+                    f"{exc} in epoch {log.epochs_run + 1}") from exc
+            batch = gp.GpBatch(xb, yb, hyper)
             try:
                 res = gp.nll_grad(batch, kset, theta_net, sigma_net)
             except NotPositiveDefinite as exc:
@@ -501,12 +474,8 @@ def update(model: TrainedModel, new_data: Dataset, epochs: int) -> TrainedModel:
     theta_net = model.theta_net.copy()
     sigma_net = model.sigma_net.copy()
     config = model.config
-    log = TrainingLog(
-        epoch_nll=list(model.log.epoch_nll),
-        jitter_events=model.log.jitter_events,
-        optimizer_steps=model.log.optimizer_steps,
-        stopped_early=False,
-    )
+    log = replace(model.log, epoch_nll=list(model.log.epoch_nll),
+                  stopped_early=False)
     if epochs > 0:
         rng = np.random.default_rng([config.seed, xs.shape[0], epochs])
         opt_theta, opt_sigma = _optimizers(theta_net, sigma_net, config)
@@ -544,17 +513,31 @@ def _destandardize(model: TrainedModel, pred: gp.Prediction) -> gp.Prediction:
     )
 
 
-def check_k(k, interval: str = "t", name: str = "k") -> int:
-    """k as an int, or InvalidSetting if an interval cannot use k neighbours.
+def check_k(k, alpha_level: float = 0.05, interval: str = "t",
+            config: TrainConfig | None = None, flags: bool = False):
+    """The neighbour count prediction uses, checked with alpha and interval.
 
-    A t interval needs at least 2 training points per prediction (its
-    quantile has N - 1 degrees of freedom), a z interval at least 1.
+    k is the given k, else the config's prediction_k, else its batch_size;
+    with neither k nor a config it stays None.  A t interval needs k >= 2
+    (its quantile has k - 1 degrees of freedom), a z interval k >= 1, and
+    alpha_level must lie in (0, 1).  Raises InvalidSetting (InvalidAlpha
+    for alpha) naming the setting, or with ``flags`` the CLI flag.
     """
-    least = 2 if interval == "t" else 1
-    if k < least:
-        raise InvalidSetting(f"{name} must be at least {least} with {interval} "
-                             f"intervals, got {k}")
-    return int(k)
+    prefix = "--" if flags else ""
+    if interval not in ("t", "z"):
+        raise InvalidSetting(f"{prefix}interval must be 't' or 'z', "
+                             f"got {interval!r}")
+    if not 0.0 < alpha_level < 1.0:
+        raise InvalidAlpha(f"{'--alpha' if flags else 'alpha_level'} must lie "
+                           f"in (0, 1), got {alpha_level}")
+    name = prefix + "k"
+    if k is None and config is not None:
+        name = "batch_size" if config.prediction_k is None else "prediction_k"
+        k = getattr(config, name)
+    if k is None:
+        return None
+    return check_integer(f"{name} with {interval} intervals", k,
+                         2 if interval == "t" else 1)
 
 
 def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
@@ -562,14 +545,13 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
                     interval: str = "t") -> gp.Prediction:
     """Neighbor-batched prediction (one GP solve per distinct neighbor set).
 
-    k defaults to the config's prediction_k, else its batch_size.  At
+    k defaults to the config's prediction_k, else its batch_size, and is
+    checked with alpha_level and interval before any search (check_k).  At
     k >= N every query's neighbour set is the whole training set, so all
     queries form one group and no neighbour search runs: this is the full,
     unbatched GP prediction.
     """
-    if k is None:
-        k = model.config.prediction_k or model.config.batch_size
-    k = check_k(k, interval)
+    k = check_k(k, alpha_level, interval, model.config)
     x_raw = _check_query(model, x_star_raw)
     if x_raw.shape[0] == 0:
         return _empty_prediction(alpha_level)
@@ -658,7 +640,7 @@ def save(model: TrainedModel, path) -> None:
         "scaler": model.scaler.to_dict(),
         "theta_specs": _specs_to_json(model.theta_net.specs),
         "sigma_specs": _specs_to_json(model.sigma_net.specs),
-        "log": model.log.to_dict(),
+        "log": asdict(model.log),
         "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
@@ -726,6 +708,9 @@ def _decode(data: bytes, head: int) -> TrainedModel:
         raise ChecksumMismatch("trailing bytes after declared arrays")
 
     config = TrainConfig.from_dict(manifest["config"])
+    if config.to_dict() != manifest["config"]:
+        # Only config files may leave keys to their defaults.
+        raise ValueError("stored config does not carry every setting")
     scaler = Scaler.from_dict(manifest["scaler"])
     theta_specs = _specs_from_json(manifest["theta_specs"])
     sigma_specs = _specs_from_json(manifest["sigma_specs"])

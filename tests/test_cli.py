@@ -462,3 +462,110 @@ class TestBenchTime:
         assert run(args) == 0
         assert seen["seed"] == want
         assert seen["train_config"].seed == want
+
+
+@pytest.fixture()
+def series_csv(tmp_path):
+    path = tmp_path / "series.csv"
+    t = np.arange(60)
+    path.write_text("value\n" + "\n".join(
+        repr(float(v)) for v in np.sin(2 * np.pi * t / 12.0)) + "\n")
+    return path
+
+
+@pytest.fixture()
+def no_fit(monkeypatch):
+    """Every trainer.fit call is recorded and refused."""
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("trainer.fit must not run")
+
+    monkeypatch.setattr(trainer, "fit", refuse)
+    return calls
+
+
+class TestRejectedSettings:
+    """Each of these once ended in a Python traceback with exit 1."""
+
+    @pytest.mark.parametrize("config_text", ["5", "{", "[1, 2]", "null",
+                                             "\"batch_size\""])
+    def test_config_file_must_hold_a_json_object(self, tmp_path, sine_csv,
+                                                 capsys, no_fit, config_text):
+        config = tmp_path / "config.json"
+        config.write_text(config_text)
+        assert_usage_error(capsys, ["train", "--data", sine_csv,
+                                    "--config", config])
+        assert no_fit == []
+
+    @pytest.mark.parametrize("command, extra", [
+        ("forecast", ["--steps", -1]),
+        ("forecast", ["--lags", 0]),
+        ("forecast", ["--lags", -2]),
+        ("cats", ["--lags", "a,b"]),
+        ("cats", ["--lags", "0,0,0,0,0"]),
+        ("bench-time", ["--sizes", "a"]),
+        ("bench-time", ["--batch", "x"]),
+        ("bench-time", ["--epochs", 0]),
+        ("bench-time", ["--sizes", 0]),
+        ("bench-time", ["--batch", 0]),
+        ("crossval", ["--folds", 1]),
+        ("crossval", ["--repeats", 0]),
+        ("crossval", ["--folds", 100]),  # 40 rows
+    ])
+    def test_bad_flag_is_usage_error_before_training(
+            self, tmp_path, sine_csv, series_csv, capsys, no_fit, command,
+            extra):
+        base = {
+            "forecast": ["--series", series_csv, "--steps", 3, "--lags", 4,
+                         "--out", tmp_path / "f.csv"],
+            "cats": ["--series", series_csv, "--out-dir", tmp_path],
+            "bench-time": ["--sizes", 64, "--batch", 32, "--epochs", 1,
+                           "--dims", 2, "--out", tmp_path / "t.csv"],
+            "crossval": ["--data", sine_csv, "--target", "y",
+                         "--out-dir", tmp_path],
+        }[command]
+        assert_usage_error(capsys, [command, *base, *extra])
+        assert no_fit == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "series.csv", "train.csv"]
+
+    @pytest.mark.parametrize("command", ["forecast", "cats"])
+    @pytest.mark.parametrize("config", [{"prediction_k": 1, "max_epochs": 30},
+                                        {"batch_size": 1}])
+    def test_unusable_config_k_is_rejected_before_fitting(
+            self, tmp_path, series_csv, capsys, no_fit, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        if command == "forecast":
+            args = ["forecast", "--series", series_csv, "--steps", 3,
+                    "--lags", 4]
+        else:  # long enough to reach every gap, so only the check stops it
+            long_series = tmp_path / "long.csv"
+            long_series.write_text("value\n" + "\n".join(
+                repr(float(v)) for v in np.sin(np.arange(5000) / 7.0)) + "\n")
+            args = ["cats", "--series", long_series, "--out-dir", tmp_path]
+        err = assert_usage_error(capsys, [*args, "--config", path])
+        assert no_fit == []
+        assert f"{next(iter(config))} with t intervals must be at least 2" in err
+
+    def test_overflowing_networks_are_a_numeric_failure(self, tmp_path,
+                                                        sine_csv, capsys):
+        # A valid but huge input noise drives the length-scales to inf.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input_noise_std": 1e308,
+                                      "max_epochs": 2}))
+        capsys.readouterr()
+        assert run(["train", "--data", sine_csv, "--config", config,
+                    "--out", tmp_path / "m.dgcn"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+    def test_zero_steps_still_forecasts(self, tmp_path, series_csv,
+                                        fast_config_json):
+        out = tmp_path / "f.csv"
+        assert run(["forecast", "--series", series_csv, "--steps", 0,
+                    "--lags", 4, "--config", fast_config_json,
+                    "--out", out]) == 0
+        assert out.read_text() == "index,prediction,variance,ci_low,ci_high\n"

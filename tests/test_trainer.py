@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import re
 import struct
 import sys
 import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +17,13 @@ from dgcn.errors import (
     ChecksumMismatch,
     DimensionMismatch,
     FormatVersionMismatch,
+    InvalidAlpha,
     InvalidSetting,
     SchemaMismatch,
 )
 from dgcn.kernels import ALL_KERNELS, KernelSet, cov_matrix
 from dgcn.mlp import OptimizerConfig
-from dgcn.neighbors import NeighborIndex
+from dgcn.neighbors import STRATEGIES, NeighborIndex
 from dgcn.trainer import Dataset, Scaler, TrainConfig
 
 from oracles import full_prediction
@@ -104,6 +107,42 @@ class TestBatchPartition:
         assert len(parts) == 1
 
 
+finite = dict(allow_nan=False, allow_infinity=False)
+
+optimizer_configs = st.builds(
+    OptimizerConfig,
+    algorithm=st.sampled_from(["sgd", "adam", "nadam"]),
+    learning_rate=st.floats(1e-6, 10.0), beta1=st.floats(0.01, 0.99),
+    beta2=st.floats(0.01, 0.9999), epsilon=st.floats(1e-12, 1e-3))
+
+
+@st.composite
+def train_configs(draw):
+    """Any valid TrainConfig: every field drawn from its whole range."""
+    floor = draw(st.floats(1e-12, 1.0, exclude_max=True))
+    return TrainConfig(
+        kernels=KernelSet(tuple(draw(st.lists(st.sampled_from(ALL_KERNELS),
+                                              min_size=1, max_size=5)))),
+        theta_hidden=tuple(draw(st.lists(st.integers(0, 64), max_size=4))),
+        sigma_hidden=tuple(draw(st.lists(st.integers(0, 64), max_size=4))),
+        optimizer=draw(optimizer_configs),
+        sigma_optimizer=draw(st.none() | optimizer_configs),
+        batch_size=draw(st.integers(1, 10**9)),
+        max_epochs=draw(st.integers(1, 10**9)),
+        early_stop_tol=draw(st.floats(**finite)),
+        early_stop_patience=draw(st.integers(1, 10**9)),
+        seed=draw(st.integers(0, 2**64)),
+        standardize_y=draw(st.booleans()),
+        dropout_rate=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        input_noise_std=draw(st.floats(0.0, 1e6)),
+        sigma2_floor=floor,
+        sigma2_init=draw(st.floats(floor, 1e6, exclude_min=True)),
+        theta_output_bias=draw(st.floats(**finite)),
+        prediction_k=draw(st.none() | st.integers(1, 10**9)),
+        neighbor_strategy=draw(st.sampled_from(STRATEGIES)),
+    )
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("fields", [
         dict(theta_hidden="x"), dict(sigma_hidden=5), dict(theta_hidden=(2.5,)),
@@ -122,6 +161,45 @@ class TestTrainConfig:
     def test_bad_field_rejected_at_construction(self, fields):
         with pytest.raises((TypeError, ValueError)):
             TrainConfig(**fields)
+
+    @pytest.mark.parametrize("d, message", [
+        (5, "config must be a JSON object"),
+        ([], "config must be a JSON object"),
+        ({"learning_rate": 0.1}, "unknown config keys: ['learning_rate']"),
+        ({"optimizer": {"lr": 0.1}}, "unknown optimizer keys: ['lr']"),
+        ({"sigma_optimizer": {"lr": 0.1}}, "unknown optimizer keys: ['lr']"),
+        ({"optimizer": "adam"}, "optimizer must be a JSON object"),
+        ({"optimizer": None}, "optimizer must be a OptimizerConfig"),
+        ({"kernels": "squared_exp"}, "kernels must be a list"),
+        ({"kernels": [1]}, "kernels must be a list"),
+        ({"kernels": []}, "kernel set must not be empty"),
+    ])
+    def test_from_dict_rejects_by_name(self, d, message):
+        with pytest.raises(InvalidSetting, match=re.escape(message)):
+            TrainConfig.from_dict(d)
+
+    def test_from_dict_fills_defaults(self):
+        cfg = TrainConfig.from_dict({"batch_size": 60,
+                                     "sigma_optimizer": {"algorithm": "sgd"},
+                                     "optimizer": {"learning_rate": 0.01}})
+        assert cfg == TrainConfig(batch_size=60,
+                                  sigma_optimizer=OptimizerConfig("sgd"),
+                                  optimizer=OptimizerConfig(learning_rate=0.01))
+        assert TrainConfig.from_dict({}) == TrainConfig()
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text().split("All keys, with defaults", 1)[1]
+        block = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+        assert json.loads(block) == TrainConfig().to_dict()
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=train_configs())
+    def test_dict_round_trip(self, cfg):
+        d = cfg.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(TrainConfig)]
+        assert TrainConfig.from_dict(d) == cfg
+        assert TrainConfig.from_dict(json.loads(json.dumps(d))) == cfg
 
     def test_integer_fields_stored_as_python_ints(self):
         cfg = TrainConfig(theta_hidden=[np.int64(4)], batch_size=np.int32(50),
@@ -252,6 +330,20 @@ class TestPredictBatched:
         monkeypatch.setattr(NeighborIndex, "query", None)
         with pytest.raises(InvalidSetting, match=f"at least .* got {k}"):
             trainer.predict_batched(model, probe, k=k, interval=interval)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        (dict(alpha_level=2.0), InvalidAlpha), (dict(alpha_level=0.0), InvalidAlpha),
+        (dict(alpha_level=float("nan")), InvalidAlpha),
+        (dict(interval="q"), InvalidSetting),
+    ])
+    def test_unusable_alpha_or_interval_rejected_before_search(
+            self, monkeypatch, kwargs, error):
+        model, probe = self.sine_model()
+        monkeypatch.setattr(NeighborIndex, "query", None)
+        for k in (5, model.n):  # neighbour groups, and the one full group
+            with pytest.raises(error):
+                trainer.predict_batched(model, probe, k=k, **kwargs)
+        assert issubclass(InvalidAlpha, InvalidSetting)
 
     def test_unusable_k_from_the_config_rejected(self):
         model, probe = self.sine_model()
@@ -596,6 +688,10 @@ class TestPersistence:
         lambda m: m["scaler"].update(x_mean=[0.0, 1.0]),
         lambda m: m["config"].update(kernels=["no_such_kernel"]),
         lambda m: m["config"].update(batch_size="big"),
+        # Only config files may leave keys to their defaults.
+        lambda m: m["config"].pop("batch_size"),
+        lambda m: m["config"].pop("optimizer"),
+        lambda m: m["config"]["optimizer"].pop("beta2"),
         lambda m: m["theta_specs"][0].__setitem__(2, "tanh"),
         lambda m: m.update(theta_specs=[]),
         lambda m: m.update(columns=["x", "z"]),
@@ -610,7 +706,8 @@ class TestPersistence:
     ], ids=[
         "no-scaler", "no-config", "no-log", "no-sigma-specs", "no-shape",
         "no-x-std", "y-std-text", "x-mean-width", "unknown-kernel",
-        "batch-size-text", "unknown-activation", "no-theta-layers",
+        "batch-size-text", "no-config-batch-size", "no-config-optimizer",
+        "no-optimizer-beta2", "unknown-activation", "no-theta-layers",
         "columns-width", "shape-text", "shape-scalar", "shape-negative",
         "weights-transposed", "train-x-reshaped", "train-y-2d",
     ])
