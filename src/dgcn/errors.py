@@ -18,7 +18,8 @@ class StaleMask(DgcnError):
 
 
 class NonFiniteLoss(DgcnError):
-    """Training produced a NaN or infinite loss value."""
+    """Training produced a NaN or infinite loss value, or prediction a NaN
+    or infinite output."""
 
 
 class SchemaMismatch(DgcnError):

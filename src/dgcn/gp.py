@@ -29,7 +29,7 @@ from scipy.stats import t as _student_t
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidAlpha, InvalidSetting, StaleMask
-# kernel_value/kernel_deriv go unused but stay: benchmarks/ pins gp's aliases.
+# kernel_deriv goes unused but stays: benchmarks/ pins gp's aliases.
 from .kernels import (  # noqa: F401
     KernelSet,
     cov_matrix,
@@ -123,6 +123,71 @@ class HyperGradients:
 _BLOCK_ENTRIES = 1 << 17
 
 
+def _warped(batch: GpBatch, kset: KernelSet) -> list:
+    """The batch's points scaled by each kernel's length-scales."""
+    n_v = batch.x.shape[1]
+    return [batch.x * theta_block(batch.hyper.theta, n_v, i)
+            for i in range(kset.n_k)]
+
+
+def _blocked_cov(kset: KernelSet, warped, sigma2, blocks, slopes: bool):
+    """Pass 1 of the training step: K + diag(sigma2) over row blocks.
+
+    Per block R = [r0, r1): the diagonal block R x R from condensed pairs
+    (kernels.one_set_cov), then, per kernel, cdist(z_R, z_<r0), its kernel
+    values summed into K[R, :r0] and mirrored into K[:r0, R].  Every entry
+    equals one_set_cov over the whole set bit for bit, whatever the blocks.
+    With ``slopes``, the second result lists per block the diagonal
+    block's slope squares and the left part's slope arrays (k'(d) / d per
+    kernel, as kernel_value_slope gives them); otherwise its lists are empty.
+    """
+    n = warped[0].shape[0]
+    k = np.empty((n, n)) if len(blocks) != 1 else None
+    per_block = []
+    for r0, r1 in blocks:
+        k_diag, diag_slopes = one_set_cov(kset, [z[r0:r1] for z in warped],
+                                          slopes=slopes)
+        if k is None:
+            k = k_diag  # one block: the diagonal block is all of K
+        else:
+            k[r0:r1, r0:r1] = k_diag
+        left_slopes = []
+        if r0:
+            k_left = k[r0:r1, :r0]
+            for i, (kern, z) in enumerate(zip(kset.kernels, warped)):
+                d = cdist(z[r0:r1], z[:r0])
+                if slopes:
+                    value, slope_over_d = kernel_value_slope(kern, d)
+                    left_slopes.append(slope_over_d)
+                else:
+                    value = kernel_value(kern, d)
+                if i:
+                    k_left += value
+                else:
+                    k_left[...] = value
+            k[:r0, r0:r1] = k_left.T
+        per_block.append((diag_slopes, left_slopes))
+    k[np.diag_indices_from(k)] += sigma2
+    return k, per_block
+
+
+def train_cov(train: GpBatch, kset: KernelSet) -> np.ndarray:
+    """Noise-added covariance K + diag(sigma2) of a training set.
+
+    Built like the training step's K, over row blocks of about 1 MiB per
+    block array, so a large set needs no condensed temporaries of its size.
+    """
+    blocks = linalg.row_blocks(train.n, _BLOCK_ENTRIES)
+    return _blocked_cov(kset, _warped(train, kset), train.hyper.sigma2,
+                        blocks, False)[0]
+
+
+def solve_train(k, y) -> tuple:
+    """The factor of a noise-added covariance k and alpha = k^-1 y."""
+    factor = linalg.cholesky_jittered(k)
+    return factor, linalg.solve_spd(factor, y)
+
+
 def nll_hyper_grad(batch: GpBatch, kset: KernelSet) -> HyperGradients:
     """Exact dNLL/dtheta and dNLL/dsigma2 for every point of the batch.
 
@@ -138,11 +203,12 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet) -> HyperGradients:
     Everything is symmetric, so the work runs over the lower triangle in
     row blocks R = [r0, r1) of about 1 MiB per block array:
 
-    - pass 1, per block: the diagonal block R x R from condensed pairs
-      (kernels.one_set_cov: one pdist and one kernel_value_slope per
-      kernel, rebuilt as squares); then, per kernel, the part left of it,
-      cdist(z_R, z_<r0), its kernel values summed into K[R, :r0] and
-      mirrored into K[:r0, R], its slopes S kept (empty when r0 = 0);
+    - pass 1 (_blocked_cov), per block: the diagonal block R x R from
+      condensed pairs (kernels.one_set_cov: one pdist and one
+      kernel_value_slope per kernel, rebuilt as squares); then, per kernel,
+      the part left of it, cdist(z_R, z_<r0), its kernel values summed
+      into K[R, :r0] and mirrored into K[:r0, R], its slopes S kept (empty
+      when r0 = 0);
     - the factorization, alpha, the log-determinant and G = K^-1 - alpha
       alpha^T (built in the inverse's buffer), on the whole matrix;
     - pass 2, per block and kernel: W = S * G in each slope's buffer.  The
@@ -160,32 +226,9 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet) -> HyperGradients:
     theta = batch.hyper.theta
     n, n_v = x.shape
     blocks = linalg.row_blocks(n, _BLOCK_ENTRIES)
-    warped = [x * theta_block(theta, n_v, i) for i in range(kset.n_k)]
-    k = np.empty((n, n)) if len(blocks) > 1 else None
-    slopes = []  # per block: the diagonal and the left slope arrays per kernel
-    for r0, r1 in blocks:
-        k_diag, diag_slopes = one_set_cov(kset, [z[r0:r1] for z in warped],
-                                          slopes=True)
-        if k is None:
-            k = k_diag  # one block: the diagonal block is all of K
-        else:
-            k[r0:r1, r0:r1] = k_diag
-        left_slopes = []
-        if r0:
-            k_left = k[r0:r1, :r0]
-            for i, (kern, z) in enumerate(zip(kset.kernels, warped)):
-                value, slope_over_d = kernel_value_slope(
-                    kern, cdist(z[r0:r1], z[:r0]))
-                if i:
-                    k_left += value
-                else:
-                    k_left[...] = value
-                left_slopes.append(slope_over_d)
-            k[:r0, r0:r1] = k_left.T
-        slopes.append((diag_slopes, left_slopes))
-    k[np.diag_indices_from(k)] += batch.hyper.sigma2
-    factor = linalg.cholesky_jittered(k)
-    alpha = linalg.solve_spd(factor, batch.y)
+    warped = _warped(batch, kset)
+    k, slopes = _blocked_cov(kset, warped, batch.hyper.sigma2, blocks, True)
+    factor, alpha = solve_train(k, batch.y)
     value = float(
         0.5 * batch.y @ alpha + 0.5 * linalg.logdet(factor) + 0.5 * n * LOG_2PI
     )
@@ -264,12 +307,14 @@ def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net) -> NetworkGr
 
 def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
             alpha_level: float = 0.05, include_noise: bool = False,
-            interval: str = "t") -> Prediction:
+            interval: str = "t", system: tuple | None = None) -> Prediction:
     """Predictive mean/variance at new points, with confidence bounds.
 
     The latent variance is the diagonal of the posterior covariance,
     clamped at 0; ``include_noise`` adds the predicted per-point noise
-    variance on top.
+    variance on top.  ``system`` is solve_train's factor and alpha for the
+    training set when the caller has them; otherwise they are built from
+    train_cov(train, kset).
     """
     x_star = np.asarray(x_star, dtype=np.float64)
     if x_star.ndim != 2 or x_star.shape[1] != train.x.shape[1]:
@@ -278,10 +323,7 @@ def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
         )
     if x_star.shape[0] != hyper_star.theta.shape[0]:
         raise DimensionMismatch("test points and their hyperparameters disagree")
-    k = cov_matrix(kset, train.x, train.hyper.theta)
-    k[np.diag_indices_from(k)] += train.hyper.sigma2
-    factor = linalg.cholesky_jittered(k)
-    alpha = linalg.solve_spd(factor, train.y)
+    factor, alpha = system or solve_train(train_cov(train, kset), train.y)
     k_star = cov_matrix(kset, train.x, x_star, train.hyper.theta, hyper_star.theta)
     mean = k_star.T @ alpha
     half = linalg.solve_lower(factor, k_star)

@@ -30,6 +30,12 @@ one exp:
 The last two divide by d.  For every kernel k'(d) / d is set to exactly 0
 where d == 0: a zero distance joins identical warped points, whose
 correlation is the constant 1, so no gradient flows through it.
+
+An overflowed distance (inf, or one whose square overflows) gives every
+kernel its d -> inf limits, value 0 and slope 0, never NaN.  The Matérn
+forms clip d at _FAR first: beyond it their exp factor is already exactly
+0, so the clip changes no finite result, and the polynomial in front of it
+stays finite instead of meeting that 0 as inf * 0.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ from .errors import DimensionMismatch, InvalidSetting
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
+# exp(-sqrt3 * d) underflows to exactly 0 from d = 431 on.
+_FAR = 1e3
 
 
 class KernelId(enum.Enum):
@@ -114,9 +122,10 @@ def _abs_exp(d, slope):
 
 
 def _matern32(d, slope):
-    e = d * -_SQRT3
+    value = np.minimum(d, _FAR)
+    e = value * -_SQRT3
     np.exp(e, out=e)
-    value = d * _SQRT3
+    value *= _SQRT3
     value += 1.0
     value *= e
     if not slope:
@@ -126,12 +135,13 @@ def _matern32(d, slope):
 
 
 def _matern52(d, slope):
-    e = d * -_SQRT5
+    p = np.minimum(d, _FAR)
+    e = p * -_SQRT5
     np.exp(e, out=e)
-    p = d * _SQRT5
+    value = p * (5.0 / 3.0)
+    value *= p
+    p *= _SQRT5
     p += 1.0
-    value = d * (5.0 / 3.0)
-    value *= d
     value += p
     value *= e
     if not slope:
@@ -267,8 +277,8 @@ def one_set_cov(kset: KernelSet, warped, slopes: bool = False):
     rebuilds the square, whose diagonal is set to exactly n_k.  Returns
     (K, S): with ``slopes`` true, S lists each kernel's k'(d) / d as a
     square with diagonal 0, its value at d == 0; otherwise S is empty.
-    Prediction (cov_matrix(kset, x, theta)) and the diagonal blocks of the
-    training step both assemble their symmetric blocks here.
+    cov_matrix(kset, x, theta) and the diagonal blocks of gp's row-blocked
+    covariance (training steps and prediction) are assembled here.
     """
     m = warped[0].shape[0]
     if m == 0:  # squareform would read an empty vector as one point

@@ -12,6 +12,21 @@ same nearest-neighbor set.  With k at least the training size all test
 points form one group over the whole training set, which is the full,
 unbatched prediction.
 
+A model caches the noise-added covariance K + diag(sigma2) of its stored
+training set once the cache has paid for itself: it counts the training
+pairs its prediction calls have built, k (k - 1) / 2 per group, and builds
+K when the count reaches N (N - 1) / 2, the cost of one full build.  A
+single call at k < N therefore never builds it, and a call at k >= N
+builds it at once.  Groups then gather their block from K instead of
+evaluating kernels, and the first call at k >= N also keeps K's factor and
+alpha = K^-1 y, so later ones only build the cross-covariance and solve.
+K takes 8 N^2 bytes and the factor as much again; models with N^2 above
+_CACHE_ENTRIES (N > 4096) build no cache and every group evaluates its
+own block.  The cache is built before groups are handed to DGCN_THREADS
+workers, which only read it; it is never saved, and update() and load()
+return models with an empty one.  Cached or not, every prediction is the
+same bit for bit.
+
 Model files are a small binary container: magic ``DGCN``, a format version
 byte, a length-prefixed JSON manifest, the raw float64 arrays in manifest
 order, and a trailing CRC32 over everything before it.
@@ -114,6 +129,9 @@ class Dataset:
 
 
 _STD_FLOOR = 1e-12
+# Largest training covariance, in entries, that a model caches for
+# prediction: 2^24 (128 MiB), so N up to 4096.
+_CACHE_ENTRIES = 1 << 24
 
 
 @dataclass
@@ -124,7 +142,14 @@ class Scaler:
     x_std: np.ndarray
     y_mean: float
     y_std: float
-    standardize_y: bool = True
+    standardize_y: bool
+
+    def __post_init__(self):
+        self.x_mean = np.asarray(self.x_mean, dtype=np.float64)
+        self.x_std = np.asarray(self.x_std, dtype=np.float64)
+        self.y_mean = float(self.y_mean)
+        self.y_std = float(self.y_std)
+        self.standardize_y = bool(self.standardize_y)
 
     @classmethod
     def fit(cls, x, y, standardize_y: bool = True) -> "Scaler":
@@ -151,23 +176,14 @@ class Scaler:
         return np.asarray(ys, dtype=np.float64) * self.y_std + self.y_mean
 
     def to_dict(self) -> dict:
-        return {
-            "x_mean": self.x_mean.tolist(),
-            "x_std": self.x_std.tolist(),
-            "y_mean": self.y_mean,
-            "y_std": self.y_std,
-            "standardize_y": self.standardize_y,
-        }
+        """Every field, JSON-ready: the column statistics as lists."""
+        return {**asdict(self), "x_mean": self.x_mean.tolist(),
+                "x_std": self.x_std.tolist()}
 
     @classmethod
     def from_dict(cls, d) -> "Scaler":
-        return cls(
-            x_mean=np.asarray(d["x_mean"], dtype=np.float64),
-            x_std=np.asarray(d["x_std"], dtype=np.float64),
-            y_mean=float(d["y_mean"]),
-            y_std=float(d["y_std"]),
-            standardize_y=bool(d["standardize_y"]),
-        )
+        """From to_dict's object; every field is required."""
+        return cls(**known_fields(cls, d, "scaler"))
 
 
 @dataclass(frozen=True)
@@ -272,10 +288,20 @@ class TrainingLog:
 
 
 @dataclass
+class _CovCache:
+    """A model's prediction cache of its training covariance (see above)."""
+
+    pairs: int = 0  # training pairs built by prediction calls so far
+    k: np.ndarray | None = None  # K + diag(sigma2) of the stored set
+    full: tuple | None = None  # K's factor and alpha, from a k >= N call
+
+
+@dataclass
 class TrainedModel:
     """Self-contained regressor: networks, scalers, data, index, config.
 
-    Treat instances as immutable; update() returns a new model.
+    Treat instances as immutable; update() returns a new model.  Only the
+    private prediction cache changes, and it never changes a result.
     """
 
     theta_net: Mlp
@@ -288,6 +314,8 @@ class TrainedModel:
     hyper: gp.HyperField  # inference-mode hyperparameters over x
     index: NeighborIndex
     log: TrainingLog
+    _cache: _CovCache = field(default_factory=_CovCache, init=False,
+                              repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -556,8 +584,11 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     if x_raw.shape[0] == 0:
         return _empty_prediction(alpha_level)
     xs = model.scaler.transform_x(x_raw)
-    hyper_star = hyper_for(model.theta_net, model.sigma_net, xs,
-                           model.config.sigma2_floor)
+    try:
+        hyper_star = hyper_for(model.theta_net, model.sigma_net, xs,
+                               model.config.sigma2_floor)
+    except ValueError as exc:  # the networks overflowed on the queries
+        raise NonFiniteLoss(f"{exc} for the query points") from exc
 
     # Each group is (training rows, query rows).
     if k >= model.n:
@@ -579,12 +610,15 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     ci_low = np.empty(n_star)
     ci_high = np.empty(n_star)
 
+    cached = _fill_cache(model, min(k, model.n), len(groups))
+
     def solve_group(group) -> tuple:
         sel, ids = group
         sub = gp.GpBatch(model.x[sel], model.y[sel], model.hyper.take(sel))
         pred = gp.predict(sub, xs[ids], hyper_star.take(ids), model.kernel_set,
                           alpha_level=alpha_level, include_noise=include_noise,
-                          interval=interval)
+                          interval=interval,
+                          system=_group_system(model, cached, sub, sel))
         mean[ids] = pred.mean
         variance[ids] = pred.variance
         ci_low[ids] = pred.ci_low
@@ -604,7 +638,51 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     pred = gp.Prediction(mean, variance, ci_low, ci_high, alpha_level,
                          clamped=sum(clamped), jitter_events=sum(jitter_events),
                          jitter_max=max(jitter_max))
-    return _destandardize(model, pred)
+    pred = _destandardize(model, pred)
+    finite = np.isfinite(pred.mean) & np.isfinite(pred.variance)
+    finite &= np.isfinite(pred.ci_low) & np.isfinite(pred.ci_high)
+    if not finite.all():
+        rows = np.flatnonzero(~finite)
+        raise NonFiniteLoss(f"non-finite prediction for {rows.size} query "
+                            f"rows, first {rows[:5].tolist()}")
+    return pred
+
+
+def _fill_cache(model: TrainedModel, k: int, n_groups: int) -> tuple:
+    """Count a call's training pairs and build what has paid for itself.
+
+    Returns the cached K and full-set factor and alpha (None where not
+    built) for the call's groups, which only read them; see the module
+    docstring for when each is built.
+    """
+    cache, n = model._cache, model.n
+    if cache.k is None and n * n <= _CACHE_ENTRIES:
+        cache.pairs += n_groups * (k * (k - 1) // 2)
+        if cache.pairs >= n * (n - 1) // 2:
+            cache.k = gp.train_cov(gp.GpBatch(model.x, model.y, model.hyper),
+                                   model.kernel_set)
+    if cache.k is not None and k == n and cache.full is None:
+        cache.full = gp.solve_train(cache.k, model.y)
+    return cache.k, cache.full
+
+
+def _group_system(model: TrainedModel, cached: tuple, sub: gp.GpBatch,
+                  sel) -> tuple:
+    """Factor and alpha of one group's noise-added training covariance.
+
+    The one place a group gets its training block: with a cached K, the
+    whole set (sel a slice) takes the cached factor and a neighbour set
+    gathers its block; without one, the block is built from the group's
+    points.
+    """
+    k_all, full = cached
+    if k_all is None:
+        k = gp.train_cov(sub, model.kernel_set)
+    elif isinstance(sel, slice):
+        return full
+    else:
+        k = k_all[np.ix_(sel, sel)]
+    return gp.solve_train(k, sub.y)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,46 @@ class TestPredict:
         assert np.all(widths["0.5"] <= widths["0.05"])
         assert widths["0.5"].max() < widths["0.05"].max()
 
+    def test_overflowed_query_row_gets_the_prior(self, tmp_path, sine_csv,
+                                                 fast_config_json):
+        # 1e308 standardizes to inf: it is far from every training point,
+        # so its covariance with them is 0, not NaN.
+        model = self.fit_model(tmp_path, sine_csv, fast_config_json)
+        data = tmp_path / "far.csv"
+        data.write_text("x\n1e308\n-1e308\n0.5\n")
+        out = tmp_path / "pred.csv"
+        assert run(["predict", "--model", model, "--data", data,
+                    "--out", out]) == 0
+        with open(out) as fh:
+            rows = [{k: float(v) for k, v in r.items()} for r in csv.DictReader(fh)]
+        assert all(np.isfinite(list(r.values())).all() for r in rows)
+        scaler = trainer.load(model).scaler
+        for r in rows[:2]:
+            assert r["mean"] == pytest.approx(scaler.y_mean, abs=1e-12)
+            assert r["variance"] == pytest.approx(5 * scaler.y_std**2)
+        assert rows[2]["mean"] == pytest.approx(np.sin(1.5), abs=0.05)
+
+    def test_non_finite_prediction_is_a_numeric_failure(self, tmp_path,
+                                                        fast_config_json,
+                                                        capsys):
+        # Responses near 1e200 overflow the scaler's standard deviation,
+        # so every prediction de-standardizes to NaN.
+        x = np.linspace(0.0, 2 * np.pi, 40)
+        data = tmp_path / "huge.csv"
+        data.write_text("x,y\n" + "".join(
+            f"{float(a)!r},{float(b) * 1e200!r}\n"
+            for a, b in zip(x, np.sin(3 * x))))
+        model = tmp_path / "model.dgcn"
+        assert run(["train", "--data", data, "--target", "y", "--config",
+                    fast_config_json, "--out", model]) == 0
+        capsys.readouterr()
+        out = tmp_path / "pred.csv"
+        assert run(["predict", "--model", model, "--data", data,
+                    "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite prediction")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_wrong_column_count_is_data_error(self, tmp_path, sine_csv,
                                               fast_config_json):
         model = self.fit_model(tmp_path, sine_csv, fast_config_json)

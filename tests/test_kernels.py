@@ -156,6 +156,57 @@ class TestKernelValueSlope:
         np.testing.assert_array_equal(d, before)
 
 
+def previous_matern(kern, d):
+    """The Matérn forms as they were before distances were clipped, with
+    kernel_value_slope's exact 0 slope at d == 0."""
+    with np.errstate(all="ignore"):
+        if kern is KernelId.MATERN32:
+            e = np.exp(d * -np.sqrt(3.0))
+            value, slope_over_d = (d * np.sqrt(3.0) + 1.0) * e, e * -3.0
+        else:
+            e = np.exp(d * -np.sqrt(5.0))
+            p = d * np.sqrt(5.0) + 1.0
+            value = (d * (5.0 / 3.0) * d + p) * e
+            slope_over_d = p * e * (-5.0 / 3.0)
+    slope_over_d[d == 0.0] = 0.0
+    return value, slope_over_d
+
+
+class TestOverflowedDistance:
+    FAR = np.array([np.inf, np.finfo(float).max, 1e308, 1e200])
+
+    @pytest.mark.parametrize("kern", ALL_KERNELS)
+    def test_limits_are_zero_not_nan(self, kern):
+        with np.errstate(over="ignore"):
+            value, slope_over_d = kernel_value_slope(kern, self.FAR)
+            scalar = kernel_value(kern, np.inf)
+        assert np.all(value == 0.0) and np.all(slope_over_d == 0.0)
+        assert scalar == 0.0
+
+    @given(st.lists(st.one_of(st.floats(0.0, np.finfo(float).max),
+                              st.just(np.inf)), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matern_forms_unchanged_where_they_were_finite(self, ds):
+        d = np.array(ds + [0.0, 1e-300, 0.5, 3.0, 333.0, 431.0, 1e3, 2e3])
+        for kern in (KernelId.MATERN32, KernelId.MATERN52):
+            old_value, old_slope = previous_matern(kern, d)
+            value, slope_over_d = kernel_value_slope(kern, d)
+            np.testing.assert_array_equal(kernel_value(kern, d), value)
+            for old, new in ((old_value, value), (old_slope, slope_over_d)):
+                finite = np.isfinite(old)
+                # Bit for bit, the sign of zero included.
+                np.testing.assert_array_equal(old[finite].view(np.uint64),
+                                              new[finite].view(np.uint64))
+                assert np.all(new[~finite] == 0.0)
+
+    def test_far_points_have_zero_covariance(self):
+        kset = KernelSet()
+        x = np.array([[0.0, 1.0], [1e308, 1.0], [0.5, -1e308]])
+        with np.errstate(over="ignore"):
+            k = cov_matrix(kset, x, np.ones((3, 2 * kset.n_k)))
+        np.testing.assert_array_equal(k, np.diag([5.0, 5.0, 5.0]))
+
+
 class TestCovMatrix:
     def test_single_point_diagonal_is_nk(self):
         kset = KernelSet()

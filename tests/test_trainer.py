@@ -19,6 +19,7 @@ from dgcn.errors import (
     FormatVersionMismatch,
     InvalidAlpha,
     InvalidSetting,
+    NonFiniteLoss,
     SchemaMismatch,
 )
 from dgcn.kernels import ALL_KERNELS, KernelSet, cov_matrix
@@ -495,6 +496,12 @@ class TestPredictBatched:
         monkeypatch.setenv("DGCN_THREADS", value)
         with pytest.raises(InvalidSetting):
             trainer.worker_count()
+
+    def test_query_the_networks_cannot_map_is_a_numeric_failure(self):
+        model, probe = self.sine_model()
+        probe[3] = np.nan
+        with pytest.raises(NonFiniteLoss, match="for the query points"):
+            trainer.predict_batched(model, probe, k=5)
 
 
 class TestUpdate:
