@@ -26,8 +26,9 @@ class SchemaMismatch(DgcnError):
     """New data does not match the columns the model was trained on."""
 
 
-class EmptyDataset(DgcnError):
-    """An operation that needs at least one point received none."""
+class EmptyDataset(DgcnError, ValueError):
+    """An operation received fewer points than it needs: a dataset or
+    neighbour index none, training fewer than two."""
 
 
 class SeriesTooShort(DgcnError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dger as _dger
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 from scipy.stats import norm as _norm
 from scipy.stats import t as _student_t
 
@@ -130,7 +130,8 @@ def _warped(batch: GpBatch, kset: KernelSet) -> list:
             for i in range(kset.n_k)]
 
 
-def _blocked_cov(kset: KernelSet, warped, sigma2, blocks, slopes: bool):
+def _blocked_cov(kset: KernelSet, warped, sigma2, blocks, slopes: bool,
+                 ws: linalg.Workspace | None):
     """Pass 1 of the training step: K + diag(sigma2) over row blocks.
 
     Per block R = [r0, r1): the diagonal block R x R from condensed pairs
@@ -138,15 +139,21 @@ def _blocked_cov(kset: KernelSet, warped, sigma2, blocks, slopes: bool):
     values summed into K[R, :r0] and mirrored into K[:r0, R].  Every entry
     equals one_set_cov over the whole set bit for bit, whatever the blocks.
     With ``slopes``, the second result lists per block the diagonal
-    block's slope squares and the left part's slope arrays (k'(d) / d per
-    kernel, as kernel_value_slope gives them); otherwise its lists are empty.
+    block's condensed slopes (as one_set_cov gives them) and the left
+    part's slope arrays (k'(d) / d per kernel, as kernel_value_slope gives
+    them); otherwise its lists are empty.
+    With more than one block, K, the left parts' distances and their
+    slopes are written into the workspace if one is given; with one
+    block, K is one_set_cov's new array.
     """
     n = warped[0].shape[0]
-    k = np.empty((n, n)) if len(blocks) != 1 else None
+    k = linalg.work_array(ws, "cov", (n, n)) if len(blocks) != 1 else None
     per_block = []
-    for r0, r1 in blocks:
+    for b, (r0, r1) in enumerate(blocks):
         k_diag, diag_slopes = one_set_cov(kset, [z[r0:r1] for z in warped],
-                                          slopes=slopes)
+                                          slopes=slopes,
+                                          workspace=None if ws is None
+                                          else ws.scope(b))
         if k is None:
             k = k_diag  # one block: the diagonal block is all of K
         else:
@@ -154,10 +161,13 @@ def _blocked_cov(kset: KernelSet, warped, sigma2, blocks, slopes: bool):
         left_slopes = []
         if r0:
             k_left = k[r0:r1, :r0]
+            d = linalg.work_array(ws, "distances", (r1 - r0, r0))
             for i, (kern, z) in enumerate(zip(kset.kernels, warped)):
-                d = cdist(z[r0:r1], z[:r0])
+                cdist(z[r0:r1], z[:r0], out=d)
                 if slopes:
-                    value, slope_over_d = kernel_value_slope(kern, d)
+                    value, slope_over_d = kernel_value_slope(
+                        kern, d, out=linalg.work_array(ws, ("slopes", b, i),
+                                                       d.shape))
                     left_slopes.append(slope_over_d)
                 else:
                     value = kernel_value(kern, d)
@@ -179,16 +189,17 @@ def train_cov(train: GpBatch, kset: KernelSet) -> np.ndarray:
     """
     blocks = linalg.row_blocks(train.n, _BLOCK_ENTRIES)
     return _blocked_cov(kset, _warped(train, kset), train.hyper.sigma2,
-                        blocks, False)[0]
+                        blocks, False, None)[0]
 
 
-def solve_train(k, y) -> tuple:
+def solve_train(k, y, *, workspace: linalg.Workspace | None = None) -> tuple:
     """The factor of a noise-added covariance k and alpha = k^-1 y."""
-    factor = linalg.cholesky_jittered(k)
+    factor = linalg.cholesky_jittered(k, workspace=workspace)
     return factor, linalg.solve_spd(factor, y)
 
 
-def nll_hyper_grad(batch: GpBatch, kset: KernelSet) -> HyperGradients:
+def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
+                   workspace: linalg.Workspace | None = None) -> HyperGradients:
     """Exact dNLL/dtheta and dNLL/dsigma2 for every point of the batch.
 
     Uses dNLL/dK = 0.5 G with G = K^-1 - alpha alpha^T and alpha = K^-1 y.
@@ -205,49 +216,66 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet) -> HyperGradients:
 
     - pass 1 (_blocked_cov), per block: the diagonal block R x R from
       condensed pairs (kernels.one_set_cov: one pdist and one
-      kernel_value_slope per kernel, rebuilt as squares); then, per kernel,
-      the part left of it, cdist(z_R, z_<r0), its kernel values summed
-      into K[R, :r0] and mirrored into K[:r0, R], its slopes S kept (empty
-      when r0 = 0);
+      kernel_value_slope per kernel, the kernel sum rebuilt as a square,
+      the slopes kept condensed); then, per kernel, the part left of it,
+      cdist(z_R, z_<r0), its kernel values summed into K[R, :r0] and
+      mirrored into K[:r0, R], its slopes S kept (empty when r0 = 0);
     - the factorization, alpha, the log-determinant and G = K^-1 - alpha
-      alpha^T (built in the inverse's buffer), on the whole matrix;
-    - pass 2, per block and kernel: W = S * G in each slope's buffer.  The
-      row sums of W and W @ z give rows R their sums over the diagonal
-      block and then over the columns left of it; the column sums of the
-      left part and its W^T @ z_R add the mirrored half to rows below r0.
+      alpha^T, written over K, on the whole matrix;
+    - pass 2, per block and kernel: W = S * G, in a square rebuilt from the
+      condensed slopes for the diagonal block (one at a time) and in each
+      slope's array for the left part.  The row sums of W and W @ z give
+      rows R their sums over the diagonal block and then over the columns
+      left of it; the column sums of the left part and its W^T @ z_R add
+      the mirrored half to rows below r0.
 
     Besides K, its factor and G, memory goes to the slopes: about n^2 / 2
     entries per kernel; each kernel is evaluated on the n (n - 1) / 2
     pairs once.  K, the NLL and the sigma2 gradient are the same bit for
     bit whatever the block size; the theta gradient sums in block order,
     and with a single block (n <= 362) it is the full-square sum.
+
+    ``workspace`` keeps the step's large arrays for the next call (a fit
+    passes one to all its steps; with None the arrays are new, and the
+    result is the same bit for bit): the factor and the inverse (n^2
+    entries each), each diagonal block's condensed slopes, and with more
+    than one block K (later G), the left parts' distances and their slopes
+    (about n^2 / 2 entries per kernel).  On a call with a used workspace
+    the large new arrays are K with one block (later G), the diagonal
+    blocks' slope squares, one at a time, and the condensed distances and
+    kernel values; no array of the result lives in the workspace.
     """
     x = batch.x
     theta = batch.hyper.theta
     n, n_v = x.shape
     blocks = linalg.row_blocks(n, _BLOCK_ENTRIES)
     warped = _warped(batch, kset)
-    k, slopes = _blocked_cov(kset, warped, batch.hyper.sigma2, blocks, True)
-    factor, alpha = solve_train(k, batch.y)
+    k, slopes = _blocked_cov(kset, warped, batch.hyper.sigma2, blocks, True,
+                             workspace)
+    factor, alpha = solve_train(k, batch.y, workspace=workspace)
     value = float(
         0.5 * batch.y @ alpha + 0.5 * linalg.logdet(factor) + 0.5 * n * LOG_2PI
     )
-    # dger subtracts alpha alpha^T in place from a Fortran-ordered array,
-    # which inverse_spd returns (any other layout gets an updated copy).  G
-    # is symmetric, so its transpose is G in C order, like the slope arrays.
-    g = _dger(-1.0, alpha, alpha, a=linalg.inverse_spd(factor), overwrite_a=True).T
+    # The factor holds its own copy of K, so the inverse is written over K
+    # (k.T is K's memory in Fortran order), and dger subtracts alpha alpha^T
+    # from it in place.  G is symmetric, so its transpose is G in C order,
+    # like the slope arrays.
+    inv = linalg.inverse_spd(factor, workspace=workspace, out=k.T)
+    g = _dger(-1.0, alpha, alpha, a=inv, overwrite_a=True).T
 
     # Per kernel, w_sum[p] = sum_q W_pq and wz_sum[p] = sum_q W_pq z_q.  Rows
     # R get nothing before their own block, which assigns them from the
     # diagonal block, so with one block the sums are the full-square ones.
-    w_sum = np.empty((kset.n_k, n))
-    wz_sum = np.empty((kset.n_k, n, n_v))
+    w_sum = linalg.work_array(workspace, "w_sum", (kset.n_k, n))
+    wz_sum = linalg.work_array(workspace, "wz_sum", (kset.n_k, n, n_v))
     for (r0, r1), (diag_slopes, left_slopes) in zip(blocks, slopes):
         g_diag = g[r0:r1, r0:r1]
-        for i, (w, z) in enumerate(zip(diag_slopes, warped)):
+        for i, (pair_slopes, z) in enumerate(zip(diag_slopes, warped)):
+            w = squareform(pair_slopes, checks=False)
             w *= g_diag
             w_sum[i, r0:r1] = w.sum(axis=1)
             wz_sum[i, r0:r1] = w @ z[r0:r1]
+            del w  # one square at a time
         g_left = g[r0:r1, :r0]
         for i, (w, z) in enumerate(zip(left_slopes, warped)):
             w *= g_left
@@ -283,12 +311,13 @@ def nll(batch: GpBatch, kset: KernelSet) -> float:
     return nll_hyper_grad(batch, kset).value
 
 
-def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net) -> NetworkGradients:
+def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net, *,
+             workspace: linalg.Workspace | None = None) -> NetworkGradients:
     """Backpropagate the batch NLL into both hypernetworks' weights.
 
     Both networks must have just run a training-mode forward on the batch
     inputs (their caches are replayed); otherwise StaleMask is raised by
-    the networks themselves.
+    the networks themselves.  ``workspace`` is passed to nll_hyper_grad.
     """
     for net in (theta_net, sigma_net):
         cached = net.cached_input()
@@ -296,7 +325,7 @@ def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net) -> NetworkGr
             cached is batch.x or np.array_equal(cached, batch.x)
         ):
             raise StaleMask("cached forward does not correspond to this batch")
-    hg = nll_hyper_grad(batch, kset)
+    hg = nll_hyper_grad(batch, kset, workspace=workspace)
     return NetworkGradients(
         value=hg.value,
         theta_net=theta_net.backward(hg.theta),

@@ -48,6 +48,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DimensionMismatch, InvalidSetting
+from .linalg import Workspace, work_array
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -107,35 +108,35 @@ def _squared_exp(d, slope):
     e = d * -0.5
     e *= d
     np.exp(e, out=e)
-    return (e, -e) if slope else e
+    if slope is not None:
+        np.negative(e, out=slope)
+    return e
 
 
 def _abs_exp(d, slope):
     e = np.negative(d)
     np.exp(e, out=e)
-    if not slope:
-        return e
-    with np.errstate(divide="ignore"):
-        s = np.divide(e, d)  # d == 0 gives inf here, cleared by the caller
-    np.negative(s, out=s)
-    return e, s
+    if slope is not None:
+        with np.errstate(divide="ignore"):
+            np.divide(e, d, out=slope)  # d == 0 gives inf, cleared by the caller
+        np.negative(slope, out=slope)
+    return e
 
 
 def _matern32(d, slope):
     value = np.minimum(d, _FAR)
-    e = value * -_SQRT3
+    e = np.multiply(value, -_SQRT3, out=slope)
     np.exp(e, out=e)
     value *= _SQRT3
     value += 1.0
     value *= e
-    if not slope:
-        return value
-    e *= -3.0
-    return value, e
+    if slope is not None:
+        e *= -3.0
+    return value
 
 
 def _matern52(d, slope):
-    p = np.minimum(d, _FAR)
+    p = np.minimum(d, _FAR, out=slope)
     e = p * -_SQRT5
     np.exp(e, out=e)
     value = p * (5.0 / 3.0)
@@ -144,29 +145,28 @@ def _matern52(d, slope):
     p += 1.0
     value += p
     value *= e
-    if not slope:
-        return value
-    p *= e
-    p *= -5.0 / 3.0
-    return value, p
+    if slope is not None:
+        p *= e
+        p *= -5.0 / 3.0
+    return value
 
 
 def _rational_quadratic(d, slope):
     # Linear distance term by design; see README notes.
-    b = d * 0.25
+    b = np.multiply(d, 0.25, out=slope)
     b += 1.0
     value = b ** -2.0
-    if not slope:
-        return value
-    b *= d
-    with np.errstate(divide="ignore"):
-        np.divide(value, b, out=b)  # k'/d = -0.5 k / ((1 + d/4) d)
-    b *= -0.5
-    return value, b
+    if slope is not None:
+        b *= d
+        with np.errstate(divide="ignore"):
+            np.divide(value, b, out=b)  # k'/d = -0.5 k / ((1 + d/4) d)
+        b *= -0.5
+    return value
 
 
-# form(d, slope) on an array d returns k(d), or (k(d), k'(d) / d) when slope
-# is true; the value takes the same operations either way.
+# form(d, slope) on an array d returns k(d); given an array shaped like d as
+# ``slope`` (None for the value alone), it also writes k'(d) / d there.  The
+# value takes the same operations either way.
 _FORMS = {
     KernelId.SQUARED_EXP: _squared_exp,
     KernelId.ABS_EXP: _abs_exp,
@@ -180,22 +180,25 @@ def kernel_value(kernel: KernelId, d):
     """Correlation at distance d >= 0 (scalar or array, vectorized)."""
     d = np.asarray(d, dtype=np.float64)
     if d.ndim:
-        return _FORMS[kernel](d, False)
-    return float(_FORMS[kernel](d.reshape(1), False)[0])
+        return _FORMS[kernel](d, None)
+    return float(_FORMS[kernel](d.reshape(1), None)[0])
 
 
-def kernel_value_slope(kernel: KernelId, d):
+def kernel_value_slope(kernel: KernelId, d, *, out=None):
     """Correlation and slope over distance, k(d) and k'(d) / d, in one pass.
 
-    d is an array of distances (ndim >= 1) and is not modified.  The value
-    equals kernel_value(kernel, d) bit for bit.  k'(d) / d is exactly 0
+    d is an array of distances (ndim >= 1) and is not modified; ``out``, a
+    float64 array shaped like d that does not overlap it, receives the
+    slope (a new array if None).  The value equals kernel_value(kernel, d)
+    bit for bit.  k'(d) / d is exactly 0
     wherever d == 0, for every kernel; besides removing the divide by zero
     of abs_exp and rational_quadratic, this keeps the terms
     w_pp * z_p - w_pp * z_p of the length-scale gradient out of its sums,
     where on a near-singular covariance they need not cancel exactly.
     """
     d = np.asarray(d, dtype=np.float64)
-    value, slope_over_d = _FORMS[kernel](d, True)
+    slope_over_d = np.empty_like(d) if out is None else out
+    value = _FORMS[kernel](d, slope_over_d)
     slope_over_d[d == 0.0] = 0.0
     return value, slope_over_d
 
@@ -268,31 +271,36 @@ def cov_matrix(kset: KernelSet, xa, *rest) -> np.ndarray:
     return out
 
 
-def one_set_cov(kset: KernelSet, warped, slopes: bool = False):
+def one_set_cov(kset: KernelSet, warped, slopes: bool = False, *,
+                workspace: Workspace | None = None):
     """Summed covariance of one point set with itself, from condensed pairs.
 
     warped[i] is the set scaled by kernel i's length-scales.  Each pair's
     distance is taken once (pdist, which equals cdist entry for entry) and
     its kernel values are summed condensed in kernel order; squareform then
     rebuilds the square, whose diagonal is set to exactly n_k.  Returns
-    (K, S): with ``slopes`` true, S lists each kernel's k'(d) / d as a
-    square with diagonal 0, its value at d == 0; otherwise S is empty.
+    (K, S): with ``slopes`` true, S lists each kernel's k'(d) / d on the
+    condensed pairs, whose square squareform(s, checks=False) has diagonal
+    0, its value at d == 0; otherwise S is empty.  K is a new array; the
+    condensed slopes are written into the workspace if one is given.
     cov_matrix(kset, x, theta) and the diagonal blocks of gp's row-blocked
     covariance (training steps and prediction) are assembled here.
     """
     m = warped[0].shape[0]
     if m == 0:  # squareform would read an empty vector as one point
-        return np.zeros((0, 0)), [np.zeros((0, 0)) for _ in warped] if slopes else []
+        return np.zeros((0, 0)), [np.zeros(0) for _ in warped] if slopes else []
     condensed = np.zeros(m * (m - 1) // 2)
-    slope_squares = []
-    for kern, z in zip(kset.kernels, warped):
+    pair_slopes = []
+    for i, (kern, z) in enumerate(zip(kset.kernels, warped)):
         d = pdist(z)
         if slopes:
-            value, slope_over_d = kernel_value_slope(kern, d)
-            slope_squares.append(squareform(slope_over_d, checks=False))
+            value, slope_over_d = kernel_value_slope(
+                kern, d, out=work_array(workspace, ("pair_slopes", i), d.shape))
+            pair_slopes.append(slope_over_d)
         else:
             value = kernel_value(kern, d)
         condensed += value
+        del value  # freed before the next kernel's arrays and K
     out = squareform(condensed, checks=False)
     np.fill_diagonal(out, float(kset.n_k))
-    return out, slope_squares
+    return out, pair_slopes

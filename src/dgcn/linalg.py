@@ -12,10 +12,17 @@ scipy.linalg's cholesky and solve_triangular call for a Fortran-ordered
 factor, so the results are the same bit for bit, without scipy's
 finiteness scan of every operand.  A factor from cholesky_jittered is
 finite by construction.
+
+A Workspace holds float64 buffers that a sequence of calls can reuse
+instead of allocating their large arrays afresh, such as the factor and
+the inverse at n^2 entries each.  Every function that takes one accepts
+``workspace=None`` and then allocates new arrays, as without workspaces;
+a call gives the same result bit for bit with or without one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +39,46 @@ DEFAULT_JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 _CHECK_BLOCK_ENTRIES = 1 << 17
 
 
+class Workspace:
+    """Reusable float64 buffers, one per role, for calls of varying size.
+
+    ``array(role, shape, order)`` returns a contiguous array of that shape
+    whose contents are arbitrary: a view of the first entries of the
+    role's buffer, which grows to the largest size asked for and never
+    shrinks.  A smaller call after a larger one (a full batch after a
+    merged tail) therefore neither evicts nor duplicates the buffer.  Two
+    arrays alive at the same time need two roles.  A workspace is not
+    thread-safe: concurrent calls must not share one.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self):
+        self._buffers = {}
+
+    def scope(self, key) -> "Workspace":
+        """A workspace of its own for one caller's roles, kept under key."""
+        child = self._buffers.get(("scope", key))
+        if child is None:
+            child = self._buffers[("scope", key)] = Workspace()
+        return child
+
+    def array(self, role, shape, order: str = "C") -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = self._buffers[role] = np.empty(size)
+        return buf[:size].reshape(shape, order=order)
+
+
+def work_array(workspace: Workspace | None, role, shape,
+               order: str = "C") -> np.ndarray:
+    """workspace.array(role, shape, order), or a new array without one."""
+    if workspace is None:
+        return np.empty(shape, order=order)
+    return workspace.array(role, shape, order)
+
+
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Lower-triangular factor L with L @ L.T = A + jitter_used * I."""
@@ -44,11 +91,16 @@ class CholeskyFactor:
         return self.lower.shape[0]
 
 
-def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER) -> CholeskyFactor:
+def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER, *,
+                      workspace: Workspace | None = None) -> CholeskyFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
 
     Tries each ladder entry in order and returns the factor for the first
     one that succeeds, together with the jitter that was actually added.
+    Each rung copies ``a`` into the factor's array (Fortran order, the
+    workspace's buffer if one is given), adds its jitter to the diagonal
+    and factors it there in place; with a workspace, the returned factor
+    is valid until the workspace factors again.
 
     Raises
     ------
@@ -63,15 +115,13 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER) -> CholeskyFactor:
     scale = max(a.max(), -a.min()) if a.size else 0.0
     if not np.isfinite(scale):
         raise NotPositiveDefinite("matrix contains non-finite entries")
-    _check_symmetric(a, 1e-10 * max(scale, 1.0))
+    _check_symmetric(a, 1e-10 * max(scale, 1.0), workspace)
+    lower = work_array(workspace, "factor", a.shape, "F")
     for jitter in jitter_ladder:
+        lower[...] = a
         if jitter:
-            # A Fortran-ordered copy that dpotrf may factor in place.
-            shifted = a.copy(order="F")
-            shifted[np.diag_indices_from(shifted)] += jitter
-            lower, info = _dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
-        else:
-            lower, info = _dpotrf(a, lower=1, clean=1)
+            lower[np.diag_indices_from(lower)] += jitter
+        lower, info = _dpotrf(lower, lower=1, clean=1, overwrite_a=1)
         if info > 0:  # a leading minor is not positive definite
             continue
         _check_info("dpotrf", info)
@@ -92,15 +142,18 @@ def row_blocks(n: int, entries: int) -> list:
     return [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
 
 
-def _check_symmetric(a, tol: float) -> None:
+def _check_symmetric(a, tol: float, workspace: Workspace | None) -> None:
     """Raise unless max |a_pq - a_qp| <= tol.
 
     Row block [r0, r1) compares a[r0:r1, :r1] with the transposed column
-    strip a[:r1, r0:r1], so each pair is seen once and no temporary exceeds
-    about 1 MiB.
+    strip a[:r1, r0:r1], so each pair is seen once and no difference block
+    exceeds about 1 MiB.  With a workspace the blocks are written into
+    the factor's buffer, which the factorization then overwrites, so the
+    check and the factor touch one region of memory.
     """
     for r0, r1 in row_blocks(a.shape[0], _CHECK_BLOCK_ENTRIES):
-        diff = a[r0:r1, :r1] - a[:r1, r0:r1].T
+        diff = work_array(workspace, "factor", (r1 - r0, r1))
+        np.subtract(a[r0:r1, :r1], a[:r1, r0:r1].T, out=diff)
         if np.abs(diff, out=diff).max() > tol:
             raise DimensionMismatch("matrix is not symmetric")
 
@@ -142,18 +195,28 @@ def solve_lower(factor: CholeskyFactor, b) -> np.ndarray:
     return _triangular(factor, _checked_rhs(factor, b), 0, 0)
 
 
-def inverse_spd(factor: CholeskyFactor) -> np.ndarray:
-    """Dense inverse of the factored matrix (symmetrized)."""
-    inv, info = _dpotri(factor.lower, lower=1)
+def inverse_spd(factor: CholeskyFactor, *, workspace: Workspace | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Dense inverse of the factored matrix (symmetrized), in Fortran order.
+
+    The factor is copied into the inverse's array (the workspace's buffer
+    if one is given) and dpotri runs in place there, so the factor itself
+    is left intact.  The symmetrized result is written into ``out`` (an
+    n x n Fortran-ordered float64 array) or, if None, a new array.
+    """
+    n = factor.n
+    inv = work_array(workspace, "inverse", (n, n), "F")
+    inv[...] = factor.lower
+    inv, info = _dpotri(inv, lower=1, overwrite_c=1)
     if info != 0:  # pragma: no cover - factor invariant guarantees success
-        inv = solve_spd(factor, np.eye(factor.n))
+        inv = solve_spd(factor, np.eye(n))
         return 0.5 * (inv + inv.T)
-    # dpotri fills the lower triangle and leaves the upper one zero, so one
-    # add of the transpose mirrors it and doubles only the diagonal, which
-    # halving restores exactly.  Fortran order, like dpotri's output.
-    inv = np.add(inv, inv.T, order="F")
-    inv[np.diag_indices_from(inv)] *= 0.5
-    return inv
+    # dpotri fills the lower triangle and leaves the upper one as the
+    # factor's, zero, so one add of the transpose mirrors it and doubles
+    # only the diagonal, which halving restores exactly.
+    out = np.add(inv, inv.T, out=out, order="F")
+    out[np.diag_indices_from(out)] *= 0.5
+    return out
 
 
 def logdet(factor: CholeskyFactor) -> float:

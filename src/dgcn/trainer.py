@@ -6,6 +6,16 @@ log-likelihood, backpropagates its exact gradient into both networks and
 applies one optimizer step per network.  Early stopping watches the
 relative improvement of the per-point epoch NLL.
 
+The steps of one fit or update share a linalg.Workspace: each step writes
+its large arrays (the factor and the inverse at n^2 entries each, the
+condensed slopes, and for batches above 362 points K and the slope
+blocks) into the buffers the previous step used.  Allocating them afresh
+on every step, as K, the factor, the inverse and its symmetrized copy plus
+the slopes once were, let the allocator hand the memory back to the
+system after a step and the next step fault it in again.  The workspace
+is released when fit or update returns; trained models are the same bit
+for bit.
+
 Prediction standardizes the query points, runs both networks in inference
 mode, then solves one GP system per group of test points that share the
 same nearest-neighbor set.  With k at least the training size all test
@@ -44,10 +54,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import gp
+from . import gp, linalg
 from .errors import (
     ChecksumMismatch,
     DimensionMismatch,
+    EmptyDataset,
     FormatVersionMismatch,
     InvalidAlpha,
     InvalidSetting,
@@ -113,7 +124,7 @@ class Dataset:
         if self.x.shape[0] != self.y.shape[0]:
             raise DimensionMismatch("x and y row counts differ")
         if self.x.shape[0] < 1:
-            raise ValueError("need at least 1 point")
+            raise EmptyDataset("need at least 1 point")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("dataset contains non-finite entries")
         if self.columns is not None and len(self.columns) != self.x.shape[1]:
@@ -396,6 +407,7 @@ def _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
                 rng, max_epochs, early_stop, log: TrainingLog) -> None:
     n, n_v = xs.shape
     kset = config.kernels
+    workspace = linalg.Workspace()  # the steps' buffers, freed on return
     streak = 0
     for _ in range(max_epochs):
         total = 0.0
@@ -411,7 +423,8 @@ def _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
                     f"{exc} in epoch {log.epochs_run + 1}") from exc
             batch = gp.GpBatch(xb, yb, hyper)
             try:
-                res = gp.nll_grad(batch, kset, theta_net, sigma_net)
+                res = gp.nll_grad(batch, kset, theta_net, sigma_net,
+                                  workspace=workspace)
             except NotPositiveDefinite as exc:
                 raise NotPositiveDefinite(
                     f"{exc} (epoch {log.epochs_run + 1}, batch of "
@@ -449,7 +462,7 @@ def fit(data: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:
             "fit needs a single response vector; select one target column"
         )
     if data.n < 2:
-        raise ValueError("training needs at least 2 points")
+        raise EmptyDataset(f"training needs at least 2 points, got {data.n}")
     rng = np.random.default_rng(config.seed)
     scaler = Scaler.fit(data.x, data.y, config.standardize_y)
     xs = scaler.transform_x(data.x)

@@ -87,6 +87,13 @@ class TestTrain:
     def test_nonexistent_data_file_is_data_error(self, tmp_path):
         assert run(["train", "--data", tmp_path / "nope.csv"]) == 3
 
+    def test_one_row_is_data_error(self, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("x,y\n0.5,1.0\n")
+        err = assert_data_error(capsys, ["train", "--data", one, "--target", "y",
+                                         "--out", tmp_path / "m.dgcn"])
+        assert "at least 2 points" in err
+
     def test_seed_determinism_byte_identical_models(self, tmp_path, sine_csv,
                                                     fast_config_json):
         a = tmp_path / "a.dgcn"

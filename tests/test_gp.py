@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -8,7 +9,12 @@ from scipy.stats import norm
 from scipy.stats import t as student_t
 
 from dgcn import gp, linalg, trainer
-from dgcn.errors import DimensionMismatch, InvalidAlpha, StaleMask
+from dgcn.errors import (
+    DimensionMismatch,
+    InvalidAlpha,
+    NotPositiveDefinite,
+    StaleMask,
+)
 from dgcn.kernels import (
     ALL_KERNELS,
     KernelId,
@@ -337,7 +343,7 @@ class TestBlockedHyperGrad:
         seen = []
         factor = linalg.cholesky_jittered
         monkeypatch.setattr(linalg, "cholesky_jittered",
-                            lambda a: seen.append(a.copy()) or factor(a))
+                            lambda a, **kw: seen.append(a.copy()) or factor(a, **kw))
         monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
         gp.nll_hyper_grad(batch, kset)
         want = cov_matrix(kset, batch.x, batch.hyper.theta)
@@ -428,6 +434,88 @@ class TestCondensedDiagonalBlocks:
         oracle, _ = masked_divide_hyper_grad(kset.names(), batch.x, batch.y,
                                              batch.hyper.theta, batch.hyper.sigma2)
         assert np.abs(got.theta - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+
+def workspace_batch(kind, seed, kset, n_v):
+    """A batch of n = kind points, or of a named kind (workspace_sequences)."""
+    rng = np.random.default_rng(seed)
+    if kind == "jitter":
+        return duplicated_batch(rng, 64, n_v, kset, 1e-20)
+    if kind == "not_pd":  # a NaN input makes K non-finite
+        batch = duplicated_batch(rng, 30, n_v, kset, 1e-3)
+        batch.x[3, 0] = np.nan
+        return batch
+    return duplicated_batch(rng, kind, n_v, kset, 1e-3)
+
+
+@st.composite
+def workspace_sequences(draw):
+    """A kernel set, n_v and the batches one workspace sees, in order.
+
+    Each sequence holds, in a drawn order: a full batch of 200, a merged
+    tail of 207 and 200 again; a multi-block batch; n = 1; n = 2; the
+    duplicated-row batch that climbs the jitter ladder; and a batch that
+    raises NotPositiveDefinite followed by a normal one.
+    """
+    kset = KernelSet(draw(st.sampled_from([(KernelId.MATERN52,), ALL_KERNELS])))
+    n_v = draw(st.integers(1, 4))
+    parts = draw(st.permutations([
+        [200, 207, 200], [draw(st.sampled_from([363, 400]))], [1], [2],
+        ["jitter"], ["not_pd", 17]]))
+    kinds = [kind for part in parts for kind in part]
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(kinds),
+                          max_size=len(kinds)))
+    return kset, n_v, list(zip(kinds, seeds))
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak of fn() above what was traced before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkspace:
+    """nll_hyper_grad calls sharing one workspace, as a fit's steps do."""
+
+    @given(workspace_sequences())
+    @settings(max_examples=12, deadline=None)
+    def test_shared_workspace_equals_fresh_calls(self, case):
+        kset, n_v, steps = case
+        assert len(linalg.row_blocks(363, gp._BLOCK_ENTRIES)) == 2
+        ws = linalg.Workspace()
+        results = []
+        for kind, seed in steps:
+            batch = workspace_batch(kind, seed, kset, n_v)
+            if kind == "not_pd":
+                with pytest.raises(NotPositiveDefinite):
+                    gp.nll_hyper_grad(batch, kset, workspace=ws)
+                continue
+            results.append((kind, batch,
+                            gp.nll_hyper_grad(batch, kset, workspace=ws)))
+        # Compared only after the whole sequence: a result that lived in
+        # the workspace would have been overwritten by the later calls.
+        for kind, batch, got in results:
+            want = gp.nll_hyper_grad(batch, kset)
+            assert_bits_equal(got.value, want.value)
+            assert_bits_equal(got.theta, want.theta)
+            assert_bits_equal(got.sigma2, want.sigma2)
+            assert_bits_equal(got.jitter_used, want.jitter_used)
+            if kind == "jitter":
+                assert got.jitter_used > 0.0
+
+    def test_warm_call_peaks_at_half_a_cold_call(self):
+        kset = KernelSet()
+        batch = duplicated_batch(np.random.default_rng(0), 200, 8, kset, 1e-3)
+        ws = linalg.Workspace()
+        gp.nll_hyper_grad(batch, kset, workspace=ws)
+        cold = traced_peak(lambda: gp.nll_hyper_grad(batch, kset))
+        warm = traced_peak(lambda: gp.nll_hyper_grad(batch, kset, workspace=ws))
+        assert warm <= 0.5 * cold
 
 
 class TestHyperFieldTake:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dgcn import linalg
 from dgcn.errors import DimensionMismatch
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 
 from dgcn.kernels import (
     ALL_KERNELS,
@@ -331,7 +331,8 @@ class TestSymmetricCovMatrix:
     @settings(max_examples=200, deadline=None)
     def test_shared_helper_equals_two_set_forms(self, case):
         # one_set_cov serves prediction and the training step's diagonal
-        # blocks: its K and its slope squares must be the full-square ones.
+        # blocks: its K and the squares of its condensed slopes must be the
+        # full-square ones.
         kset, x, theta = case
         n_v = x.shape[1]
         warped = [x * theta_block(theta, n_v, i) for i in range(kset.n_k)]
@@ -339,7 +340,9 @@ class TestSymmetricCovMatrix:
         want = cov_matrix(kset, x, x, theta, theta)
         np.testing.assert_array_equal(k.view(np.uint64), want.view(np.uint64))
         assert len(slopes) == kset.n_k
-        for kern, z, got in zip(kset.kernels, warped, slopes):
+        for kern, z, pairs in zip(kset.kernels, warped, slopes):
+            # squareform reads no pairs as one point: trim to n for n = 0.
+            got = squareform(pairs, checks=False)[: len(x), : len(x)]
             full = kernel_value_slope(kern, cdist(z, z))[1]
             np.testing.assert_array_equal(got.view(np.uint64),
                                           full.view(np.uint64))

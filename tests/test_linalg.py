@@ -311,3 +311,46 @@ class TestInverseSpd:
         got = linalg.inverse_spd(f)
         assert got.flags.f_contiguous
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestWorkspace:
+    def test_role_buffer_is_reused_and_grows_to_the_largest_shape(self):
+        ws = linalg.Workspace()
+        a = ws.array("r", (4, 5))
+        assert ws.array("r", (4, 5)).base is a.base
+        smaller = ws.array("r", (3, 3), "F")
+        assert smaller.flags.f_contiguous and smaller.base is a.base
+        larger = ws.array("r", (6, 6))
+        assert larger.shape == (6, 6) and larger.flags.c_contiguous
+        assert not np.shares_memory(larger, a)
+        assert ws.array("r", (4, 5)).base is larger.base
+        assert not np.shares_memory(ws.array("other", (4, 5)), larger)
+
+    def test_scope_is_kept_and_separate(self):
+        ws = linalg.Workspace()
+        inner = ws.scope(0)
+        assert ws.scope(0) is inner and ws.scope(1) is not inner
+        assert not np.shares_memory(inner.array("r", (3,)), ws.array("r", (3,)))
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_results_equal_fresh_calls_and_the_factor_survives(self, singular):
+        # Each ladder rung re-copies the matrix over whatever the buffer
+        # held (here an earlier, larger factor), and inverting copies the
+        # factor instead of overwriting it.
+        rng = np.random.default_rng(8)
+        ws = linalg.Workspace()
+        linalg.inverse_spd(linalg.cholesky_jittered(random_spd(rng, 12),
+                                                    workspace=ws), workspace=ws)
+        if singular:
+            b = rng.standard_normal((9, 4))
+            a = b @ b.T
+        else:
+            a = random_spd(rng, 9)
+        want = linalg.cholesky_jittered(a)
+        got = linalg.cholesky_jittered(a, workspace=ws)
+        assert got.jitter_used == want.jitter_used and (want.jitter_used > 0) == singular
+        np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
+        inv = linalg.inverse_spd(got, workspace=ws)
+        np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
+        np.testing.assert_array_equal(bits(inv), bits(linalg.inverse_spd(want)))
+

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcn import linalg, trainer
+from dgcn import gp, linalg, trainer
 from dgcn.errors import (
     ChecksumMismatch,
     DimensionMismatch,
+    EmptyDataset,
     FormatVersionMismatch,
     InvalidAlpha,
     InvalidSetting,
@@ -63,6 +64,34 @@ class TestDatasetAndScaler:
         tiny = Dataset(np.array([[1.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
             trainer.fit(tiny, quiet_config(max_epochs=1))
+
+    def test_too_few_points_are_empty_dataset_errors(self):
+        with pytest.raises(EmptyDataset, match="got 1"):
+            trainer.fit(Dataset(np.array([[1.0]]), np.array([1.0])),
+                        quiet_config(max_epochs=1))
+        with pytest.raises(EmptyDataset):
+            Dataset(np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize("n, batch_size", [(407, 200), (805, 400)])
+    def test_step_workspace_changes_no_model_byte(self, n, batch_size,
+                                                  monkeypatch, tmp_path):
+        # Merged tails of 207 and 405 points follow full batches; 400 and
+        # 405 points are multi-block steps.  Without its workspace every
+        # step builds its arrays afresh.
+        data = sine_dataset(n=n, noise=0.1)
+        new = sine_dataset(n=30, seed=1, noise=0.1)
+        config = quiet_config(batch_size=batch_size, max_epochs=2)
+
+        def model_bytes(name):
+            model = trainer.fit(data, config)
+            model = trainer.update(model, new, epochs=1)
+            trainer.save(model, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        want = model_bytes("shared.dgcn")
+        nll_grad = gp.nll_grad
+        monkeypatch.setattr(gp, "nll_grad", lambda *args, workspace: nll_grad(*args))
+        assert model_bytes("fresh.dgcn") == want
 
     def test_standardization_roundtrip(self):
         rng = np.random.default_rng(1)
