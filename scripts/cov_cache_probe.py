@@ -6,6 +6,8 @@ batch 200, like the benchmark's predict-knn set-up), then prints:
 
 - the latency of 10-query predict_batched calls at k = 200 before the
   cache exists, of the call that builds it, and after it;
+- the median time one k = 200 group takes to gather its training block
+  from the built cache, over 200 fresh neighbour sets;
 - the first and second call at k >= N for 500 queries on a fresh model,
   and their ratio (the first builds K and its factor, the second reuses
   both);
@@ -36,6 +38,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import dgcn  # noqa: E402
+from dgcn import gp, trainer  # noqa: E402
 
 N_V = 5
 K = 200
@@ -76,6 +79,27 @@ def built(model) -> bool:
     return model._cache.k is not None
 
 
+def gather_ms(model, sets: int = 200) -> float:
+    """Median time of one group's gather of its block from the cache, ms.
+
+    Times trainer._group_system, the one place a group gets its block,
+    with the solve after the gather stubbed out, on the sorted neighbour
+    sets of fresh queries.
+    """
+    xs = model.scaler.transform_x(queries(2 * 10**6, sets))
+    nearest = np.sort(model.index.query(xs, K), axis=1)
+    cached = trainer._fill_cache(model, K, 0)
+    solve, gp.solve_train = gp.solve_train, lambda k, y: k
+    try:
+        times = []
+        for sel in nearest:
+            sub = gp.GpBatch(model.x[sel], model.y[sel], model.hyper.take(sel))
+            times.append(timed(trainer._group_system, model, cached, sub, sel)[1])
+    finally:
+        gp.solve_train = solve
+    return float(np.median(times)) * 1e3
+
+
 def knn_calls(model, label: str) -> None:
     """10-query calls at k = 200 until the cache is built, then 50 more.
 
@@ -100,6 +124,9 @@ def knn_calls(model, label: str) -> None:
     print(f"{label}: k={K} call median {np.median(before) * 1e3:.2f} ms over "
           f"{len(before)} calls before, {np.median(after) * 1e3:.2f} ms over "
           f"{len(after)} after; cache built: {built(model)}")
+    if built(model):
+        print(f"{label}: k={K} gather from the cache, median "
+              f"{gather_ms(model):.3f} ms per group")
 
 
 def main() -> None:

@@ -15,6 +15,7 @@ from .errors import (
     FormatVersionMismatch,
     InvalidAlpha,
     InvalidSetting,
+    InvalidTarget,
     MissingColumn,
     NonFiniteLoss,
     NotPositiveDefinite,
@@ -76,6 +77,7 @@ __all__ = [
     "HyperField",
     "InvalidAlpha",
     "InvalidSetting",
+    "InvalidTarget",
     "KernelId",
     "KernelSet",
     "LagSpec",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gp, trainer
-from .errors import InvalidSetting, MissingColumn, ParseError
+from .errors import InvalidSetting, InvalidTarget, MissingColumn, ParseError
 from .mlp import check_integer
 from .trainer import Dataset, TrainConfig
 
@@ -218,8 +218,12 @@ def _transform_target(y, transform: str) -> np.ndarray:
         return np.asarray(y, dtype=np.float64)
     if transform == "log":
         y = np.asarray(y, dtype=np.float64)
-        if np.any(y <= 0.0):
-            raise ValueError("log transform needs strictly positive targets")
+        bad = np.flatnonzero(y <= 0.0)
+        if bad.size:
+            raise InvalidTarget(
+                f"log transform needs strictly positive targets; {bad.size} of "
+                f"{y.size} are not, the first in data row {bad[0] + 1} "
+                f"({y[bad[0]]!r})")
         return np.log(y)
     y = np.asarray(y, dtype=np.float64)
     return (y - y.mean()) / max(y.std(), 1e-12)

@@ -23,6 +23,7 @@ from .errors import (
     EmptyDataset,
     FormatVersionMismatch,
     InvalidSetting,
+    InvalidTarget,
     MissingColumn,
     NonFiniteLoss,
     NotPositiveDefinite,
@@ -36,7 +37,8 @@ from .trainer import TrainConfig
 
 _DATA_ERRORS = (
     ParseError, MissingColumn, SchemaMismatch, SeriesTooShort, ShapeMismatch,
-    EmptyDataset, FormatVersionMismatch, ChecksumMismatch, OSError,
+    EmptyDataset, InvalidTarget, FormatVersionMismatch, ChecksumMismatch,
+    OSError,
 )
 _NUMERIC_ERRORS = (NotPositiveDefinite, NonFiniteLoss)
 

@@ -31,6 +31,11 @@ class EmptyDataset(DgcnError, ValueError):
     neighbour index none, training fewer than two."""
 
 
+class InvalidTarget(DgcnError, ValueError):
+    """Target values lie outside the domain of the requested transform: a
+    log transform needs strictly positive targets."""
+
+
 class SeriesTooShort(DgcnError):
     """Time series has too few values for the requested lag embedding."""
 

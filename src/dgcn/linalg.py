@@ -100,7 +100,9 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER, *,
     Each rung copies ``a`` into the factor's array (Fortran order, the
     workspace's buffer if one is given), adds its jitter to the diagonal
     and factors it there in place; with a workspace, the returned factor
-    is valid until the workspace factors again.
+    is valid until the workspace factors again.  Without a workspace, a
+    first rung without jitter lets the LAPACK wrapper make that copy, a
+    new array, and later rungs copy over it.
 
     Raises
     ------
@@ -116,12 +118,17 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER, *,
     if not np.isfinite(scale):
         raise NotPositiveDefinite("matrix contains non-finite entries")
     _check_symmetric(a, 1e-10 * max(scale, 1.0), workspace)
-    lower = work_array(workspace, "factor", a.shape, "F")
+    lower = None if workspace is None else workspace.array("factor", a.shape, "F")
     for jitter in jitter_ladder:
-        lower[...] = a
-        if jitter:
-            lower[np.diag_indices_from(lower)] += jitter
-        lower, info = _dpotrf(lower, lower=1, clean=1, overwrite_a=1)
+        if lower is None and not jitter:
+            lower, info = _dpotrf(a, lower=1, clean=1)
+        else:
+            if lower is None:
+                lower = np.empty(a.shape, order="F")
+            lower[...] = a
+            if jitter:
+                lower[np.diag_indices_from(lower)] += jitter
+            lower, info = _dpotrf(lower, lower=1, clean=1, overwrite_a=1)
         if info > 0:  # a leading minor is not positive definite
             continue
         _check_info("dpotrf", info)

@@ -30,6 +30,17 @@ single call at k < N therefore never builds it, and a call at k >= N
 builds it at once.  Groups then gather their block from K instead of
 evaluating kernels, and the first call at k >= N also keeps K's factor and
 alpha = K^-1 y, so later ones only build the cross-covariance and solve.
+K is stored in the leaf order of a kd-tree over the stored inputs (scipy's
+default leaf size, whatever the neighbour strategy), built from the
+reordered points, so each entry is the original K's bit for bit; the
+cache keeps that order and its inverse.  A neighbour set's block is one
+flat take of those positions, rows then columns in the set's own order.
+A neighbour set is a ball in input space and a leaf holds nearby points,
+so the set's rows sit in a few runs of K and its block spans few cache
+lines; the gather is memory-bound, so this is what it costs.  The k >= N
+factor is of K in row order: a call at k >= N that builds K builds it in
+row order and the next call at k < N moves it into leaf order, while a
+k >= N call after a leaf-order build factors K gathered back into rows.
 K takes 8 N^2 bytes and the factor as much again; models with N^2 above
 _CACHE_ENTRIES (N > 4096) build no cache and every group evaluates its
 own block.  The cache is built before groups are handed to DGCN_THREADS
@@ -53,6 +64,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import gp, linalg
 from .errors import (
@@ -304,7 +316,50 @@ class _CovCache:
 
     pairs: int = 0  # training pairs built by prediction calls so far
     k: np.ndarray | None = None  # K + diag(sigma2) of the stored set
+    order: np.ndarray | None = None  # k's row r is point order[r]; None: row order
+    pos: np.ndarray | None = None  # point i is k's row pos[i]
     full: tuple | None = None  # K's factor and alpha, from a k >= N call
+
+    def build(self, model: "TrainedModel", leaf_order: bool) -> None:
+        """K + diag(sigma2) of the stored set, in leaf order or row order."""
+        rows = self._leaf_order(model.x) if leaf_order else slice(None)
+        self.k = gp.train_cov(gp.GpBatch(model.x[rows], model.y[rows],
+                                         model.hyper.take(rows)),
+                              model.kernel_set)
+
+    def to_leaf_order(self, model: "TrainedModel") -> None:
+        """Move a K built in row order into leaf order."""
+        self.k = _permuted(self.k, self._leaf_order(model.x))
+
+    def _leaf_order(self, x) -> np.ndarray:
+        """Keep and return the leaf order of a kd-tree over x."""
+        self.order = cKDTree(x).indices
+        self.pos = np.argsort(self.order)
+        return self.order
+
+    def block(self, sel) -> np.ndarray:
+        """K[np.ix_(sel, sel)] of the stored set, by one flat take."""
+        q = self.pos[sel]
+        # Every index is below n^2, so clipping never changes one.
+        return self.k.ravel().take(q[:, None] * self.k.shape[0] + q,
+                                   mode="clip")
+
+    def in_row_order(self) -> np.ndarray:
+        """All of K with rows and columns in the stored set's order."""
+        return self.k if self.order is None else _permuted(self.k, self.pos)
+
+
+def _permuted(a: np.ndarray, idx) -> np.ndarray:
+    """a[np.ix_(idx, idx)], as whole rows and then columns block by block.
+
+    Reordering the columns of about 1 MiB of rows at a time in place makes
+    no second n x n array; making one, as a[idx].take(idx, axis=1) does,
+    took twice as long at n = 3200.
+    """
+    out = a[idx]
+    for r0, r1 in linalg.row_blocks(len(idx), 1 << 17):
+        out[r0:r1] = out[r0:r1].take(idx, axis=1)
+    return out
 
 
 @dataclass
@@ -623,7 +678,7 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     ci_low = np.empty(n_star)
     ci_high = np.empty(n_star)
 
-    cached = _fill_cache(model, min(k, model.n), len(groups))
+    cache = _fill_cache(model, min(k, model.n), len(groups))
 
     def solve_group(group) -> tuple:
         sel, ids = group
@@ -631,7 +686,7 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
         pred = gp.predict(sub, xs[ids], hyper_star.take(ids), model.kernel_set,
                           alpha_level=alpha_level, include_noise=include_noise,
                           interval=interval,
-                          system=_group_system(model, cached, sub, sel))
+                          system=_group_system(model, cache, sub, sel))
         mean[ids] = pred.mean
         variance[ids] = pred.variance
         ci_low[ids] = pred.ci_low
@@ -661,26 +716,30 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     return pred
 
 
-def _fill_cache(model: TrainedModel, k: int, n_groups: int) -> tuple:
+def _fill_cache(model: TrainedModel, k: int, n_groups: int) -> _CovCache | None:
     """Count a call's training pairs and build what has paid for itself.
 
-    Returns the cached K and full-set factor and alpha (None where not
-    built) for the call's groups, which only read them; see the module
-    docstring for when each is built.
+    Returns the cache once K is built, else None, for the call's groups,
+    which only read it; see the module docstring for when K and the
+    full-set factor and alpha are built.
     """
     cache, n = model._cache, model.n
     if cache.k is None and n * n <= _CACHE_ENTRIES:
         cache.pairs += n_groups * (k * (k - 1) // 2)
         if cache.pairs >= n * (n - 1) // 2:
-            cache.k = gp.train_cov(gp.GpBatch(model.x, model.y, model.hyper),
-                                   model.kernel_set)
-    if cache.k is not None and k == n and cache.full is None:
-        cache.full = gp.solve_train(cache.k, model.y)
-    return cache.k, cache.full
+            # A k >= N call factors K in row order, so it builds K there.
+            cache.build(model, leaf_order=k < n)
+    if cache.k is None:
+        return None
+    if k == n and cache.full is None:
+        cache.full = gp.solve_train(cache.in_row_order(), model.y)
+    if k < n and cache.order is None:
+        cache.to_leaf_order(model)
+    return cache
 
 
-def _group_system(model: TrainedModel, cached: tuple, sub: gp.GpBatch,
-                  sel) -> tuple:
+def _group_system(model: TrainedModel, cache: _CovCache | None,
+                  sub: gp.GpBatch, sel) -> tuple:
     """Factor and alpha of one group's noise-added training covariance.
 
     The one place a group gets its training block: with a cached K, the
@@ -688,13 +747,12 @@ def _group_system(model: TrainedModel, cached: tuple, sub: gp.GpBatch,
     gathers its block; without one, the block is built from the group's
     points.
     """
-    k_all, full = cached
-    if k_all is None:
+    if cache is None:
         k = gp.train_cov(sub, model.kernel_set)
     elif isinstance(sel, slice):
-        return full
+        return cache.full
     else:
-        k = k_all[np.ix_(sel, sel)]
+        k = cache.block(sel)
     return gp.solve_train(k, sub.y)
 
 

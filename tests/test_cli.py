@@ -367,6 +367,19 @@ class TestCrossval:
         values = [float(r["metric_value"]) for r in rows]
         assert summary["mean"] == pytest.approx(float(np.mean(values)))
 
+    @pytest.mark.parametrize("bad", ["0.0", "-2.5"])
+    def test_log_preset_on_a_non_positive_target_is_data_error(
+            self, tmp_path, capsys, bad):
+        data = tmp_path / "target.csv"
+        rows = ["x,y"] + [f"{i},{1.0 + i}" for i in range(12)]
+        rows[5] = f"4,{bad}"
+        data.write_text("\n".join(rows) + "\n")
+        err = assert_data_error(capsys, [
+            "crossval", "--data", data, "--target", "y", "--preset",
+            "table3-log", "--folds", 3, "--repeats", 1, "--out-dir", tmp_path])
+        assert "strictly positive" in err and "data row 5" in err
+        assert not (tmp_path / "crossval_summary.json").exists()
+
     def test_baseline_flag(self, tmp_path, sine_csv):
         code = run(["crossval", "--data", sine_csv, "--target", "y",
                     "--baseline", "--folds", 3, "--repeats", 1,

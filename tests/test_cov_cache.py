@@ -208,3 +208,98 @@ class TestTrainingCovariance:
             got = gp.train_cov(gp.GpBatch(x, np.zeros(n), hyper), kset)
         assert got.flags.c_contiguous
         np.testing.assert_array_equal(got, expected)
+
+
+def full_train_cov(model):
+    return gp.train_cov(gp.GpBatch(model.x, model.y, model.hyper),
+                        model.kernel_set)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def with_strategy(model, strategy):
+    """The same model searching its neighbours by ``strategy``."""
+    return dataclasses.replace(
+        model, index=trainer.NeighborIndex(model.x, strategy),
+        config=dataclasses.replace(model.config, neighbor_strategy=strategy))
+
+
+class TestLeafOrderLayout:
+    """The cache keeps K in kd-tree leaf order and gathers by one flat take."""
+
+    @pytest.mark.parametrize("first_k", [12, 70])
+    @pytest.mark.parametrize("strategy", ["brute", "kdtree"])
+    def test_order_is_a_permutation_and_the_layout_is_k_permuted(self, strategy,
+                                                                 first_k):
+        model = with_strategy(make_model(n=70, n_v=3), strategy)
+        cache = model._cache
+        if first_k == 70:
+            # A k >= N call builds K in row order; the next k < N call
+            # moves it into leaf order.
+            trainer.predict_batched(model, np.zeros((1, 3)), k=first_k)
+            assert cache.order is None and cache.pos is None
+            np.testing.assert_array_equal(bits(cache.k),
+                                          bits(full_train_cov(model)))
+            trainer.predict_batched(model, np.zeros((1, 3)), k=12)
+        else:
+            warm(model, 3, first_k)
+        np.testing.assert_array_equal(np.sort(cache.order), np.arange(70))
+        np.testing.assert_array_equal(cache.pos[cache.order], np.arange(70))
+        want = full_train_cov(model)[np.ix_(cache.order, cache.order)]
+        np.testing.assert_array_equal(bits(cache.k), bits(want))
+        np.testing.assert_array_equal(bits(cache.in_row_order()),
+                                      bits(full_train_cov(model)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(3, 60), n_v=st.integers(1, 3),
+           kernels=st.lists(st.sampled_from(ALL_KERNELS), min_size=1,
+                            max_size=5, unique=True),
+           seed=st.integers(0, 2**16),
+           strategy=st.sampled_from(["brute", "kdtree"]),
+           moved=st.booleans())
+    def test_gathered_block_equals_the_built_block(self, n, n_v, kernels, seed,
+                                                   strategy, moved):
+        # make_data repeats the first point as the last, so a neighbour set
+        # may hold both copies of one row.  ``moved`` builds K in row order
+        # and then moves it into leaf order, as after a k >= N call.
+        model = with_strategy(make_model(n, n_v, seed, kernels, epochs=1),
+                              strategy)
+        model._cache.build(model, leaf_order=not moved)
+        if moved:
+            model._cache.to_leaf_order(model)
+        rng = np.random.default_rng(seed)
+        queries = rng.uniform(-2.5, 2.5, (6, n_v))
+        sets = [np.sort(row) for row in model.index.query(queries, max(1, n // 2))]
+        sets += [np.sort(rng.choice(n, size, replace=False))
+                 for size in (1, 2, n - 1, n)]
+        sets.append(np.array([0, n - 1]))  # the two copies of one point
+        for sel in sets:
+            sub = gp.GpBatch(model.x[sel], model.y[sel], model.hyper.take(sel))
+            got = model._cache.block(sel)
+            assert got.flags.c_contiguous and got.shape == (sel.size,) * 2
+            np.testing.assert_array_equal(
+                bits(got), bits(gp.train_cov(sub, model.kernel_set)))
+
+    @pytest.mark.parametrize("first_k, then_k", [(15, 60), (60, 15), (60, 60)])
+    @pytest.mark.parametrize("strategy", ["brute", "kdtree"])
+    def test_switching_between_k_below_and_at_least_n(self, first_k, then_k,
+                                                      strategy):
+        model = with_strategy(make_model(n=60, n_v=2, seed=3), strategy)
+        reference = uncached(model)
+        probe = np.random.default_rng(5).uniform(-2.5, 2.5, (11, 2))
+        if first_k < 60:
+            warm(model, 2, first_k)
+        else:
+            trainer.predict_batched(model, probe, k=first_k)
+        assert model._cache.k is not None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "_CACHE_ENTRIES", 0)
+            want = [trainer.predict_batched(reference, probe, k=k)
+                    for k in (then_k, first_k)]
+        got = [trainer.predict_batched(model, probe, k=k)
+               for k in (then_k, first_k)]
+        assert reference._cache == trainer._CovCache()
+        for w, g in zip(want, got):
+            assert_same_prediction(w, g)

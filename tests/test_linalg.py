@@ -332,6 +332,30 @@ class TestWorkspace:
         assert ws.scope(0) is inner and ws.scope(1) is not inner
         assert not np.shares_memory(inner.array("r", (3,)), ws.array("r", (3,)))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("ladder", [linalg.DEFAULT_JITTER_LADDER,
+                                        (1e-6, 1e-3)])
+    @pytest.mark.parametrize("copies", [0, 4])
+    def test_factor_is_the_same_with_and_without_a_workspace(self, order,
+                                                             ladder, copies):
+        # Without a workspace a first rung free of jitter lets the LAPACK
+        # wrapper copy the matrix and later rungs copy over that array; a
+        # workspace copies every rung into its buffer.  Neither may touch
+        # the input, whatever its memory order.
+        rng = np.random.default_rng([copies, len(ladder)])
+        n = 30
+        b = rng.standard_normal((n - copies, n - copies))
+        idx = np.r_[np.arange(n - copies), rng.integers(0, n - copies, copies)]
+        a = np.array((b @ b.T)[np.ix_(idx, idx)], order=order)
+        before = a.copy()
+        want = linalg.cholesky_jittered(a, ladder)
+        got = linalg.cholesky_jittered(a, ladder, workspace=linalg.Workspace())
+        assert got.jitter_used == want.jitter_used
+        assert want.jitter_used > 0.0 or copies == 0
+        assert want.lower.flags.f_contiguous and got.lower.flags.f_contiguous
+        np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
+        np.testing.assert_array_equal(bits(a), bits(before))
+
     @pytest.mark.parametrize("singular", [False, True])
     def test_results_equal_fresh_calls_and_the_factor_survives(self, singular):
         # Each ladder rung re-copies the matrix over whatever the buffer
