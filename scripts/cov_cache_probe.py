@@ -11,6 +11,8 @@ batch 200, like the benchmark's predict-knn set-up), then prints:
 - the first and second call at k >= N for 500 queries on a fresh model,
   and their ratio (the first builds K and its factor, the second reuses
   both);
+- the median of 3 first k = 200 calls after a k >= N call, each on an
+  empty cache: the call that moves K from row order into leaf order;
 - the tracemalloc peak of each k >= N call and of the building call.
 
 It then repeats the k = 200 calls and one k >= N call on a model above the
@@ -30,6 +32,7 @@ import argparse
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -94,7 +97,7 @@ def gather_ms(model, sets: int = 200) -> float:
         times = []
         for sel in nearest:
             sub = gp.GpBatch(model.x[sel], model.y[sel], model.hyper.take(sel))
-            times.append(timed(trainer._group_system, model, cached, sub, sel)[1])
+            times.append(timed(trainer._group_system, cached, sub, sel)[1])
     finally:
         gp.solve_train = solve
     return float(np.median(times)) * 1e3
@@ -121,12 +124,31 @@ def knn_calls(model, label: str) -> None:
     for j in range(50):
         _, s = timed(dgcn.predict_batched, model, queries(i + j, QUERIES), k=K)
         after.append(s)
-    print(f"{label}: k={K} call median {np.median(before) * 1e3:.2f} ms over "
-          f"{len(before)} calls before, {np.median(after) * 1e3:.2f} ms over "
-          f"{len(after)} after; cache built: {built(model)}")
+    spent = (f"{np.median(before) * 1e3:.2f} ms over {len(before)} calls "
+             "before" if before else "over 0 calls before: none (call 1 "
+             "built the cache)")
+    print(f"{label}: k={K} call median {spent}, "
+          f"{np.median(after) * 1e3:.2f} ms over {len(after)} after; "
+          f"cache built: {built(model)}")
     if built(model):
         print(f"{label}: k={K} gather from the cache, median "
               f"{gather_ms(model):.3f} ms per group")
+
+
+def layout_move_ms(model, runs: int = 3) -> float:
+    """Median time of the first k = 200 call after a k >= N call, ms.
+
+    Each run starts from an empty cache (a copy of the model), so its
+    k >= N call builds K in row order and the timed call moves it into
+    leaf order before its groups gather from it.
+    """
+    times = []
+    for run in range(runs):
+        fresh = replace(model)
+        dgcn.predict_batched(fresh, queries(run, QUERIES), k=fresh.n)
+        times.append(timed(dgcn.predict_batched, fresh,
+                           queries(run, QUERIES), k=K)[1])
+    return float(np.median(times)) * 1e3
 
 
 def main() -> None:
@@ -146,6 +168,9 @@ def main() -> None:
                for f in ("mean", "variance", "ci_low", "ci_high"))
     print(f"N={args.n}: k>=N with {FULL_QUERIES} queries: first {s1:.3f} s, "
           f"second {s2:.3f} s, ratio {s1 / s2:.2f}x; identical: {same}")
+    if built(model):
+        print(f"N={args.n}: first k={K} call after a k>=N call (moves K "
+              f"into leaf order), median of 3: {layout_move_ms(model):.1f} ms")
 
     model = fitted(args.n, 5)
     print(f"N={args.n}: peak of the first k>=N call "

@@ -226,7 +226,7 @@ def _transform_target(y, transform: str) -> np.ndarray:
                 f"({y[bad[0]]!r})")
         return np.log(y)
     y = np.asarray(y, dtype=np.float64)
-    return (y - y.mean()) / max(y.std(), 1e-12)
+    return trainer.Scaler.fit(np.empty((y.size, 0)), y).transform_y(y)
 
 
 def _score(truth, pred, metric: str) -> float:

@@ -3,7 +3,10 @@
 Subcommands: train, predict, crossval, forecast, cats, bench-time.
 Every command honors --seed for full determinism and exits with a stable
 code: 0 success, 2 usage/config problems, 3 data problems, 4 numeric
-failures.  All outputs are plain CSV/JSON files.
+failures.  A failure prints one stderr line, ``<kind>: <message>``; each
+class in ``dgcn.errors`` declares its ``exit_code`` and ``kind`` (tabled in
+the README), and any OSError is a data problem.  All outputs are plain
+CSV/JSON files.
 """
 
 from __future__ import annotations
@@ -17,30 +20,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import bench, timeseries, trainer
-from .errors import (
-    ChecksumMismatch,
-    DgcnError,
-    EmptyDataset,
-    FormatVersionMismatch,
-    InvalidSetting,
-    InvalidTarget,
-    MissingColumn,
-    NonFiniteLoss,
-    NotPositiveDefinite,
-    ParseError,
-    SchemaMismatch,
-    SeriesTooShort,
-    ShapeMismatch,
-)
+from .errors import DgcnError, InvalidSetting, SchemaMismatch
 from .mlp import check_integer
 from .trainer import TrainConfig
-
-_DATA_ERRORS = (
-    ParseError, MissingColumn, SchemaMismatch, SeriesTooShort, ShapeMismatch,
-    EmptyDataset, InvalidTarget, FormatVersionMismatch, ChecksumMismatch,
-    OSError,
-)
-_NUMERIC_ERRORS = (NotPositiveDefinite, NonFiniteLoss)
 
 
 def _integers(flag: str, text: str) -> list:
@@ -301,18 +283,12 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except InvalidSetting as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
-    except _DATA_ERRORS as exc:
+    except DgcnError as exc:
+        print(f"{exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except DgcnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -1,15 +1,35 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class declares how the CLI reports it: ``exit_code`` is the process
+exit status and ``kind`` the prefix of its one stderr line.
+"""
 
 
 class DgcnError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 4
+    kind = "error"
+
+
+class _DataError(DgcnError):
+    """The input data or a model file cannot be used."""
+
+    exit_code = 3
+    kind = "data error"
+
+
+class _NumericError(DgcnError):
+    """The numerics broke down on inputs that passed every check."""
+
+    kind = "numeric failure"
 
 
 class DimensionMismatch(DgcnError, ValueError):
     """Operand shapes are inconsistent with each other."""
 
 
-class NotPositiveDefinite(DgcnError):
+class NotPositiveDefinite(_NumericError):
     """Cholesky factorization failed even at the top of the jitter ladder."""
 
 
@@ -17,42 +37,44 @@ class StaleMask(DgcnError):
     """Backward pass requested without a paired training-mode forward pass."""
 
 
-class NonFiniteLoss(DgcnError):
+class NonFiniteLoss(_NumericError):
     """Training produced a NaN or infinite loss value, or prediction a NaN
     or infinite output."""
 
 
-class SchemaMismatch(DgcnError):
+class SchemaMismatch(_DataError):
     """New data does not match the columns the model was trained on."""
 
 
-class EmptyDataset(DgcnError, ValueError):
+class EmptyDataset(_DataError, ValueError):
     """An operation received fewer points than it needs: a dataset or
     neighbour index none, training fewer than two."""
 
 
-class InvalidTarget(DgcnError, ValueError):
-    """Target values lie outside the domain of the requested transform: a
-    log transform needs strictly positive targets."""
+class InvalidTarget(_DataError, ValueError):
+    """Target values lie outside the domain of the requested transform or
+    of float64 arithmetic: a log transform needs strictly positive targets,
+    and standardizing needs a finite mean and standard deviation."""
 
 
-class SeriesTooShort(DgcnError):
-    """Time series has too few values for the requested lag embedding."""
+class SeriesTooShort(_DataError):
+    """Time series has too few values for the requested lag embedding, or
+    its trailing lag window has gaps."""
 
 
-class ShapeMismatch(DgcnError, ValueError):
+class ShapeMismatch(_DataError, ValueError):
     """Array length or shape differs from the documented contract."""
 
 
-class FormatVersionMismatch(DgcnError):
+class FormatVersionMismatch(_DataError):
     """Model file carries an unknown magic or an unsupported format version."""
 
 
-class ChecksumMismatch(DgcnError):
+class ChecksumMismatch(_DataError):
     """Model file is truncated or its CRC32 does not match its contents."""
 
 
-class ParseError(DgcnError, ValueError):
+class ParseError(_DataError, ValueError):
     """A CSV cell could not be parsed as a number.
 
     Carries the 1-based row and column of the offending cell.
@@ -67,13 +89,15 @@ class ParseError(DgcnError, ValueError):
         super().__init__(msg)
 
 
-class MissingColumn(DgcnError):
+class MissingColumn(_DataError):
     """Requested target column is not present in the file header."""
 
 
 class InvalidSetting(DgcnError, ValueError):
     """A setting is unusable: a config key, CLI flag, DGCN_THREADS or a
     prediction rule (neighbour count, alpha, interval)."""
+
+    exit_code = 2
 
 
 class InvalidAlpha(InvalidSetting):

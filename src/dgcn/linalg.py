@@ -215,9 +215,7 @@ def inverse_spd(factor: CholeskyFactor, *, workspace: Workspace | None = None,
     inv = work_array(workspace, "inverse", (n, n), "F")
     inv[...] = factor.lower
     inv, info = _dpotri(inv, lower=1, overwrite_c=1)
-    if info != 0:  # pragma: no cover - factor invariant guarantees success
-        inv = solve_spd(factor, np.eye(n))
-        return 0.5 * (inv + inv.T)
+    _check_info("dpotri", info)
     # dpotri fills the lower triangle and leaves the upper one as the
     # factor's, zero, so one add of the transpose mirrors it and doubles
     # only the diagonal, which halving restores exactly.

@@ -96,6 +96,23 @@ def lag_embed(series, spec: LagSpec) -> Dataset:
     return Dataset(x=x, y=y, columns=columns)
 
 
+def _trailing_window(history, n_lags: int) -> np.ndarray:
+    """A copy of the last n_lags values of history, the first forecast's
+    inputs; SeriesTooShort if there are fewer or any is missing."""
+    history = np.asarray(history, dtype=np.float64).reshape(-1)
+    if history.size < n_lags:
+        raise SeriesTooShort(
+            f"history of {history.size} values is shorter than {n_lags} lags"
+        )
+    window = history[-n_lags:].copy()
+    if not np.isfinite(window).all():
+        raise SeriesTooShort(
+            f"the trailing lag window, history values "
+            f"{history.size - n_lags + 1}-{history.size}, has missing values"
+        )
+    return window
+
+
 def forecast_recursive(model: TrainedModel, history, steps: int,
                        k: int | None = None, alpha_level: float = 0.05,
                        include_noise: bool = False,
@@ -108,15 +125,7 @@ def forecast_recursive(model: TrainedModel, history, steps: int,
     ``jitter_max`` is the highest level any step used.
     """
     steps = check_integer("steps", steps, 0)
-    n_lags = model.n_v
-    history = np.asarray(history, dtype=np.float64).reshape(-1)
-    if history.size < n_lags:
-        raise SeriesTooShort(
-            f"history of {history.size} values is shorter than {n_lags} lags"
-        )
-    window = history[-n_lags:].copy()
-    if not np.all(np.isfinite(window)):
-        raise ValueError("the trailing lag window contains missing values")
+    window = _trailing_window(history, model.n_v)
     means = np.empty(steps)
     variances = np.empty(steps)
     lows = np.empty(steps)
@@ -153,9 +162,7 @@ def forecast_direct(history, n_lags: int, steps: int, config: TrainConfig,
     recursive mode is the default everywhere.
     """
     history = np.asarray(history, dtype=np.float64).reshape(-1)
-    window = history[-n_lags:][None, :]
-    if not np.all(np.isfinite(window)):
-        raise ValueError("the trailing lag window contains missing values")
+    window = _trailing_window(history, n_lags)[None, :]
     out = np.empty(steps)
     for h in range(steps):
         data = lag_embed(history, LagSpec(n_lags, (h,)))

@@ -74,6 +74,7 @@ from .errors import (
     FormatVersionMismatch,
     InvalidAlpha,
     InvalidSetting,
+    InvalidTarget,
     NonFiniteLoss,
     NotPositiveDefinite,
     SchemaMismatch,
@@ -180,8 +181,13 @@ class Scaler:
         y = np.asarray(y, dtype=np.float64)
         x_std = np.maximum(x.std(axis=0), _STD_FLOOR)
         if standardize_y:
-            y_mean = float(y.mean())
-            y_std = float(max(y.std(), _STD_FLOOR))
+            with np.errstate(over="ignore", invalid="ignore"):
+                y_mean = float(y.mean())
+                y_std = float(max(y.std(), _STD_FLOOR))
+            if not np.isfinite([y_mean, y_std]).all():
+                raise InvalidTarget(
+                    f"responses overflow float64 when standardized: mean "
+                    f"{y_mean}, standard deviation {y_std}")
         else:
             y_mean, y_std = 0.0, 1.0
         return cls(x.mean(axis=0), x_std, y_mean, y_std, standardize_y)
@@ -329,7 +335,8 @@ class _CovCache:
 
     def to_leaf_order(self, model: "TrainedModel") -> None:
         """Move a K built in row order into leaf order."""
-        self.k = _permuted(self.k, self._leaf_order(model.x))
+        order = self._leaf_order(model.x)
+        self.k = self.k[np.ix_(order, order)]
 
     def _leaf_order(self, x) -> np.ndarray:
         """Keep and return the leaf order of a kd-tree over x."""
@@ -346,20 +353,9 @@ class _CovCache:
 
     def in_row_order(self) -> np.ndarray:
         """All of K with rows and columns in the stored set's order."""
-        return self.k if self.order is None else _permuted(self.k, self.pos)
-
-
-def _permuted(a: np.ndarray, idx) -> np.ndarray:
-    """a[np.ix_(idx, idx)], as whole rows and then columns block by block.
-
-    Reordering the columns of about 1 MiB of rows at a time in place makes
-    no second n x n array; making one, as a[idx].take(idx, axis=1) does,
-    took twice as long at n = 3200.
-    """
-    out = a[idx]
-    for r0, r1 in linalg.row_blocks(len(idx), 1 << 17):
-        out[r0:r1] = out[r0:r1].take(idx, axis=1)
-    return out
+        if self.order is None:
+            return self.k
+        return self.k[np.ix_(self.pos, self.pos)]
 
 
 @dataclass
@@ -686,7 +682,7 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
         pred = gp.predict(sub, xs[ids], hyper_star.take(ids), model.kernel_set,
                           alpha_level=alpha_level, include_noise=include_noise,
                           interval=interval,
-                          system=_group_system(model, cache, sub, sel))
+                          system=_group_system(cache, sub, sel))
         mean[ids] = pred.mean
         variance[ids] = pred.variance
         ci_low[ids] = pred.ci_low
@@ -738,22 +734,19 @@ def _fill_cache(model: TrainedModel, k: int, n_groups: int) -> _CovCache | None:
     return cache
 
 
-def _group_system(model: TrainedModel, cache: _CovCache | None,
-                  sub: gp.GpBatch, sel) -> tuple:
+def _group_system(cache: _CovCache | None, sub: gp.GpBatch,
+                  sel) -> tuple | None:
     """Factor and alpha of one group's noise-added training covariance.
 
-    The one place a group gets its training block: with a cached K, the
-    whole set (sel a slice) takes the cached factor and a neighbour set
-    gathers its block; without one, the block is built from the group's
-    points.
+    With a cached K, the whole set (sel a slice) takes the cached factor
+    and a neighbour set gathers its block.  Without one it returns None,
+    and gp.predict builds the block from the group's points.
     """
     if cache is None:
-        k = gp.train_cov(sub, model.kernel_set)
-    elif isinstance(sel, slice):
+        return None
+    if isinstance(sel, slice):
         return cache.full
-    else:
-        k = cache.block(sel)
-    return gp.solve_train(k, sub.y)
+    return gp.solve_train(cache.block(sel), sub.y)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dgcn import cli, trainer
+from dgcn import cli, errors, trainer
 
 from test_trainer import rewrite_manifest
 
@@ -93,6 +94,21 @@ class TestTrain:
         err = assert_data_error(capsys, ["train", "--data", one, "--target", "y",
                                          "--out", tmp_path / "m.dgcn"])
         assert "at least 2 points" in err
+
+    def test_overflowing_response_statistics_are_data_errors(self, tmp_path,
+                                                             fast_config_json,
+                                                             capsys):
+        # The standard deviation of responses near 1e200 overflows float64.
+        x = np.linspace(0.0, 2 * np.pi, 40)
+        data = tmp_path / "huge.csv"
+        data.write_text("x,y\n" + "".join(
+            f"{float(a)!r},{float(b) * 1e200!r}\n"
+            for a, b in zip(x, np.sin(3 * x))))
+        model = tmp_path / "model.dgcn"
+        err = assert_data_error(capsys, ["train", "--data", data, "--target",
+                                         "y", "--config", fast_config_json,
+                                         "--out", model])
+        assert "standard deviation inf" in err and not model.exists()
 
     def test_seed_determinism_byte_identical_models(self, tmp_path, sine_csv,
                                                     fast_config_json):
@@ -241,21 +257,18 @@ class TestPredict:
         assert rows[2]["mean"] == pytest.approx(np.sin(1.5), abs=0.05)
 
     def test_non_finite_prediction_is_a_numeric_failure(self, tmp_path,
+                                                        sine_csv,
                                                         fast_config_json,
                                                         capsys):
-        # Responses near 1e200 overflow the scaler's standard deviation,
-        # so every prediction de-standardizes to NaN.
-        x = np.linspace(0.0, 2 * np.pi, 40)
-        data = tmp_path / "huge.csv"
-        data.write_text("x,y\n" + "".join(
-            f"{float(a)!r},{float(b) * 1e200!r}\n"
-            for a, b in zip(x, np.sin(3 * x))))
-        model = tmp_path / "model.dgcn"
-        assert run(["train", "--data", data, "--target", "y", "--config",
-                    fast_config_json, "--out", model]) == 0
+        # A model whose response scale is infinite de-standardizes every
+        # prediction to NaN.
+        model = self.fit_model(tmp_path, sine_csv, fast_config_json)
+        fitted = trainer.load(model)
+        trainer.save(replace(fitted, scaler=replace(
+            fitted.scaler, y_std=float("inf"))), model)
         capsys.readouterr()
         out = tmp_path / "pred.csv"
-        assert run(["predict", "--model", model, "--data", data,
+        assert run(["predict", "--model", model, "--data", sine_csv,
                     "--out", out]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: non-finite prediction")
@@ -422,6 +435,23 @@ class TestForecastAndGapFilling:
         assert_usage_error(capsys, ["cats", "--series", series_path,
                                     "--k", k, "--out-dir", tmp_path])
         assert not (tmp_path / "forecast.csv").exists()
+
+    @pytest.mark.parametrize("strategy", ["recursive", "direct"])
+    def test_cats_gap_in_a_trailing_window_is_data_error(self, tmp_path,
+                                                         capsys, strategy):
+        # Value 980 is missing, so block 981-1000's lag window has a gap.
+        series = np.sin(np.arange(5000) / 7.0)
+        cells = [repr(float(v)) for v in series]
+        cells[979] = ""
+        series_path = tmp_path / "series.csv"
+        series_path.write_text("value\n" + "\n".join(cells) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch_size": 200, "max_epochs": 1}))
+        err = assert_data_error(capsys, [
+            "cats", "--series", series_path, "--lags", "3,3,3,3,3",
+            "--strategy", strategy, "--config", cfg, "--out-dir", tmp_path])
+        assert "values 978-980, has missing values" in err
+        assert not (tmp_path / "cats_predictions.csv").exists()
 
     def test_cats_file_bytes(self, tmp_path, monkeypatch):
         from dgcn.timeseries import GapForecast
@@ -629,3 +659,66 @@ class TestRejectedSettings:
                     "--lags", 4, "--config", fast_config_json,
                     "--out", out]) == 0
         assert out.read_text() == "index,prediction,variance,ci_low,ci_high\n"
+
+
+class TestExitCodeContract:
+    """Each error class's exit code and stderr prefix, as the CLI reports
+    them; a class missing from the table fails the first test."""
+
+    TABLE = {
+        "DgcnError": (4, "error"),
+        "DimensionMismatch": (4, "error"),
+        "StaleMask": (4, "error"),
+        "NotPositiveDefinite": (4, "numeric failure"),
+        "NonFiniteLoss": (4, "numeric failure"),
+        "InvalidSetting": (2, "error"),
+        "InvalidAlpha": (2, "error"),
+        "ParseError": (3, "data error"),
+        "MissingColumn": (3, "data error"),
+        "SchemaMismatch": (3, "data error"),
+        "SeriesTooShort": (3, "data error"),
+        "ShapeMismatch": (3, "data error"),
+        "EmptyDataset": (3, "data error"),
+        "InvalidTarget": (3, "data error"),
+        "FormatVersionMismatch": (3, "data error"),
+        "ChecksumMismatch": (3, "data error"),
+    }
+    PUBLIC = sorted(
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.DgcnError)
+        and not name.startswith("_"))
+
+    def test_table_names_every_public_error_class(self):
+        assert self.PUBLIC == sorted(self.TABLE)
+
+    @staticmethod
+    def raised_by_train(monkeypatch, capsys, exc):
+        def raise_it(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_train", raise_it)
+        capsys.readouterr()
+        code = run(["train", "--data", "unused.csv"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_class_declares_its_exit_code_and_prefix(self, monkeypatch,
+                                                     capsys, name):
+        cls = getattr(errors, name)
+        exc = cls(2, 1, "boom") if cls is errors.ParseError else cls("boom")
+        code, prefix = self.TABLE[name]
+        assert self.raised_by_train(monkeypatch, capsys, exc) == (
+            code, f"{prefix}: {exc}\n")
+
+    @pytest.mark.parametrize("cls", [OSError, FileNotFoundError,
+                                     PermissionError])
+    def test_os_error_is_a_data_error(self, monkeypatch, capsys, cls):
+        exc = cls("no such file")
+        assert self.raised_by_train(monkeypatch, capsys, exc) == (
+            3, f"data error: {exc}\n")
+
+    def test_other_exceptions_are_not_caught(self, monkeypatch, capsys):
+        with pytest.raises(ValueError, match="boom"):
+            self.raised_by_train(monkeypatch, capsys, ValueError("boom"))

@@ -4,8 +4,11 @@ Each example calls ``cli.main`` in process with one damaged input: a
 config key of the wrong type or out of range, a config file that is not a
 JSON object, an unusable neighbour count or alpha, a bad numeric flag, a
 training CSV with bad cells, or a saved model that is truncated or has one
-bit flipped.  ``main`` must return 0, 2, 3 or 4, let no exception escape
-and print no traceback.
+bit flipped.  Degenerate data comes next: training tables of 0-3 rows,
+duplicated rows, constant columns and magnitudes up to 1e308; zero or
+negative targets under each cross-validation preset; and series that are
+shorter than their lags + 1 or wholly missing.  ``main`` must return 0, 2,
+3 or 4, let no exception escape and print no traceback.
 """
 
 import contextlib
@@ -14,10 +17,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgcn import cli
+from dgcn import bench, cli
 from dgcn.trainer import TrainConfig
 
 N = 40
@@ -166,3 +169,89 @@ def test_training_csv_with_bad_cells(work, cells):
     (work / "bad.csv").write_text("\n".join(rows) + "\n")
     call(["train", "--data", work / "bad.csv", "--config", work / "fast.json",
           "--out", work / "out.dgcn"])
+
+
+def write_rows(path, header, rows) -> None:
+    path.write_text(",".join(header) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+
+
+unit = st.floats(-1.0, 1.0)
+magnitude = st.sampled_from([0.0, 1e-300, 1.0, 1e100, 1e154, 1e200, 1e308])
+
+
+@st.composite
+def degenerate_tables(draw) -> list:
+    """Rows of inputs and a last response column: 0-3 rows, or up to 12
+    that may all repeat the first row; some columns may be constant, and
+    each column is scaled by a magnitude up to 1e308."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 6, 12]))
+    width = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.lists(unit, min_size=width, max_size=width),
+                         min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        rows = [list(rows[0]) for _ in rows]
+    for col in draw(st.sets(st.integers(0, width - 1))):
+        value = draw(unit)
+        for row in rows:
+            row[col] = value
+    scales = draw(st.lists(magnitude, min_size=width, max_size=width))
+    return [[v * s for v, s in zip(row, scales)] for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=degenerate_tables())
+def test_degenerate_training_table(work, table):
+    data = work / "table.csv"
+    write_rows(data, ["a", "b", "y"][-len(table[0]):] if table else ["x", "y"],
+               table)
+    code, _ = call(["train", "--data", data, "--config", work / "fast.json",
+                    "--out", work / "table.dgcn"])
+    if code == 0:
+        call(["predict", "--model", work / "table.dgcn", "--data", data,
+              "--out", work / "pred.csv"])
+
+
+@settings(max_examples=40, deadline=None)
+@example(preset="table3-normalized", targets={0: -1e308, 1: -1e308})
+@given(preset=st.sampled_from(sorted(bench.PRESETS)),
+       targets=st.dictionaries(st.integers(0, N - 1),
+                               st.sampled_from([0.0, -0.0, -1e-300, -1.0,
+                                                -1e308, 1e308]),
+                               min_size=1, max_size=3))
+def test_non_positive_or_huge_targets_under_each_preset(work, preset, targets):
+    x = np.linspace(0.0, 2 * np.pi, N)
+    y = 2.0 + np.sin(3 * x)
+    y[list(targets)] = list(targets.values())
+    data = work / "targets.csv"
+    write_rows(data, ["x", "y"], zip(x, y))
+    code, err = call(["crossval", "--data", data, "--preset", preset,
+                      "--folds", 2, "--repeats", 1, "--out-dir", work,
+                      "--config", work / "fast.json"])
+    transform = bench.PRESETS[preset].transform
+    if (transform == "log" and min(targets.values()) <= 0
+            or transform == "standardize"
+            and max(map(abs, targets.values())) == 1e308):
+        assert code == 3 and err.startswith("data error: "), err
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), lags=st.integers(1, 4),
+       command=st.sampled_from(["forecast", "cats"]))
+def test_short_or_missing_series(work, data, lags, command):
+    if data.draw(st.booleans()):  # every value missing
+        size = data.draw(st.sampled_from([0, 1, lags, 60, 5000]))
+        cells = [""] * size
+    else:
+        cells = data.draw(st.lists(st.sampled_from(["", "nan", "0.5", "-2",
+                                                    "1e308", "-1e308"]),
+                                   max_size=lags))
+    series = work / "short.csv"
+    series.write_text("value\n" + "".join(f"{c}\n" for c in cells))
+    fast = ["--config", work / "fast.json"]
+    if command == "forecast":
+        args = ["--steps", 2, "--lags", lags, "--out", work / "f.csv"]
+    else:
+        args = ["--lags", ",".join([str(lags)] * 5), "--out-dir", work]
+    code, _ = call([command, "--series", series, *args, *fast])
+    assert code == 3

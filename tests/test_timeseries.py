@@ -146,6 +146,25 @@ class TestForecastRecursive:
         with pytest.raises(SeriesTooShort):
             forecast_recursive(model, series[:3], steps=2)
 
+    def test_trailing_window_with_a_gap_or_too_short_rejected(self):
+        # Both forecast modes check the window before any prediction or
+        # fit; an earlier gap is allowed (the embedding drops its rows).
+        series = np.sin(np.arange(40) / 3.0)
+        model = trainer.fit(lag_embed(series, LagSpec(5)),
+                            fast_config(max_epochs=2))
+        gappy = series.copy()
+        gappy[[3, 37]] = np.nan
+        config = fast_config(max_epochs=2)
+        with pytest.raises(SeriesTooShort, match="values 36-40, has missing"):
+            forecast_recursive(model, gappy, steps=2)
+        with pytest.raises(SeriesTooShort, match="values 36-40, has missing"):
+            timeseries.forecast_direct(gappy, 5, 2, config)
+        with pytest.raises(SeriesTooShort, match="3 values is shorter than 5"):
+            timeseries.forecast_direct(series[:3], 5, 2, config)
+        gappy[37] = 0.0
+        assert forecast_recursive(model, gappy, steps=2).shape == (2,)
+        assert timeseries.forecast_direct(gappy, 5, 2, config).shape == (2,)
+
     def test_direct_mode_no_feedback(self):
         # A clean sine is predictable directly at every horizon; the
         # direct forecasts should track the future without recursion.
