@@ -9,10 +9,11 @@ batch 200, like the benchmark's predict-knn set-up), then prints:
 - the median time one k = 200 group takes to gather its training block
   from the built cache, over 200 fresh neighbour sets;
 - the first and second call at k >= N for 500 queries on a fresh model,
-  and their ratio (the first builds K and its factor, the second reuses
-  both);
-- the median of 3 first k = 200 calls after a k >= N call, each on an
-  empty cache: the call that moves K from row order into leaf order;
+  and their ratio (the first builds K and keeps its factor and alpha, the
+  second reuses them), and the bytes the cache holds after them;
+- the median of 3 first k >= N calls after a k = 200 call has built K,
+  each on a fresh cache: the one-off cost of a k >= N call that finds K in
+  leaf order and builds the whole set's K again to factor it;
 - the tracemalloc peak of each k >= N call and of the building call.
 
 It then repeats the k = 200 calls and one k >= N call on a model above the
@@ -135,19 +136,30 @@ def knn_calls(model, label: str) -> None:
               f"{gather_ms(model):.3f} ms per group")
 
 
-def layout_move_ms(model, runs: int = 3) -> float:
-    """Median time of the first k = 200 call after a k >= N call, ms.
+def cache_mib(model) -> float:
+    """Bytes of every array the model's cache holds, in MiB."""
+    cache = model._cache
+    held = [cache.k, cache.order, cache.pos]
+    if cache.full is not None:
+        factor, alpha = cache.full
+        held += [factor.lower, alpha]
+    return sum(a.nbytes for a in held if a is not None) / 2**20
 
-    Each run starts from an empty cache (a copy of the model), so its
-    k >= N call builds K in row order and the timed call moves it into
-    leaf order before its groups gather from it.
+
+def full_after_leaf_ms(model, runs: int = 3) -> float:
+    """Median time of the first k >= N call after K is built, ms.
+
+    Each run starts from an empty cache (a copy of the model) and builds K
+    in leaf order directly, as the k = 200 calls that pay for it would;
+    the timed call then builds the whole set's K again in row order and
+    factors it.
     """
     times = []
     for run in range(runs):
         fresh = replace(model)
-        dgcn.predict_batched(fresh, queries(run, QUERIES), k=fresh.n)
+        fresh._cache.build(fresh)
         times.append(timed(dgcn.predict_batched, fresh,
-                           queries(run, QUERIES), k=K)[1])
+                           queries(run, FULL_QUERIES), k=fresh.n)[1])
     return float(np.median(times)) * 1e3
 
 
@@ -168,9 +180,11 @@ def main() -> None:
                for f in ("mean", "variance", "ci_low", "ci_high"))
     print(f"N={args.n}: k>=N with {FULL_QUERIES} queries: first {s1:.3f} s, "
           f"second {s2:.3f} s, ratio {s1 / s2:.2f}x; identical: {same}")
-    if built(model):
-        print(f"N={args.n}: first k={K} call after a k>=N call (moves K "
-              f"into leaf order), median of 3: {layout_move_ms(model):.1f} ms")
+    print(f"N={args.n}: cache after the k>=N calls holds "
+          f"{cache_mib(model):.1f} MiB")
+    if model.n ** 2 <= trainer._CACHE_ENTRIES:
+        print(f"N={args.n}: first k>=N call after K was built in leaf order, "
+              f"median of 3: {full_after_leaf_ms(model):.1f} ms")
 
     model = fitted(args.n, 5)
     print(f"N={args.n}: peak of the first k>=N call "

@@ -26,7 +26,7 @@ from .errors import (
     StaleMask,
 )
 from .gp import GpBatch, HyperField, Prediction, confidence_interval, nll, predict
-from .kernels import ALL_KERNELS, KernelId, KernelSet, cov_matrix, kernel_value
+from .kernels import ALL_KERNELS, KernelId, KernelSet, cov_matrix
 from .mlp import LayerSpec, Mlp, OptimizerConfig, RegularizerSpec
 from .neighbors import NeighborIndex
 from .timeseries import (
@@ -107,7 +107,6 @@ __all__ = [
     "fit",
     "forecast_direct",
     "forecast_recursive",
-    "kernel_value",
     "select_lag_count",
     "lag_embed",
     "load",

@@ -52,9 +52,10 @@ class EmptyDataset(_DataError, ValueError):
 
 
 class InvalidTarget(_DataError, ValueError):
-    """Target values lie outside the domain of the requested transform or
-    of float64 arithmetic: a log transform needs strictly positive targets,
-    and standardizing needs a finite mean and standard deviation."""
+    """Target values or input columns lie outside the domain of the
+    requested transform or of float64 arithmetic: a log transform needs
+    strictly positive targets, and standardizing a target or an input column
+    needs a finite mean and standard deviation."""
 
 
 class SeriesTooShort(_DataError):

@@ -233,29 +233,14 @@ def _checked_set(kset: KernelSet, x, theta):
     return x, theta
 
 
-def cov_matrix(kset: KernelSet, xa, *rest) -> np.ndarray:
+def cov_matrix(kset: KernelSet, xa, xb, theta_a, theta_b) -> np.ndarray:
     """Summed covariance between two point sets under their length-scale fields.
 
-    Called as cov_matrix(kset, xa, xb, theta_a, theta_b), entry (p, q) is
-    sum_i k_i(||theta_i_p * x_p - theta_i_q * x_q||).  Distances are
-    computed pairwise and exactly, so identical rows yield a distance of
-    exactly 0.
-
-    Called as cov_matrix(kset, x, theta), it is the set against itself:
-    each pair's distance and kernel values are taken once (pdist, which
-    equals cdist entry for entry), summed in condensed form and mirrored,
-    and the diagonal is exactly n_k.  The result equals
-    cov_matrix(kset, x, x, theta, theta) bit for bit.
+    Entry (p, q) is sum_i k_i(||theta_i_p * x_p - theta_i_q * x_q||).
+    Distances are computed pairwise and exactly, so identical rows yield a
+    distance of exactly 0.  A set against itself is built from condensed
+    pairs by one_set_cov, whose K equals this one bit for bit.
     """
-    if len(rest) == 1:
-        x, theta = _checked_set(kset, xa, rest[0])
-        n_v = x.shape[1]
-        return one_set_cov(
-            kset, [x * theta_block(theta, n_v, i) for i in range(kset.n_k)])[0]
-    if len(rest) != 3:
-        raise TypeError("cov_matrix takes (kset, x, theta) or "
-                        "(kset, xa, xb, theta_a, theta_b)")
-    xb, theta_a, theta_b = rest
     xa, theta_a = _checked_set(kset, xa, theta_a)
     xb, theta_b = _checked_set(kset, xb, theta_b)
     if xa.shape[1] != xb.shape[1]:
@@ -283,8 +268,9 @@ def one_set_cov(kset: KernelSet, warped, slopes: bool = False, *,
     condensed pairs, whose square squareform(s, checks=False) has diagonal
     0, its value at d == 0; otherwise S is empty.  K is a new array; the
     condensed slopes are written into the workspace if one is given.
-    cov_matrix(kset, x, theta) and the diagonal blocks of gp's row-blocked
-    covariance (training steps and prediction) are assembled here.
+    K equals cov_matrix(kset, x, x, theta, theta) bit for bit; the diagonal
+    blocks of gp's row-blocked covariance (training steps and prediction)
+    are assembled here.
     """
     m = warped[0].shape[0]
     if m == 0:  # squareform would read an empty vector as one point

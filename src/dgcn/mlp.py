@@ -32,9 +32,7 @@ def _act(name, a):
         return np.maximum(a, 0.0)
     if name == "linear":
         return a
-    if name == "softplus":
-        return np.logaddexp(0.0, a)
-    raise ValueError(f"unknown activation {name!r}")
+    return np.logaddexp(0.0, a)  # softplus; LayerSpec checked the name
 
 
 def _act_prime(name, a):
@@ -45,9 +43,7 @@ def _act_prime(name, a):
         return (a > 0.0).astype(np.float64)
     if name == "linear":
         return np.ones_like(a)
-    if name == "softplus":
-        return _sigmoid(a)
-    raise ValueError(f"unknown activation {name!r}")
+    return _sigmoid(a)  # softplus
 
 
 def softplus_inv(y: float) -> float:
@@ -106,9 +102,9 @@ class MlpParams:
     """Per-layer weights (out_units x in_units) and biases (out_units,).
 
     Every weight and bias is a view into one float64 vector ``flat``, laid
-    out as [W_0..W_L, b_0..b_L] (the order of :meth:`arrays`), so an
-    optimizer can step ``[flat]`` as a single array.  The constructor copies
-    the given arrays into a new buffer.
+    out as [W_0..W_L, b_0..b_L], so an optimizer can step ``[flat]`` as a
+    single array.  The constructor copies the given arrays into a new
+    buffer.
     """
 
     def __init__(self, weights, biases):
@@ -124,14 +120,6 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams(self.weights, self.biases)
 
-    def arrays(self) -> list:
-        """Flat list view [W_0..W_L, b_0..b_L]; arrays are shared, not copied."""
-        return list(self.weights) + list(self.biases)
-
-    @property
-    def n_params(self) -> int:
-        return self.flat.size
-
 
 @dataclass
 class MlpGrads:
@@ -141,9 +129,6 @@ class MlpGrads:
     biases: list
     inputs: np.ndarray
     flat: np.ndarray
-
-    def arrays(self) -> list:
-        return list(self.weights) + list(self.biases)
 
 
 def glorot_init(specs, rng, output_bias: float = 0.0) -> MlpParams:
@@ -281,12 +266,6 @@ class Mlp:
 
     def cached_input(self):
         return None if self._cache is None else self._cache.x
-
-    def loss_sq(self, x, y) -> float:
-        """One-half squared error of an inference-mode forward pass."""
-        pred = self.forward(x)
-        y = np.asarray(y, dtype=np.float64).reshape(pred.shape)
-        return float(0.5 * np.sum((pred - y) ** 2))
 
     def copy(self) -> "Mlp":
         return Mlp(self.specs, params=self.params.copy(),

@@ -22,28 +22,25 @@ same nearest-neighbor set.  With k at least the training size all test
 points form one group over the whole training set, which is the full,
 unbatched prediction.
 
-A model caches the noise-added covariance K + diag(sigma2) of its stored
-training set once the cache has paid for itself: it counts the training
-pairs its prediction calls have built, k (k - 1) / 2 per group, and builds
-K when the count reaches N (N - 1) / 2, the cost of one full build.  A
-single call at k < N therefore never builds it, and a call at k >= N
-builds it at once.  Groups then gather their block from K instead of
-evaluating kernels, and the first call at k >= N also keeps K's factor and
-alpha = K^-1 y, so later ones only build the cross-covariance and solve.
-K is stored in the leaf order of a kd-tree over the stored inputs (scipy's
-default leaf size, whatever the neighbour strategy), built from the
-reordered points, so each entry is the original K's bit for bit; the
-cache keeps that order and its inverse.  A neighbour set's block is one
-flat take of those positions, rows then columns in the set's own order.
-A neighbour set is a ball in input space and a leaf holds nearby points,
-so the set's rows sit in a few runs of K and its block spans few cache
-lines; the gather is memory-bound, so this is what it costs.  The k >= N
-factor is of K in row order: a call at k >= N that builds K builds it in
-row order and the next call at k < N moves it into leaf order, while a
-k >= N call after a leaf-order build factors K gathered back into rows.
-K takes 8 N^2 bytes and the factor as much again; models with N^2 above
-_CACHE_ENTRIES (N > 4096) build no cache and every group evaluates its
-own block.  The cache is built before groups are handed to DGCN_THREADS
+A model caches what its prediction calls would otherwise rebuild from its
+stored training set.  A call at k >= N keeps the Cholesky factor of the
+whole set's noise-added covariance K + diag(sigma2) and alpha = K^-1 y,
+so later ones only build the cross-covariance and solve; K itself is
+dropped once factored.  Calls at k < N count the training pairs their
+groups build, k (k - 1) / 2 per group, and build K when the count reaches
+N (N - 1) / 2, the cost of one full build, so a single such call never
+builds it.  Groups then gather their block from K instead of evaluating
+kernels.  K is stored in the leaf order of a kd-tree over the stored
+inputs (scipy's default leaf size, whatever the neighbour strategy),
+built from the reordered points, so each entry is the row-order K's bit
+for bit; the cache keeps that order and its inverse.  A neighbour set's
+block is one flat take of those positions, rows then columns in the set's
+own order.  A neighbour set is a ball in input space and a leaf holds
+nearby points, so the set's rows sit in a few runs of K and its block
+spans few cache lines; the gather is memory-bound, so this is what it
+costs.  K and the factor take 8 N^2 bytes each; models with N^2 above
+_CACHE_ENTRIES (N > 4096) cache neither and every group evaluates its own
+block.  The cache is filled before groups are handed to DGCN_THREADS
 workers, which only read it; it is never saved, and update() and load()
 return models with an empty one.  Cached or not, every prediction is the
 same bit for bit.
@@ -177,20 +174,28 @@ class Scaler:
 
     @classmethod
     def fit(cls, x, y, standardize_y: bool = True) -> "Scaler":
+        """Column statistics of x, and of y with standardize_y.
+
+        Raises InvalidTarget when a mean or standard deviation overflows
+        float64 (values of about 1e154 and above).
+        """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        x_std = np.maximum(x.std(axis=0), _STD_FLOOR)
-        if standardize_y:
-            with np.errstate(over="ignore", invalid="ignore"):
-                y_mean = float(y.mean())
-                y_std = float(max(y.std(), _STD_FLOOR))
-            if not np.isfinite([y_mean, y_std]).all():
-                raise InvalidTarget(
-                    f"responses overflow float64 when standardized: mean "
-                    f"{y_mean}, standard deviation {y_std}")
-        else:
-            y_mean, y_std = 0.0, 1.0
-        return cls(x.mean(axis=0), x_std, y_mean, y_std, standardize_y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_mean = x.mean(axis=0)
+            x_std = np.maximum(x.std(axis=0), _STD_FLOOR)
+            y_mean, y_std = ((float(y.mean()), float(max(y.std(), _STD_FLOOR)))
+                             if standardize_y else (0.0, 1.0))
+        bad = np.flatnonzero(~(np.isfinite(x_mean) & np.isfinite(x_std)))
+        if bad.size:
+            raise InvalidTarget(
+                f"input column {bad[0]} overflows float64 when standardized: "
+                f"mean {x_mean[bad[0]]}, standard deviation {x_std[bad[0]]}")
+        if not np.isfinite([y_mean, y_std]).all():
+            raise InvalidTarget(
+                f"responses overflow float64 when standardized: mean "
+                f"{y_mean}, standard deviation {y_std}")
+        return cls(x_mean, x_std, y_mean, y_std, standardize_y)
 
     def transform_x(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.x_mean) / self.x_std
@@ -320,29 +325,17 @@ class TrainingLog:
 class _CovCache:
     """A model's prediction cache of its training covariance (see above)."""
 
-    pairs: int = 0  # training pairs built by prediction calls so far
+    pairs: int = 0  # training pairs built by k < N calls so far
     k: np.ndarray | None = None  # K + diag(sigma2) of the stored set
-    order: np.ndarray | None = None  # k's row r is point order[r]; None: row order
+    order: np.ndarray | None = None  # k's row r is point order[r]
     pos: np.ndarray | None = None  # point i is k's row pos[i]
-    full: tuple | None = None  # K's factor and alpha, from a k >= N call
+    full: tuple | None = None  # the whole set's factor and alpha
 
-    def build(self, model: "TrainedModel", leaf_order: bool) -> None:
-        """K + diag(sigma2) of the stored set, in leaf order or row order."""
-        rows = self._leaf_order(model.x) if leaf_order else slice(None)
-        self.k = gp.train_cov(gp.GpBatch(model.x[rows], model.y[rows],
-                                         model.hyper.take(rows)),
-                              model.kernel_set)
-
-    def to_leaf_order(self, model: "TrainedModel") -> None:
-        """Move a K built in row order into leaf order."""
-        order = self._leaf_order(model.x)
-        self.k = self.k[np.ix_(order, order)]
-
-    def _leaf_order(self, x) -> np.ndarray:
-        """Keep and return the leaf order of a kd-tree over x."""
-        self.order = cKDTree(x).indices
+    def build(self, model: "TrainedModel") -> None:
+        """K + diag(sigma2) of the stored set, in kd-tree leaf order."""
+        self.order = cKDTree(model.x).indices
         self.pos = np.argsort(self.order)
-        return self.order
+        self.k = gp.train_cov(_stored_set(model, self.order), model.kernel_set)
 
     def block(self, sel) -> np.ndarray:
         """K[np.ix_(sel, sel)] of the stored set, by one flat take."""
@@ -351,11 +344,10 @@ class _CovCache:
         return self.k.ravel().take(q[:, None] * self.k.shape[0] + q,
                                    mode="clip")
 
-    def in_row_order(self) -> np.ndarray:
-        """All of K with rows and columns in the stored set's order."""
-        if self.order is None:
-            return self.k
-        return self.k[np.ix_(self.pos, self.pos)]
+
+def _stored_set(model: "TrainedModel", rows) -> gp.GpBatch:
+    """The stored training points ``rows`` with their hyperparameters."""
+    return gp.GpBatch(model.x[rows], model.y[rows], model.hyper.take(rows))
 
 
 @dataclass
@@ -678,7 +670,7 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
 
     def solve_group(group) -> tuple:
         sel, ids = group
-        sub = gp.GpBatch(model.x[sel], model.y[sel], model.hyper.take(sel))
+        sub = _stored_set(model, sel)
         pred = gp.predict(sub, xs[ids], hyper_star.take(ids), model.kernel_set,
                           alpha_level=alpha_level, include_noise=include_noise,
                           interval=interval,
@@ -713,34 +705,35 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
 
 
 def _fill_cache(model: TrainedModel, k: int, n_groups: int) -> _CovCache | None:
-    """Count a call's training pairs and build what has paid for itself.
+    """Fill what the call's groups can read from the model's cache.
 
-    Returns the cache once K is built, else None, for the call's groups,
-    which only read it; see the module docstring for when K and the
-    full-set factor and alpha are built.
+    Returns the cache once it holds what the groups need (the whole set's
+    factor and alpha at k = N, K at k < N), else None; the groups only
+    read it.  See the module docstring for when each is built.
     """
     cache, n = model._cache, model.n
-    if cache.k is None and n * n <= _CACHE_ENTRIES:
+    if n * n > _CACHE_ENTRIES:
+        return None
+    if k == n:
+        if cache.full is None:
+            cache.full = gp.solve_train(
+                gp.train_cov(_stored_set(model, slice(None)), model.kernel_set),
+                model.y)
+        return cache
+    if cache.k is None:
         cache.pairs += n_groups * (k * (k - 1) // 2)
         if cache.pairs >= n * (n - 1) // 2:
-            # A k >= N call factors K in row order, so it builds K there.
-            cache.build(model, leaf_order=k < n)
-    if cache.k is None:
-        return None
-    if k == n and cache.full is None:
-        cache.full = gp.solve_train(cache.in_row_order(), model.y)
-    if k < n and cache.order is None:
-        cache.to_leaf_order(model)
-    return cache
+            cache.build(model)
+    return None if cache.k is None else cache
 
 
 def _group_system(cache: _CovCache | None, sub: gp.GpBatch,
                   sel) -> tuple | None:
     """Factor and alpha of one group's noise-added training covariance.
 
-    With a cached K, the whole set (sel a slice) takes the cached factor
-    and a neighbour set gathers its block.  Without one it returns None,
-    and gp.predict builds the block from the group's points.
+    With a cache, the whole set (sel a slice) takes the cached factor and
+    a neighbour set gathers its block from K.  Without one it returns
+    None, and gp.predict builds the block from the group's points.
     """
     if cache is None:
         return None

@@ -5,8 +5,9 @@ inverses, double loops) and never imports the package's own linear-algebra
 or covariance code paths, so it can serve as an oracle for them.  The
 exceptions are :func:`full_square_hyper_grad`, a bit-for-bit reference that
 takes the package's kernel forms, :func:`stationary_fit`, a training loop
-over the package's likelihood gradient, and :func:`full_prediction`, one
-``gp.predict`` over a model's whole training set (see their docstrings).
+over the package's likelihood gradient, :func:`full_prediction`, one
+``gp.predict`` over a model's whole training set, and the network helpers
+:func:`param_arrays` and :func:`loss_sq` (see their docstrings).
 """
 
 import math
@@ -255,3 +256,15 @@ def full_prediction(model, x_star, alpha_level=0.05, include_noise=False,
                    variance=pred.variance * std**2,
                    ci_low=pred.ci_low * std + mean,
                    ci_high=pred.ci_high * std + mean)
+
+
+def param_arrays(p):
+    """[W_0..W_L, b_0..b_L] of an MlpParams or MlpGrads, shared, not copied."""
+    return list(p.weights) + list(p.biases)
+
+
+def loss_sq(net, x, y):
+    """One-half squared error of an inference-mode forward pass."""
+    pred = net.forward(x)
+    y = np.asarray(y, dtype=np.float64).reshape(pred.shape)
+    return float(0.5 * np.sum((pred - y) ** 2))

@@ -19,7 +19,7 @@ from dgcn.kernels import ALL_KERNELS, KernelId, KernelSet, cov_matrix
 from dgcn.mlp import Mlp, OptimizerConfig, RegularizerSpec, softplus_inv
 from dgcn.trainer import Dataset, TrainConfig
 
-from oracles import STUDENT_T_TABLE, full_prediction, stationary_gp
+from oracles import STUDENT_T_TABLE, full_prediction, param_arrays, stationary_gp
 
 DATA_DIR = Path(os.environ.get("DGCN_DATA_DIR",
                                Path(__file__).resolve().parent.parent / "data"))
@@ -129,7 +129,7 @@ class TestCriterion02GradientFidelity:
                                   kset, theta_net, sigma_net)
                 for net, grads in ((theta_net, res.theta_net),
                                    (sigma_net, res.sigma_net)):
-                    for arr, g in zip(net.params.arrays(), grads.arrays()):
+                    for arr, g in zip(param_arrays(net.params), param_arrays(grads)):
                         flat = arr.ravel()
                         gflat = np.asarray(g).ravel()
                         for i in range(flat.size):

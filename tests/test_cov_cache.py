@@ -1,9 +1,10 @@
 """The prediction cache of a model's training covariance.
 
-A model builds K + diag(sigma2) of its stored set once its prediction calls
-have built N (N - 1) / 2 training pairs, and the full-set factor at its
-first k >= N call.  Every prediction must be the same bit for bit with and
-without it, and it must never reach a model file.
+A model builds K + diag(sigma2) of its stored set, in kd-tree leaf order,
+once its k < N prediction calls have built N (N - 1) / 2 training pairs,
+and keeps only the full set's factor and alpha from its first k >= N call.
+Every prediction must be the same bit for bit with and without the cache,
+and it must never reach a model file.
 """
 
 import dataclasses
@@ -142,16 +143,25 @@ class TestWhenBuilt:
             monkeypatch.setattr(gp, name, counted)
         x = np.random.default_rng(2).uniform(-2, 2, (30, 2))
         first = trainer.predict_batched(model, x, k=50)
-        assert model._cache.k is not None and model._cache.full is not None
+        assert model._cache.full is not None and model._cache.k is None
         assert calls == {"train_cov": 1, "solve_train": 1}
         second = trainer.predict_batched(model, x, k=57)
         assert calls == {"train_cov": 1, "solve_train": 1}
         assert_same_prediction(first, second)
 
+    def test_k_at_least_n_keeps_only_the_factor(self):
+        model = make_model(n=50)
+        trainer.predict_batched(model, np.zeros((3, 2)), k=50)
+        cache = model._cache
+        assert cache.k is None and cache.order is None and cache.pos is None
+        assert cache.pairs == 0
+        factor, alpha = cache.full
+        assert factor.lower.shape == (50, 50) and alpha.shape == (50,)
+
     def test_cached_groups_evaluate_no_kernels(self, monkeypatch):
         model = make_model(n=50)
         x = np.random.default_rng(3).uniform(-2, 2, (12, 2))
-        trainer.predict_batched(model, x, k=50)
+        warm(model, 2, 20)
         expected = trainer.predict_batched(uncached(model), x, k=20)
         seen = []
         monkeypatch.setattr(gp, "one_set_cov",
@@ -171,7 +181,7 @@ class TestWhenBuilt:
                 assert_same_prediction(want,
                                        trainer.predict_batched(model, x, k=k))
         assert model._cache == trainer._CovCache()
-        assert cached._cache.k is not None
+        assert cached._cache.full is not None
 
     def test_model_file_bytes_do_not_change(self):
         model = make_model(n=40)
@@ -201,7 +211,7 @@ class TestTrainingCovariance:
             x[-1] = x[0]
         hyper = gp.HyperField(rng.uniform(-2.0, 2.0, (n, n_v * kset.n_k)),
                               rng.uniform(1e-4, 1.0, n))
-        expected = cov_matrix(kset, x, hyper.theta)
+        expected = cov_matrix(kset, x, x, hyper.theta, hyper.theta)
         expected[np.diag_indices_from(expected)] += hyper.sigma2
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gp, "_BLOCK_ENTRIES", entries)
@@ -229,46 +239,29 @@ def with_strategy(model, strategy):
 class TestLeafOrderLayout:
     """The cache keeps K in kd-tree leaf order and gathers by one flat take."""
 
-    @pytest.mark.parametrize("first_k", [12, 70])
     @pytest.mark.parametrize("strategy", ["brute", "kdtree"])
-    def test_order_is_a_permutation_and_the_layout_is_k_permuted(self, strategy,
-                                                                 first_k):
+    def test_order_is_a_permutation_and_the_layout_is_k_permuted(self, strategy):
         model = with_strategy(make_model(n=70, n_v=3), strategy)
         cache = model._cache
-        if first_k == 70:
-            # A k >= N call builds K in row order; the next k < N call
-            # moves it into leaf order.
-            trainer.predict_batched(model, np.zeros((1, 3)), k=first_k)
-            assert cache.order is None and cache.pos is None
-            np.testing.assert_array_equal(bits(cache.k),
-                                          bits(full_train_cov(model)))
-            trainer.predict_batched(model, np.zeros((1, 3)), k=12)
-        else:
-            warm(model, 3, first_k)
+        warm(model, 3, 12)
         np.testing.assert_array_equal(np.sort(cache.order), np.arange(70))
         np.testing.assert_array_equal(cache.pos[cache.order], np.arange(70))
         want = full_train_cov(model)[np.ix_(cache.order, cache.order)]
         np.testing.assert_array_equal(bits(cache.k), bits(want))
-        np.testing.assert_array_equal(bits(cache.in_row_order()),
-                                      bits(full_train_cov(model)))
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(3, 60), n_v=st.integers(1, 3),
            kernels=st.lists(st.sampled_from(ALL_KERNELS), min_size=1,
                             max_size=5, unique=True),
            seed=st.integers(0, 2**16),
-           strategy=st.sampled_from(["brute", "kdtree"]),
-           moved=st.booleans())
+           strategy=st.sampled_from(["brute", "kdtree"]))
     def test_gathered_block_equals_the_built_block(self, n, n_v, kernels, seed,
-                                                   strategy, moved):
+                                                   strategy):
         # make_data repeats the first point as the last, so a neighbour set
-        # may hold both copies of one row.  ``moved`` builds K in row order
-        # and then moves it into leaf order, as after a k >= N call.
+        # may hold both copies of one row.
         model = with_strategy(make_model(n, n_v, seed, kernels, epochs=1),
                               strategy)
-        model._cache.build(model, leaf_order=not moved)
-        if moved:
-            model._cache.to_leaf_order(model)
+        model._cache.build(model)
         rng = np.random.default_rng(seed)
         queries = rng.uniform(-2.5, 2.5, (6, n_v))
         sets = [np.sort(row) for row in model.index.query(queries, max(1, n // 2))]
@@ -293,7 +286,8 @@ class TestLeafOrderLayout:
             warm(model, 2, first_k)
         else:
             trainer.predict_batched(model, probe, k=first_k)
-        assert model._cache.k is not None
+        cache = model._cache
+        assert (cache.k if first_k < 60 else cache.full) is not None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trainer, "_CACHE_ENTRIES", 0)
             want = [trainer.predict_batched(reference, probe, k=k)

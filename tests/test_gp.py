@@ -27,6 +27,7 @@ from oracles import (
     STUDENT_T_TABLE,
     full_square_hyper_grad,
     masked_divide_hyper_grad,
+    param_arrays,
     stationary_gp,
 )
 
@@ -81,11 +82,12 @@ class TestNll:
     @pytest.mark.parametrize("n", [1, 17, 200, 400])
     def test_value_is_the_direct_formula_bit_for_bit(self, n):
         # nll is nll_hyper_grad's value; it must equal the NLL of the
-        # one-set covariance, its factor and alpha, also when the step
+        # directly built covariance, its factor and alpha, also when the step
         # assembles K in two row blocks (n = 400).
         kset = KernelSet()
         batch = duplicated_batch(np.random.default_rng(n), n, 3, kset, 1e-2)
-        k = cov_matrix(kset, batch.x, batch.hyper.theta)
+        k = cov_matrix(kset, batch.x, batch.x, batch.hyper.theta,
+                       batch.hyper.theta)
         k[np.diag_indices_from(k)] += batch.hyper.sigma2
         factor = linalg.cholesky_jittered(k)
         alpha = linalg.solve_spd(factor, batch.y)
@@ -192,7 +194,7 @@ class TestNllHyperGrad:
         batch = gp.GpBatch(x, y, gp.HyperField(theta, sigma2))
         res = gp.nll_grad(batch, kset, theta_net, sigma_net)
         for net, grads in ((theta_net, res.theta_net), (sigma_net, res.sigma_net)):
-            for arr, g in zip(net.params.arrays(), grads.arrays()):
+            for arr, g in zip(param_arrays(net.params), param_arrays(grads)):
                 flat = arr.ravel()
                 gflat = np.asarray(g).ravel()
                 for i in range(flat.size):
@@ -346,7 +348,8 @@ class TestBlockedHyperGrad:
                             lambda a, **kw: seen.append(a.copy()) or factor(a, **kw))
         monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
         gp.nll_hyper_grad(batch, kset)
-        want = cov_matrix(kset, batch.x, batch.hyper.theta)
+        want = cov_matrix(kset, batch.x, batch.x, batch.hyper.theta,
+                          batch.hyper.theta)
         want[np.diag_indices_from(want)] += batch.hyper.sigma2
         np.testing.assert_array_equal(seen[0], want)
 
@@ -696,10 +699,10 @@ class TestTrainingSanity:
             batch = gp.GpBatch(x, y, gp.HyperField(theta, sigma2))
             res = gp.nll_grad(batch, kset, theta_net, sigma_net)
             cfg = OptimizerConfig("adam", learning_rate=1e-3)
-            OptimizerState(theta_net.params.arrays(), cfg).step(
-                theta_net.params.arrays(), res.theta_net.arrays())
-            OptimizerState(sigma_net.params.arrays(), cfg).step(
-                sigma_net.params.arrays(), res.sigma_net.arrays())
+            OptimizerState(param_arrays(theta_net.params), cfg).step(
+                param_arrays(theta_net.params), param_arrays(res.theta_net))
+            OptimizerState(param_arrays(sigma_net.params), cfg).step(
+                param_arrays(sigma_net.params), param_arrays(res.sigma_net))
             if net_nll(theta_net, sigma_net, x, y, kset) < res.value:
                 wins += 1
         assert wins >= 95

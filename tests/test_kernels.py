@@ -49,21 +49,24 @@ class TestScalePoints:
         z = x * np.zeros_like(x)
         np.testing.assert_array_equal(z, np.zeros_like(x))
         kset = KernelSet((KernelId.MATERN32,))
-        np.testing.assert_array_equal(cov_matrix(kset, x, np.zeros_like(x)), 1.0)
+        theta = np.zeros_like(x)
+        np.testing.assert_array_equal(cov_matrix(kset, x, x, theta, theta), 1.0)
 
     def test_covariance_is_taken_on_warped_points(self):
         rng = np.random.default_rng(1)
         kset = KernelSet((KernelId.MATERN52,))
         x = rng.standard_normal((6, 3))
         theta = rng.uniform(-2.0, 2.0, (6, 3))
+        ones = np.ones_like(x)
         np.testing.assert_array_equal(
-            cov_matrix(kset, x, theta), cov_matrix(kset, x * theta, np.ones_like(x))
+            cov_matrix(kset, x, x, theta, theta),
+            cov_matrix(kset, x * theta, x * theta, ones, ones),
         )
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            cov_matrix(KernelSet((KernelId.SQUARED_EXP,)),
-                       np.ones((2, 3)), np.ones((2, 2)))
+            cov_matrix(KernelSet((KernelId.SQUARED_EXP,)), np.ones((2, 3)),
+                       np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2)))
 
 
 class TestKernelValue:
@@ -203,7 +206,8 @@ class TestOverflowedDistance:
         kset = KernelSet()
         x = np.array([[0.0, 1.0], [1e308, 1.0], [0.5, -1e308]])
         with np.errstate(over="ignore"):
-            k = cov_matrix(kset, x, np.ones((3, 2 * kset.n_k)))
+            theta = np.ones((3, 2 * kset.n_k))
+            k = cov_matrix(kset, x, x, theta, theta)
         np.testing.assert_array_equal(k, np.diag([5.0, 5.0, 5.0]))
 
 
@@ -291,9 +295,9 @@ class TestCovMatrix:
     def test_one_set_form_checks_shapes(self):
         kset = KernelSet((KernelId.SQUARED_EXP,))
         with pytest.raises(DimensionMismatch):
-            cov_matrix(kset, np.ones(3), np.ones(3))
-        with pytest.raises(TypeError):
-            cov_matrix(kset, np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+            cov_matrix(kset, np.ones(3), np.ones(3), np.ones(3), np.ones(3))
+        with pytest.raises(TypeError):  # the one-set form (kset, x, theta)
+            cov_matrix(kset, np.ones((2, 2)), np.ones((2, 2)))
 
 
 @st.composite
@@ -323,7 +327,9 @@ class TestSymmetricCovMatrix:
     @settings(max_examples=200, deadline=None)
     def test_one_set_equals_two_set_bit_for_bit(self, case):
         kset, x, theta = case
-        got = cov_matrix(kset, x, theta)
+        n_v = x.shape[1]
+        got = one_set_cov(
+            kset, [x * theta_block(theta, n_v, i) for i in range(kset.n_k)])[0]
         np.testing.assert_array_equal(got, cov_matrix(kset, x, x, theta, theta))
         np.testing.assert_array_equal(np.diag(got), float(kset.n_k))
 

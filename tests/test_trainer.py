@@ -20,6 +20,7 @@ from dgcn.errors import (
     FormatVersionMismatch,
     InvalidAlpha,
     InvalidSetting,
+    InvalidTarget,
     NonFiniteLoss,
     SchemaMismatch,
 )
@@ -28,7 +29,7 @@ from dgcn.mlp import OptimizerConfig
 from dgcn.neighbors import STRATEGIES, NeighborIndex
 from dgcn.trainer import Dataset, Scaler, TrainConfig
 
-from oracles import full_prediction
+from oracles import full_prediction, param_arrays
 
 
 def sine_dataset(n=30, seed=0, noise=0.0):
@@ -111,6 +112,14 @@ class TestDatasetAndScaler:
         y = np.ones(10)
         scaler = Scaler.fit(x, y)
         assert np.all(np.isfinite(scaler.transform_x(x)))
+
+    @pytest.mark.parametrize("standardize_y", [True, False])
+    def test_overflowing_input_column_is_invalid(self, standardize_y):
+        # The standard deviation of a column near 1e155 overflows float64.
+        x = np.array([[0.5, 1e155], [-0.5, -1e155], [0.25, 1e155],
+                      [0.75, -1e155]])
+        with pytest.raises(InvalidTarget, match="input column 1 .* deviation inf"):
+            Scaler.fit(x, np.arange(4.0), standardize_y)
 
 
 class TestBatchPartition:
@@ -476,7 +485,8 @@ class TestPredictBatched:
     @staticmethod
     def group_jitter(model, sel):
         """Jitter the ladder needs for one neighbour set, factored directly."""
-        k = cov_matrix(model.kernel_set, model.x[sel], model.hyper.theta[sel])
+        x, theta = model.x[sel], model.hyper.theta[sel]
+        k = cov_matrix(model.kernel_set, x, x, theta, theta)
         k[np.diag_indices_from(k)] += model.hyper.sigma2[sel]
         return linalg.cholesky_jittered(k).jitter_used
 
@@ -540,8 +550,8 @@ class TestUpdate:
         extra = Dataset(np.array([[1.0], [2.0]]), np.array([0.1, -0.3]),
                         columns=["x"])
         updated = trainer.update(model, extra, epochs=0)
-        for a, b in zip(model.theta_net.params.arrays(),
-                        updated.theta_net.params.arrays()):
+        for a, b in zip(param_arrays(model.theta_net.params),
+                        param_arrays(updated.theta_net.params)):
             np.testing.assert_array_equal(a, b)
         assert updated.n == model.n + 2
         assert updated.index.n == model.n + 2
@@ -646,7 +656,7 @@ class TestPersistence:
         for net, back in ((model.theta_net, loaded.theta_net),
                           (model.sigma_net, loaded.sigma_net)):
             assert net.specs == back.specs
-            pairs += list(zip(net.params.arrays(), back.params.arrays()))
+            pairs += list(zip(param_arrays(net.params), param_arrays(back.params)))
         for a, b in pairs:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
