@@ -7,7 +7,8 @@ batch 200, like the benchmark's predict-knn set-up), then prints:
 - the latency of 10-query predict_batched calls at k = 200 before the
   cache exists, of the call that builds it, and after it;
 - the median time one k = 200 group takes to gather its training block
-  from the built cache, over 200 fresh neighbour sets;
+  from the built cache, factor it and solve for alpha, over 200 fresh
+  neighbour sets;
 - the first and second call at k >= N for 500 queries on a fresh model,
   and their ratio (the first builds K and keeps its factor and alpha, the
   second reuses them), and the bytes the cache holds after them;
@@ -42,7 +43,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import dgcn  # noqa: E402
-from dgcn import gp, trainer  # noqa: E402
+from dgcn import trainer  # noqa: E402
 
 N_V = 5
 K = 200
@@ -83,25 +84,18 @@ def built(model) -> bool:
     return model._cache.k is not None
 
 
-def gather_ms(model, sets: int = 200) -> float:
-    """Median time of one group's gather of its block from the cache, ms.
+def group_ms(model, sets: int = 200) -> float:
+    """Median time of one group's system from the cache, ms.
 
-    Times trainer._group_system, the one place a group gets its block,
-    with the solve after the gather stubbed out, on the sorted neighbour
-    sets of fresh queries.
+    Times trainer._CovCache.solve, where a cached group gathers its block,
+    factors it in place and solves for alpha, on the sorted neighbour sets
+    of fresh queries.
     """
     xs = model.scaler.transform_x(queries(2 * 10**6, sets))
     nearest = np.sort(model.index.query(xs, K), axis=1)
-    cached = trainer._fill_cache(model, K, 0)
-    solve, gp.solve_train = gp.solve_train, lambda k, y: k
-    try:
-        times = []
-        for sel in nearest:
-            sub = gp.GpBatch(model.x[sel], model.y[sel], model.hyper.take(sel))
-            times.append(timed(trainer._group_system, cached, sub, sel)[1])
-    finally:
-        gp.solve_train = solve
-    return float(np.median(times)) * 1e3
+    cache = model._cache
+    return float(np.median([timed(cache.solve, sel, model.y[sel])[1]
+                            for sel in nearest])) * 1e3
 
 
 def knn_calls(model, label: str) -> None:
@@ -132,14 +126,14 @@ def knn_calls(model, label: str) -> None:
           f"{np.median(after) * 1e3:.2f} ms over {len(after)} after; "
           f"cache built: {built(model)}")
     if built(model):
-        print(f"{label}: k={K} gather from the cache, median "
-              f"{gather_ms(model):.3f} ms per group")
+        print(f"{label}: k={K} gather, factor and solve from the cache, "
+              f"median {group_ms(model):.3f} ms per group")
 
 
 def cache_mib(model) -> float:
     """Bytes of every array the model's cache holds, in MiB."""
     cache = model._cache
-    held = [cache.k, cache.order, cache.pos]
+    held = [cache.k, cache.order, cache.pos, cache.warped]
     if cache.full is not None:
         factor, alpha = cache.full
         held += [factor.lower, alpha]

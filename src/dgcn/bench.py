@@ -231,7 +231,11 @@ def _transform_target(y, transform: str) -> np.ndarray:
 
 def _score(truth, pred, metric: str) -> float:
     err = np.asarray(truth) - np.asarray(pred)
-    mse = float(np.mean(err**2))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean(err**2))
+    if metric == "rmse" and math.isinf(mse) and np.isfinite(err).all():
+        scale = float(np.abs(err).max())  # the squares overflowed, not err
+        return scale * float(np.sqrt(np.mean((err / scale) ** 2)))
     return float(np.sqrt(mse)) if metric == "rmse" else mse
 
 

@@ -192,6 +192,37 @@ def train_cov(train: GpBatch, kset: KernelSet) -> np.ndarray:
                         blocks, False, None)[0]
 
 
+def warped_rows(x, theta, n_k: int) -> np.ndarray:
+    """x warped by each kernel, (n_k, n_v, N): [i, :, p] is x_p * theta_i,p."""
+    n, n_v = x.shape
+    if theta.shape != (n, n_v * n_k):
+        raise DimensionMismatch(f"length-scales {theta.shape} for points {x.shape}")
+    return np.ascontiguousarray((np.tile(x, n_k) * theta).T).reshape(n_k, n_v, n)
+
+
+def cross_cov(kset: KernelSet, train, star, rows=None) -> np.ndarray:
+    """(n_star, m) covariances of test points with training points, as
+    cov_matrix's entries bit for bit.  ``train`` and ``star`` are warped_rows;
+    ``rows`` (n_star, m) holds each test point's training points, None all.
+    Blocks of about _BLOCK_ENTRIES sum squares over inputs in cdist's order."""
+    n_k, n_v, n_star = star.shape
+    m = train.shape[2] if rows is None else rows.shape[1]
+    out = np.empty((n_star, m))
+    step = max(1, _BLOCK_ENTRIES // max(m * n_k * n_v, 1))
+    with np.errstate(over="ignore"):
+        for j in range(0, n_star, step):
+            near = train[:, :, None] if rows is None else train.take(rows[j:j + step], 2)
+            dist = np.zeros((n_k, min(step, n_star - j), m))
+            for v in range(n_v):
+                d = near[:, v] - star[:, v, j:j + step, None]
+                d *= d
+                dist += d
+            np.sqrt(dist, out=dist)
+            out[j:j + step] = sum(kernel_value(kern, dist[i])
+                                  for i, kern in enumerate(kset.kernels))
+    return out
+
+
 def solve_train(k, y, *, workspace: linalg.Workspace | None = None) -> tuple:
     """The factor of a noise-added covariance k and alpha = k^-1 y."""
     factor = linalg.cholesky_jittered(k, workspace=workspace)
@@ -334,26 +365,32 @@ def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net, *,
     )
 
 
-def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
+def predict(train: GpBatch | None, x_star, hyper_star: HyperField, kset: KernelSet,
             alpha_level: float = 0.05, include_noise: bool = False,
             interval: str = "t", system: tuple | None = None) -> Prediction:
     """Predictive mean/variance at new points, with confidence bounds.
 
     The latent variance is the diagonal of the posterior covariance,
     clamped at 0; ``include_noise`` adds the predicted per-point noise
-    variance on top.  ``system`` is solve_train's factor and alpha for the
-    training set when the caller has them; otherwise they are built from
-    train_cov(train, kset).
+    variance on top.  ``system`` is the caller's (factor, alpha, k_star):
+    solve_train's result for the training set and the C-ordered
+    cross_cov(...).T; train is then not read and may be None.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
-    if x_star.ndim != 2 or x_star.shape[1] != train.x.shape[1]:
+    if system is None and (x_star.ndim != 2
+                           or x_star.shape[1] != train.x.shape[1]):
         raise DimensionMismatch(
             f"test points must be (*, {train.x.shape[1]}), got {x_star.shape}"
         )
     if x_star.shape[0] != hyper_star.theta.shape[0]:
         raise DimensionMismatch("test points and their hyperparameters disagree")
-    factor, alpha = system or solve_train(train_cov(train, kset), train.y)
-    k_star = cov_matrix(kset, train.x, x_star, train.hyper.theta, hyper_star.theta)
+    if system is None:
+        star = warped_rows(x_star, hyper_star.theta, kset.n_k)
+        factor, alpha = solve_train(train_cov(train, kset), train.y)
+        k_star = np.ascontiguousarray(cross_cov(
+            kset, warped_rows(train.x, train.hyper.theta, kset.n_k), star).T)
+    else:
+        factor, alpha, k_star = system
     mean = k_star.T @ alpha
     half = linalg.solve_lower(factor, k_star)
     variance = float(kset.n_k) - np.einsum("ij,ij->j", half, half)
@@ -362,7 +399,7 @@ def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
     if include_noise:
         variance = variance + hyper_star.sigma2
     if interval == "t":
-        low, high = confidence_interval(mean, variance, train.n, alpha_level)
+        low, high = confidence_interval(mean, variance, factor.n, alpha_level)
     elif interval == "z":
         low, high = normal_interval(mean, variance, alpha_level)
     else:

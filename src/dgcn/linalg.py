@@ -112,12 +112,7 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER, *,
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    # max() and min() propagate NaN, so the scale rejects NaN as well as inf
-    # before LAPACK sees the matrix.
-    scale = max(a.max(), -a.min()) if a.size else 0.0
-    if not np.isfinite(scale):
-        raise NotPositiveDefinite("matrix contains non-finite entries")
-    _check_symmetric(a, 1e-10 * max(scale, 1.0), workspace)
+    check_covariance(a, workspace)
     lower = None if workspace is None else workspace.array("factor", a.shape, "F")
     for jitter in jitter_ladder:
         if lower is None and not jitter:
@@ -138,6 +133,36 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER, *,
     )
 
 
+def check_covariance(a, workspace: Workspace | None = None) -> np.ndarray:
+    """cholesky_jittered's checks of a square matrix a; returns a.
+
+    NotPositiveDefinite for a non-finite entry, DimensionMismatch when
+    max |a_pq - a_qp| > 1e-10 * max(max |a|, 1), found by comparing row
+    blocks a[r0:r1, :r1] with a[:r1, r0:r1].T of about 1 MiB each in the
+    factor's workspace buffer, which the factorization overwrites."""
+    # max() and min() propagate NaN, so the scale rejects NaN as well as inf.
+    scale = max(a.max(), -a.min()) if a.size else 0.0
+    if not np.isfinite(scale):
+        raise NotPositiveDefinite("matrix contains non-finite entries")
+    for r0, r1 in row_blocks(a.shape[0], _CHECK_BLOCK_ENTRIES):
+        diff = work_array(workspace, "factor", (r1 - r0, r1))
+        np.subtract(a[r0:r1, :r1], a[:r1, r0:r1].T, out=diff)
+        if np.abs(diff, out=diff).max() > 1e-10 * max(scale, 1.0):
+            raise DimensionMismatch("matrix is not symmetric")
+    return a
+
+
+def cholesky_in_place(a, regather) -> CholeskyFactor:
+    """cholesky_jittered(a) for a C-ordered principal block of a checked
+    matrix: a.T is a in Fortran order, factored there with no checks or
+    copy.  Past rung 0 the ladder runs on regather(), a fresh copy of a."""
+    lower, info = _dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
+    if info > 0:
+        return cholesky_jittered(regather())
+    _check_info("dpotrf", info)
+    return CholeskyFactor(lower=lower, jitter_used=0.0)
+
+
 def row_blocks(n: int, entries: int) -> list:
     """[r0, r1) ranges over n rows, each of at most ``entries`` // n rows.
 
@@ -147,22 +172,6 @@ def row_blocks(n: int, entries: int) -> list:
     """
     rows = max(1, entries // max(n, 1))
     return [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
-
-
-def _check_symmetric(a, tol: float, workspace: Workspace | None) -> None:
-    """Raise unless max |a_pq - a_qp| <= tol.
-
-    Row block [r0, r1) compares a[r0:r1, :r1] with the transposed column
-    strip a[:r1, r0:r1], so each pair is seen once and no difference block
-    exceeds about 1 MiB.  With a workspace the blocks are written into
-    the factor's buffer, which the factorization then overwrites, so the
-    check and the factor touch one region of memory.
-    """
-    for r0, r1 in row_blocks(a.shape[0], _CHECK_BLOCK_ENTRIES):
-        diff = work_array(workspace, "factor", (r1 - r0, r1))
-        np.subtract(a[r0:r1, :r1], a[:r1, r0:r1].T, out=diff)
-        if np.abs(diff, out=diff).max() > tol:
-            raise DimensionMismatch("matrix is not symmetric")
 
 
 def _check_info(routine: str, info: int) -> None:

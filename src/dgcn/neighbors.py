@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 # binding with the kernel layer's cdist.
 from scipy.spatial import distance as _distance
 
-from .errors import DimensionMismatch, EmptyDataset
+from .errors import DimensionMismatch, EmptyDataset, InvalidSetting
 
 STRATEGIES = ("brute", "kdtree")
 
@@ -33,7 +33,7 @@ class NeighborIndex:
         if points.ndim != 2 or points.shape[0] == 0:
             raise EmptyDataset("neighbor index needs at least one point")
         if strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
+            raise InvalidSetting(f"strategy must be one of {STRATEGIES}")
         self.points = points
         self.strategy = strategy
         self._tree = cKDTree(points) if strategy == "kdtree" else None
@@ -49,7 +49,7 @@ class NeighborIndex:
         (m, n_v) gives an (m, min(k, N)) matrix, row i for point i.
         """
         if k < 1:
-            raise ValueError("k must be >= 1")
+            raise InvalidSetting("k must be >= 1")
         x_star = np.asarray(x_star, dtype=np.float64)
         single = x_star.ndim < 2
         block = x_star.reshape(1, -1) if single else x_star

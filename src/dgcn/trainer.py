@@ -20,30 +20,32 @@ Prediction standardizes the query points, runs both networks in inference
 mode, then solves one GP system per group of test points that share the
 same nearest-neighbor set.  With k at least the training size all test
 points form one group over the whole training set, which is the full,
-unbatched prediction.
+unbatched prediction.  Every query's cross-covariance with its neighbours
+is built in one pass per call (gp.cross_cov); each group takes its rows.
 
 A model caches what its prediction calls would otherwise rebuild from its
-stored training set.  A call at k >= N keeps the Cholesky factor of the
-whole set's noise-added covariance K + diag(sigma2) and alpha = K^-1 y,
-so later ones only build the cross-covariance and solve; K itself is
-dropped once factored.  Calls at k < N count the training pairs their
-groups build, k (k - 1) / 2 per group, and build K when the count reaches
-N (N - 1) / 2, the cost of one full build, so a single such call never
-builds it.  Groups then gather their block from K instead of evaluating
-kernels.  K is stored in the leaf order of a kd-tree over the stored
-inputs (scipy's default leaf size, whatever the neighbour strategy),
-built from the reordered points, so each entry is the row-order K's bit
-for bit; the cache keeps that order and its inverse.  A neighbour set's
-block is one flat take of those positions, rows then columns in the set's
-own order.  A neighbour set is a ball in input space and a leaf holds
-nearby points, so the set's rows sit in a few runs of K and its block
-spans few cache lines; the gather is memory-bound, so this is what it
-costs.  K and the factor take 8 N^2 bytes each; models with N^2 above
-_CACHE_ENTRIES (N > 4096) cache neither and every group evaluates its own
-block.  The cache is filled before groups are handed to DGCN_THREADS
-workers, which only read it; it is never saved, and update() and load()
-return models with an empty one.  Cached or not, every prediction is the
-same bit for bit.
+stored training set: the points warped by each kernel's length-scales,
+and K + diag(sigma2) or its factor.  A call at k >= N keeps only the
+whole set's Cholesky factor and alpha = K^-1 y, so later ones only build
+the cross-covariance and solve.  Calls at k < N count the training pairs
+their groups build, k (k - 1) / 2 per group, and build K when the count
+reaches N (N - 1) / 2, the cost of one full build, so a single such call
+never builds it.  K is checked (linalg.check_covariance) once, when built;
+a group gathers its block, a principal block of K, and factors it in
+place without checks (linalg.cholesky_in_place), gathering it again for
+the jitter ladder if it needs one.  K is stored in the leaf order of a
+kd-tree over the stored inputs (scipy's default leaf size, whatever the
+neighbour strategy), built from the reordered points, so each entry is
+the row-order K's bit for bit; a neighbour set's block is one flat take
+of its positions, in the set's own order.  A neighbour set is a ball in
+input space and a leaf holds nearby points, so its block spans few cache
+lines of the memory-bound gather.  K and the factor take 8 N^2 bytes
+each; models with N^2 above _CACHE_ENTRIES (N > 4096) cache nothing: each
+call warps the points again and factors the whole set or each group's
+block for itself.  The cache is filled before groups are handed to
+DGCN_THREADS workers, which only read it; it is never saved, and update()
+and load() return models with an empty one.  Cached or not, every
+prediction is the same bit for bit.
 
 Model files are a small binary container: magic ``DGCN``, a format version
 byte, a length-prefixed JSON manifest, the raw float64 arrays in manifest
@@ -330,12 +332,13 @@ class _CovCache:
     order: np.ndarray | None = None  # k's row r is point order[r]
     pos: np.ndarray | None = None  # point i is k's row pos[i]
     full: tuple | None = None  # the whole set's factor and alpha
+    warped: np.ndarray | None = None  # gp.warped_rows of the stored set
 
     def build(self, model: "TrainedModel") -> None:
-        """K + diag(sigma2) of the stored set, in kd-tree leaf order."""
+        """K + diag(sigma2) of the stored set, in kd-tree leaf order, checked."""
         self.order = cKDTree(model.x).indices
         self.pos = np.argsort(self.order)
-        self.k = gp.train_cov(_stored_set(model, self.order), model.kernel_set)
+        self.k = linalg.check_covariance(_stored_cov(model, self.order))
 
     def block(self, sel) -> np.ndarray:
         """K[np.ix_(sel, sel)] of the stored set, by one flat take."""
@@ -344,10 +347,16 @@ class _CovCache:
         return self.k.ravel().take(q[:, None] * self.k.shape[0] + q,
                                    mode="clip")
 
+    def solve(self, sel, y) -> tuple:
+        """Factor and alpha of sel's block, factored where it was gathered."""
+        factor = linalg.cholesky_in_place(self.block(sel), lambda: self.block(sel))
+        return factor, linalg.solve_spd(factor, y)
 
-def _stored_set(model: "TrainedModel", rows) -> gp.GpBatch:
-    """The stored training points ``rows`` with their hyperparameters."""
-    return gp.GpBatch(model.x[rows], model.y[rows], model.hyper.take(rows))
+
+def _stored_cov(model: "TrainedModel", rows) -> np.ndarray:
+    """K + diag(sigma2) of the stored points ``rows``, from their kernels."""
+    batch = gp.GpBatch(model.x[rows], model.y[rows], model.hyper.take(rows))
+    return gp.train_cov(batch, model.kernel_set)
 
 
 @dataclass
@@ -667,14 +676,23 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     ci_high = np.empty(n_star)
 
     cache = _fill_cache(model, min(k, model.n), len(groups))
+    kset = model.kernel_set
+    cross = gp.cross_cov(kset, cache.warped,
+                         gp.warped_rows(xs, hyper_star.theta, kset.n_k),
+                         None if k >= model.n else nearest)
 
     def solve_group(group) -> tuple:
         sel, ids = group
-        sub = _stored_set(model, sel)
-        pred = gp.predict(sub, xs[ids], hyper_star.take(ids), model.kernel_set,
+        if isinstance(sel, slice):
+            system = cache.full
+        elif cache.k is not None:
+            system = cache.solve(sel, model.y[sel])
+        else:
+            system = gp.solve_train(_stored_cov(model, sel), model.y[sel])
+        pred = gp.predict(None, xs[ids], hyper_star.take(ids), kset,
                           alpha_level=alpha_level, include_noise=include_noise,
-                          interval=interval,
-                          system=_group_system(cache, sub, sel))
+                          interval=interval, system=(
+                              *system, np.ascontiguousarray(cross[ids].T)))
         mean[ids] = pred.mean
         variance[ids] = pred.variance
         ci_low[ids] = pred.ci_low
@@ -704,42 +722,23 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     return pred
 
 
-def _fill_cache(model: TrainedModel, k: int, n_groups: int) -> _CovCache | None:
-    """Fill what the call's groups can read from the model's cache.
-
-    Returns the cache once it holds what the groups need (the whole set's
-    factor and alpha at k = N, K at k < N), else None; the groups only
-    read it.  See the module docstring for when each is built.
-    """
-    cache, n = model._cache, model.n
-    if n * n > _CACHE_ENTRIES:
-        return None
+def _fill_cache(model: TrainedModel, k: int, n_groups: int) -> _CovCache:
+    """The cache the call's groups read (see the module docstring): the
+    model's, or above the cap a new one for this call only."""
+    n = model.n
+    capped = n * n > _CACHE_ENTRIES
+    cache = _CovCache() if capped else model._cache
     if k == n:
         if cache.full is None:
-            cache.full = gp.solve_train(
-                gp.train_cov(_stored_set(model, slice(None)), model.kernel_set),
-                model.y)
-        return cache
-    if cache.k is None:
+            cache.full = gp.solve_train(_stored_cov(model, slice(None)), model.y)
+    elif cache.k is None and not capped:
         cache.pairs += n_groups * (k * (k - 1) // 2)
         if cache.pairs >= n * (n - 1) // 2:
             cache.build(model)
-    return None if cache.k is None else cache
-
-
-def _group_system(cache: _CovCache | None, sub: gp.GpBatch,
-                  sel) -> tuple | None:
-    """Factor and alpha of one group's noise-added training covariance.
-
-    With a cache, the whole set (sel a slice) takes the cached factor and
-    a neighbour set gathers its block from K.  Without one it returns
-    None, and gp.predict builds the block from the group's points.
-    """
-    if cache is None:
-        return None
-    if isinstance(sel, slice):
-        return cache.full
-    return gp.solve_train(cache.block(sel), sub.y)
+    if cache.warped is None:  # after K and the factor: no higher peak
+        cache.warped = gp.warped_rows(model.x, model.hyper.theta,
+                                      model.kernel_set.n_k)
+    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +795,9 @@ def load(path) -> TrainedModel:
 
     Raises FormatVersionMismatch when the CRC matches but the manifest does
     not decode into a consistent model (bad JSON, missing keys, wrong
-    types, array shapes that do not fit the networks), and
-    ChecksumMismatch when the declared arrays do not cover the payload.
+    types, array shapes that do not fit the networks, fewer than 2 stored
+    training points), and ChecksumMismatch when the declared arrays do not
+    cover the payload.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -863,6 +863,8 @@ def _decode(data: bytes, head: int) -> TrainedModel:
         or not (columns is None or (isinstance(columns, list) and len(columns) == n_v))
     ):
         raise ValueError("training data, scaler and network widths disagree")
+    if y.size < 2:  # fit stores at least 2; predicting needs 2
+        raise ValueError(f"model stores {y.size} training points, not at least 2")
     reg = RegularizerSpec(config.dropout_rate, config.input_noise_std)
 
     def rebuild(prefix, specs):

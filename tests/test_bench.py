@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,25 @@ class TestRunProtocol:
         mse = bench.run_protocol(
             data, bench.Protocol(folds=3, repeats=1, metric="mse"), cfg)
         np.testing.assert_allclose(rmse.values() ** 2, mse.values(), atol=1e-12)
+
+    @pytest.mark.parametrize("errors", [[1e200, -3e200, 2e200],
+                                        [1.7e308, 0.0, -1.7e308, 1e-300]])
+    def test_rmse_of_errors_whose_squares_overflow(self, errors):
+        err = np.array(errors)
+        scale = np.abs(err).max()
+        want = scale * np.sqrt(np.mean((err / scale) ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert bench._score(err, np.zeros_like(err), "rmse") == want
+            assert bench._score(err, np.zeros_like(err), "mse") == np.inf
+        assert np.isfinite(want) and want > 1e200
+
+    def test_score_arithmetic_without_overflow_is_unchanged(self):
+        rng = np.random.default_rng(10)
+        truth, pred = rng.standard_normal(50), rng.standard_normal(50)
+        mse = float(np.mean((truth - pred) ** 2))
+        assert bench._score(truth, pred, "mse") == mse
+        assert bench._score(truth, pred, "rmse") == float(np.sqrt(mse))
 
     def test_log_transform_scores_in_log_space(self):
         rng = np.random.default_rng(6)

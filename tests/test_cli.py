@@ -285,6 +285,23 @@ class TestPredict:
         assert run(["predict", "--model", tmp_path / "none.dgcn",
                     "--data", sine_csv]) == 3
 
+    def test_model_with_one_stored_point_is_data_error(self, tmp_path,
+                                                       sine_csv,
+                                                       fast_config_json,
+                                                       capsys):
+        # A well-formed file with a valid CRC, written by save, whose
+        # training set fit could never have produced.
+        model = self.fit_model(tmp_path, sine_csv, fast_config_json)
+        fitted = trainer.load(model)
+        trainer.save(replace(fitted, x=fitted.x[:1], y=fitted.y[:1]), model)
+        with pytest.raises(errors.FormatVersionMismatch, match="stores 1 "):
+            trainer.load(model)
+        err = assert_data_error(capsys, ["predict", "--model", model,
+                                         "--data", sine_csv,
+                                         "--out", tmp_path / "pred.csv"])
+        assert "stores 1 training points" in err
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_malformed_manifest_is_data_error(self, tmp_path, sine_csv,
                                               fast_config_json, capsys):
         model = self.fit_model(tmp_path, sine_csv, fast_config_json)

@@ -9,13 +9,15 @@ and it must never reach a model file.
 
 import dataclasses
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcn import gp, trainer
+from dgcn import gp, linalg, trainer
+from dgcn.errors import DimensionMismatch, NotPositiveDefinite
 from dgcn.kernels import ALL_KERNELS, KernelSet, cov_matrix
 from dgcn.trainer import Dataset
 
@@ -297,3 +299,83 @@ class TestLeafOrderLayout:
         assert reference._cache == trainer._CovCache()
         for w, g in zip(want, got):
             assert_same_prediction(w, g)
+
+
+class TestOnePassCrossCovariance:
+    """gp.cross_cov builds every query's cross-covariance of a call at once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), n_star=st.integers(1, 12),
+           n_v=st.integers(1, 11),
+           kernels=st.lists(st.sampled_from(ALL_KERNELS), min_size=1,
+                            max_size=5, unique=True),
+           m=st.integers(1, 40), entries=st.sampled_from([1, 50, 1 << 17]),
+           seed=st.integers(0, 2**16))
+    def test_equals_cov_matrix_bit_for_bit(self, n, n_star, n_v, kernels, m,
+                                           entries, seed):
+        # Duplicated rows, and queries on training points, give d = 0; a
+        # small block budget splits the queries into several blocks.
+        rng = np.random.default_rng(seed)
+        kset = KernelSet(tuple(kernels))
+        x = rng.uniform(-2.0, 2.0, (n, n_v))
+        x[-1] = x[0]
+        theta = rng.uniform(-3.0, 3.0, (n, n_v * kset.n_k))
+        x_star = rng.uniform(-2.5, 2.5, (n_star, n_v))
+        x_star[0] = x[0]
+        theta_star = rng.uniform(-3.0, 3.0, (n_star, n_v * kset.n_k))
+        theta_star[0] = theta[0]
+        rows = rng.integers(0, n, (n_star, m))
+        train = gp.warped_rows(x, theta, kset.n_k)
+        star = gp.warped_rows(x_star, theta_star, kset.n_k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp, "_BLOCK_ENTRIES", entries)
+            every = gp.cross_cov(kset, train, star)
+            some = gp.cross_cov(kset, train, star, rows)
+        want = cov_matrix(kset, x, x_star, theta, theta_star).T
+        assert every.shape == (n_star, n)
+        np.testing.assert_array_equal(bits(every), bits(want))
+        np.testing.assert_array_equal(
+            bits(some), bits(np.take_along_axis(want, rows, axis=1)))
+
+    @pytest.mark.parametrize("k", [5, 40])
+    def test_overflowed_query_gets_the_prior_without_a_warning(self, k):
+        model = make_model(n=40)
+        warm(model, 2, 8)
+        probe = np.array([[1e300, -1e300], [-1e200, 1e200], [0.1, 0.2]])
+        for m in (uncached(model), model):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                pred = trainer.predict_batched(m, probe, k=k, interval="z")
+            scaler = m.scaler
+            np.testing.assert_array_equal(pred.mean[:2], scaler.y_mean)
+            np.testing.assert_array_equal(pred.variance[:2],
+                                          m.kernel_set.n_k * scaler.y_std**2)
+            assert np.all(pred.variance[2] < pred.variance[:2])
+
+
+class TestBuildChecksK:
+    """K is checked once, when the cache builds it, as the factor checks it."""
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda k: k.__setitem__((1, 1), np.nan), NotPositiveDefinite),
+        (lambda k: k.__setitem__((2, 0), np.inf), NotPositiveDefinite),
+        (lambda k: k.__setitem__((0, 3), k[0, 3] + 1e-3), DimensionMismatch),
+    ])
+    def test_a_bad_k_raises_what_cholesky_jittered_raises(self, monkeypatch,
+                                                          edit, error):
+        model = make_model(n=30)
+        real = gp.train_cov
+
+        def broken(*args):
+            k = real(*args)
+            edit(k)
+            return k
+
+        bad = broken(gp.GpBatch(model.x, model.y, model.hyper),
+                     model.kernel_set)
+        with pytest.raises(error):
+            linalg.cholesky_jittered(bad)
+        monkeypatch.setattr(gp, "train_cov", broken)
+        with pytest.raises(error):
+            model._cache.build(model)
+        assert model._cache.k is None

@@ -211,6 +211,52 @@ class TestDirectLapack:
             linalg.solve_spd(f, np.ones(2))
 
 
+def exactly_symmetric(a):
+    return np.tril(a) + np.tril(a, -1).T
+
+
+class TestCholeskyInPlace:
+    """A checked, exactly symmetric matrix factored in its own memory."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 201])
+    def test_equals_cholesky_jittered_in_the_given_array(self, n):
+        a = exactly_symmetric(random_spd(np.random.default_rng(n), n))
+        want = linalg.cholesky_jittered(a)
+        buf = a.copy()
+        got = linalg.cholesky_in_place(buf, regather=None)
+        assert got.jitter_used == want.jitter_used == 0.0
+        assert np.shares_memory(got.lower, buf) and got.lower.flags.f_contiguous
+        np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
+
+    def test_a_failed_first_rung_climbs_the_ladder_on_a_fresh_copy(self):
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((6, 6))
+        idx = np.r_[np.arange(6), 0, 2]  # two repeated rows: singular
+        a = exactly_symmetric((b @ b.T)[np.ix_(idx, idx)])
+        want = linalg.cholesky_jittered(a)
+        copies = []
+
+        def regather():
+            copies.append(a.copy())
+            return copies[-1]
+
+        got = linalg.cholesky_in_place(a.copy(), regather)
+        assert len(copies) == 1
+        assert got.jitter_used == want.jitter_used > 0.0
+        np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
+
+    @pytest.mark.parametrize("bad, error", [(np.nan, NotPositiveDefinite),
+                                            (-np.inf, NotPositiveDefinite),
+                                            (1e-3, DimensionMismatch)])
+    def test_check_covariance_raises_as_cholesky_jittered(self, bad, error):
+        a = 2.0 * np.eye(4)
+        a[0, 3] += bad
+        for check in (linalg.check_covariance, linalg.cholesky_jittered):
+            with pytest.raises(error):
+                check(a)
+        linalg.check_covariance(2.0 * np.eye(4))
+
+
 def test_row_blocks_from_the_entry_budget():
     assert linalg.row_blocks(30, 100) == [(r, r + 3) for r in range(0, 30, 3)]
     assert linalg.row_blocks(30, 140) == [(0, 4), (4, 8), (8, 12), (12, 16),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcn.errors import DimensionMismatch, EmptyDataset
+from dgcn.errors import DimensionMismatch, EmptyDataset, InvalidSetting
 from dgcn.neighbors import NeighborIndex
 
 
@@ -24,8 +24,9 @@ class TestBuildIndex:
             NeighborIndex(np.empty((0, 2)))
 
     def test_bad_strategy_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSetting, match="strategy"):
             NeighborIndex(np.ones((2, 2)), strategy="ann")
+        assert issubclass(InvalidSetting, ValueError)
 
     def test_duplicates_keep_distinct_indices(self):
         pts = np.array([[1.0], [1.0], [1.0]])
@@ -52,7 +53,7 @@ class TestQuery:
 
     def test_k_must_be_positive(self):
         idx = NeighborIndex(np.ones((3, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSetting, match="k must be >= 1"):
             idx.query([1.0], 0)
 
     def test_determinism(self):

@@ -510,6 +510,25 @@ class TestPredictBatched:
         assert pred.jitter_events == len(needed)
         assert pred.jitter_max == max(needed)
 
+    def test_cached_jitter_groups_equal_uncached(self, monkeypatch):
+        # A cached group factors its gathered block in place; a block that
+        # needs jitter is gathered again for the whole ladder.
+        model, probe = self.jitter_model()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "_CACHE_ENTRIES", 0)
+            want = trainer.predict_batched(model, probe, k=6)
+        model._cache.build(model)
+        ladders = []
+        real = linalg.cholesky_jittered
+        monkeypatch.setattr(linalg, "cholesky_jittered",
+                            lambda a: ladders.append(a) or real(a))
+        got = trainer.predict_batched(model, probe, k=6)
+        assert want.jitter_events > 0
+        assert len(ladders) == got.jitter_events
+        for f in dataclasses.fields(want):
+            np.testing.assert_array_equal(getattr(got, f.name),
+                                          getattr(want, f.name))
+
     def test_threaded_jitter_equals_serial(self, monkeypatch):
         model, probe = self.jitter_model()
         serial = trainer.predict_batched(model, probe, k=6)
