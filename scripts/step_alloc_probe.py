@@ -67,8 +67,8 @@ def stepper(n: int, n_v: int, warm: bool):
         hyper = gp.HyperField(theta, raw[:, 0] + config.sigma2_floor)
         res = gp.nll_grad(gp.GpBatch(xs, ys, hyper), config.kernels,
                           theta_net, sigma_net, **extra)
-        opt_theta.step([theta_net.params.flat], [res.theta_net.flat])
-        opt_sigma.step([sigma_net.params.flat], [res.sigma_net.flat])
+        opt_theta.step(theta_net.params.flat, res.theta_net.flat)
+        opt_sigma.step(sigma_net.params.flat, res.sigma_net.flat)
 
     return step
 

@@ -25,8 +25,8 @@ from .errors import (
     ShapeMismatch,
     StaleMask,
 )
-from .gp import GpBatch, HyperField, Prediction, confidence_interval, nll, predict
-from .kernels import ALL_KERNELS, KernelId, KernelSet, cov_matrix
+from .gp import GpBatch, HyperField, Prediction, confidence_interval, predict
+from .kernels import ALL_KERNELS, KernelId, KernelSet
 from .mlp import LayerSpec, Mlp, OptimizerConfig, RegularizerSpec
 from .neighbors import NeighborIndex
 from .timeseries import (
@@ -38,7 +38,6 @@ from .timeseries import (
     forecast_direct,
     forecast_recursive,
     lag_embed,
-    select_lag_count,
 )
 from .trainer import (
     Dataset,
@@ -102,16 +101,13 @@ __all__ = [
     "TrainedModel",
     "cats_protocol",
     "confidence_interval",
-    "cov_matrix",
     "e1_score",
     "fit",
     "forecast_direct",
     "forecast_recursive",
-    "select_lag_count",
     "lag_embed",
     "load",
     "load_csv",
-    "nll",
     "predict",
     "predict_batched",
     "run_protocol",

@@ -204,9 +204,6 @@ class BenchReport:
             ([r.run_id, r.repeat, r.fold, repr(r.metric_value), repr(r.seconds)]
              for r in self.records))
 
-    def write_summary_json(self, path) -> None:
-        write_json(path, self.summary())
-
 
 def _fingerprint(*dicts) -> str:
     blob = json.dumps(dicts, sort_keys=True, separators=(",", ":"))

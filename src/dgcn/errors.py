@@ -53,9 +53,9 @@ class EmptyDataset(_DataError, ValueError):
 
 class InvalidTarget(_DataError, ValueError):
     """Target values or input columns lie outside the domain of the
-    requested transform or of float64 arithmetic: a log transform needs
-    strictly positive targets, and standardizing a target or an input column
-    needs a finite mean and standard deviation."""
+    requested transform or of float64 arithmetic: a dataset needs finite
+    entries, a log transform strictly positive targets, and standardizing
+    a target or an input column a finite mean and standard deviation."""
 
 
 class SeriesTooShort(_DataError):

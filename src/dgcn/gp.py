@@ -29,7 +29,7 @@ from scipy.stats import t as _student_t
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidAlpha, InvalidSetting, StaleMask
-# kernel_deriv goes unused but stays: benchmarks/ pins gp's aliases.
+# cov_matrix and kernel_deriv go unused but stay: benchmarks/ pins gp's aliases.
 from .kernels import (  # noqa: F401
     KernelSet,
     cov_matrix,
@@ -337,11 +337,6 @@ class NetworkGradients:
     jitter_used: float
 
 
-def nll(batch: GpBatch, kset: KernelSet) -> float:
-    """Negative marginal log-likelihood of the batch (nll_hyper_grad's value)."""
-    return nll_hyper_grad(batch, kset).value
-
-
 def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net, *,
              workspace: linalg.Workspace | None = None) -> NetworkGradients:
     """Backpropagate the batch NLL into both hypernetworks' weights.
@@ -436,7 +431,8 @@ def confidence_interval(mean, variance, n_train: int, alpha_level: float):
     if not 0.0 < alpha_level < 1.0:
         raise InvalidAlpha(f"alpha_level must lie in (0, 1), got {alpha_level}")
     if n_train < 2:
-        raise ValueError("need at least 2 training points for an interval")
+        raise InvalidSetting(
+            f"need at least 2 training points for an interval, got {n_train}")
     mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
     half = _t_quantile(alpha_level, n_train) * np.sqrt(variance) / math.sqrt(n_train)

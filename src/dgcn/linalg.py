@@ -91,18 +91,17 @@ class CholeskyFactor:
         return self.lower.shape[0]
 
 
-def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER, *,
-                      workspace: Workspace | None = None) -> CholeskyFactor:
+def cholesky_jittered(a, *, workspace: Workspace | None = None) -> CholeskyFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
 
-    Tries each ladder entry in order and returns the factor for the first
-    one that succeeds, together with the jitter that was actually added.
-    Each rung copies ``a`` into the factor's array (Fortran order, the
-    workspace's buffer if one is given), adds its jitter to the diagonal
-    and factors it there in place; with a workspace, the returned factor
-    is valid until the workspace factors again.  Without a workspace, a
-    first rung without jitter lets the LAPACK wrapper make that copy, a
-    new array, and later rungs copy over it.
+    Tries each rung of the module's DEFAULT_JITTER_LADDER in order and
+    returns the factor for the first one that succeeds, together with the
+    jitter that was actually added.  Each rung copies ``a`` into the
+    factor's array (Fortran order, the workspace's buffer if one is given),
+    adds its jitter to the diagonal and factors it there in place; with a
+    workspace, the returned factor is valid until the workspace factors
+    again.  Without a workspace, rung 0 (no jitter) lets the LAPACK wrapper
+    make that copy, a new array, and later rungs copy over it.
 
     Raises
     ------
@@ -114,12 +113,10 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER, *,
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     check_covariance(a, workspace)
     lower = None if workspace is None else workspace.array("factor", a.shape, "F")
-    for jitter in jitter_ladder:
-        if lower is None and not jitter:
+    for jitter in DEFAULT_JITTER_LADDER:
+        if lower is None:
             lower, info = _dpotrf(a, lower=1, clean=1)
         else:
-            if lower is None:
-                lower = np.empty(a.shape, order="F")
             lower[...] = a
             if jitter:
                 lower[np.diag_indices_from(lower)] += jitter
@@ -129,7 +126,7 @@ def cholesky_jittered(a, jitter_ladder=DEFAULT_JITTER_LADDER, *,
         _check_info("dpotrf", info)
         return CholeskyFactor(lower=lower, jitter_used=float(jitter))
     raise NotPositiveDefinite(
-        f"factorization failed with jitter up to {jitter_ladder[-1]:g}"
+        f"factorization failed with jitter up to {DEFAULT_JITTER_LADDER[-1]:g}"
     )
 
 

@@ -102,7 +102,7 @@ class MlpParams:
     """Per-layer weights (out_units x in_units) and biases (out_units,).
 
     Every weight and bias is a view into one float64 vector ``flat``, laid
-    out as [W_0..W_L, b_0..b_L], so an optimizer can step ``[flat]`` as a
+    out as [W_0..W_L, b_0..b_L], so an optimizer can step ``flat`` as a
     single array.  The constructor copies the given arrays into a new
     buffer.
     """
@@ -186,10 +186,6 @@ class Mlp:
     @property
     def in_units(self) -> int:
         return self.specs[0].in_units
-
-    @property
-    def out_units(self) -> int:
-        return self.specs[-1].out_units
 
     def forward(self, x, training: bool = False, rng=None) -> np.ndarray:
         """Run the network on a batch of rows.
@@ -333,45 +329,41 @@ class OptimizerConfig:
 
 
 class OptimizerState:
-    """Moment accumulators and step counter for a list of parameter arrays.
+    """Moment accumulators and step counter for one parameter array.
 
-    ``step`` updates the arrays in place; callers that need snapshots copy
+    ``step`` updates the array in place; callers that need snapshots copy
     the parameters themselves.
     """
 
-    def __init__(self, arrays, config: OptimizerConfig):
+    def __init__(self, params, config: OptimizerConfig):
         self.config = config
         self.t = 0
         if config.algorithm == "sgd":
             self.m = self.v = None
         else:
-            self.m = [np.zeros_like(a) for a in arrays]
-            self.v = [np.zeros_like(a) for a in arrays]
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
 
-    def step(self, arrays, grads) -> None:
+    def step(self, p, g) -> None:
         cfg = self.config
-        if len(arrays) != len(grads):
-            raise DimensionMismatch("parameter and gradient lists differ in length")
         self.t += 1
         if cfg.algorithm == "sgd":
-            for p, g in zip(arrays, grads):
-                p -= cfg.learning_rate * g
+            p -= cfg.learning_rate * g
             return
         b1, b2 = cfg.beta1, cfg.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for i, (p, g) in enumerate(zip(arrays, grads)):
-            m = self.m[i]
-            v = self.v[i]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            v_hat = v / bc2
-            denom = np.sqrt(v_hat) + cfg.epsilon
-            if cfg.algorithm == "adam":
-                p -= cfg.learning_rate * (m / bc1) / denom
-            else:  # nadam: Nesterov look-ahead on the first moment
-                p -= cfg.learning_rate * (
-                    b1 * (m / bc1) + (1.0 - b1) * g / bc1
-                ) / denom
+        m = self.m
+        v = self.v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        v_hat = v / bc2
+        denom = np.sqrt(v_hat) + cfg.epsilon
+        if cfg.algorithm == "adam":
+            p -= cfg.learning_rate * (m / bc1) / denom
+        else:  # nadam: Nesterov look-ahead on the first moment
+            p -= cfg.learning_rate * (
+                b1 * (m / bc1) + (1.0 - b1) * g / bc1
+            ) / denom

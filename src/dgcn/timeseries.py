@@ -245,27 +245,6 @@ def cats_protocol(series, per_block_lags, config: TrainConfig,
     return GapForecast(predictions=predictions, block_scores=block_scores, e1=e1)
 
 
-def select_lag_count(series, config: TrainConfig,
-                     candidates=(5, 10, 20, 40, 80)) -> int:
-    """Pick the lag count whose trained model reaches the lowest epoch NLL."""
-    series = np.asarray(series, dtype=np.float64).reshape(-1)
-    best = None
-    best_nll = np.inf
-    for n_lags in candidates:
-        try:
-            data = lag_embed(series, LagSpec(n_lags))
-        except SeriesTooShort:
-            continue
-        model = trainer.fit(data, config)
-        final = model.log.epoch_nll[-1]
-        if final < best_nll:
-            best_nll = final
-            best = n_lags
-    if best is None:
-        raise SeriesTooShort("series too short for every candidate lag count")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Series CSV input
 # ---------------------------------------------------------------------------

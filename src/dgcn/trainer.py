@@ -137,8 +137,11 @@ class Dataset:
             raise DimensionMismatch("x and y row counts differ")
         if self.x.shape[0] < 1:
             raise EmptyDataset("need at least 1 point")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("dataset contains non-finite entries")
+        for name, a in (("x", self.x), ("y", self.y)):
+            bad = np.flatnonzero(~np.isfinite(a).reshape(a.shape[0], -1).all(1))
+            if bad.size:
+                raise InvalidTarget(f"dataset {name} has non-finite entries, "
+                                    f"the first in row {bad[0]}")
         if self.columns is not None and len(self.columns) != self.x.shape[1]:
             raise DimensionMismatch("column names do not match the input width")
 
@@ -201,9 +204,6 @@ class Scaler:
 
     def transform_x(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.x_mean) / self.x_std
-
-    def inverse_x(self, xs) -> np.ndarray:
-        return np.asarray(xs, dtype=np.float64) * self.x_std + self.x_mean
 
     def transform_y(self, y) -> np.ndarray:
         return (np.asarray(y, dtype=np.float64) - self.y_mean) / self.y_std
@@ -449,8 +449,8 @@ def hyper_for(theta_net: Mlp, sigma_net: Mlp, xs, sigma2_floor: float) -> gp.Hyp
 def _optimizers(theta_net: Mlp, sigma_net: Mlp, config: TrainConfig) -> tuple:
     """One optimizer per network, each stepping the flat parameter vector."""
     return (
-        OptimizerState([theta_net.params.flat], config.optimizer),
-        OptimizerState([sigma_net.params.flat],
+        OptimizerState(theta_net.params.flat, config.optimizer),
+        OptimizerState(sigma_net.params.flat,
                        config.sigma_optimizer or config.optimizer),
     )
 
@@ -487,8 +487,8 @@ def _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
                     f"non-finite NLL in epoch {log.epochs_run + 1} "
                     f"on a batch of {len(idx)} points"
                 )
-            opt_theta.step([theta_net.params.flat], [res.theta_net.flat])
-            opt_sigma.step([sigma_net.params.flat], [res.sigma_net.flat])
+            opt_theta.step(theta_net.params.flat, res.theta_net.flat)
+            opt_sigma.step(sigma_net.params.flat, res.sigma_net.flat)
             log.optimizer_steps += 1
             total += res.value
             if res.jitter_used > 0.0:

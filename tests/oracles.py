@@ -6,8 +6,10 @@ or covariance code paths, so it can serve as an oracle for them.  The
 exceptions are :func:`full_square_hyper_grad`, a bit-for-bit reference that
 takes the package's kernel forms, :func:`stationary_fit`, a training loop
 over the package's likelihood gradient, :func:`full_prediction`, one
-``gp.predict`` over a model's whole training set, and the network helpers
-:func:`param_arrays` and :func:`loss_sq` (see their docstrings).
+``gp.predict`` over a model's whole training set,
+:func:`neighbour_prediction`, one ``gp.predict`` per neighbour set, and the
+network helpers :func:`param_arrays` and :func:`loss_sq` (see their
+docstrings).
 """
 
 import math
@@ -197,10 +199,10 @@ def stationary_fit(data, config):
 
     One length-scale block and one noise variance are shared by every
     point.  Each batch of trainer.make_batches gets gp.nll_hyper_grad's
-    gradient for that constant field, and one Adam step over [theta, raw]
-    applies the chain rule directly: the length-scale gradient summed over
-    the rows, and sigma2 = softplus(raw) + floor giving sum(dNLL/dsigma2)
-    * sigmoid(raw).  The field starts at theta_output_bias and sigma2_init.
+    gradient for that constant field, and one Adam step each for theta
+    and raw applies the chain rule directly: the length-scale gradient
+    summed over the rows, and sigma2 = softplus(raw) + floor giving
+    sum(dNLL/dsigma2) * sigmoid(raw).  The field starts at theta_output_bias and sigma2_init.
     A config with zero-width hidden layers and no regularizers must train
     the same field through the hypernetworks.
     """
@@ -214,7 +216,8 @@ def stationary_fit(data, config):
     n, n_v = x.shape
     theta = np.full(n_v * config.kernels.n_k, config.theta_output_bias)
     raw = np.array([softplus_inv(config.sigma2_init - config.sigma2_floor)])
-    opt = OptimizerState([theta, raw], config.optimizer)
+    opt_theta = OptimizerState(theta, config.optimizer)
+    opt_raw = OptimizerState(raw, config.optimizer)
 
     def sigma2():
         return float(np.logaddexp(0.0, raw[0]) + config.sigma2_floor)
@@ -225,10 +228,9 @@ def stationary_fit(data, config):
                                   np.full(len(idx), sigma2()))
             grads = gp.nll_hyper_grad(gp.GpBatch(x[idx], y[idx], hyper),
                                       config.kernels)
-            opt.step([theta, raw], [
-                grads.theta.sum(axis=0),
-                np.array([grads.sigma2.sum() * expit(raw[0])]),
-            ])
+            grad_raw = np.array([grads.sigma2.sum() * expit(raw[0])])
+            opt_theta.step(theta, grads.theta.sum(axis=0))
+            opt_raw.step(raw, grad_raw)
     return theta, sigma2()
 
 
@@ -256,6 +258,48 @@ def full_prediction(model, x_star, alpha_level=0.05, include_noise=False,
                    variance=pred.variance * std**2,
                    ci_low=pred.ci_low * std + mean,
                    ci_high=pred.ci_high * std + mean)
+
+
+def neighbour_prediction(model, x_star, k, alpha_level=0.05,
+                         include_noise=False, interval="t"):
+    """Neighbour-batched prediction at k < N, one gp.predict per set.
+
+    Each query's k nearest stored points are ranked by (distance, index)
+    over cdist of the standardized inputs and put in ascending index
+    order, as predict_batched orders them.  Queries with the same set
+    share one gp.predict over those stored points; the diagnostics are
+    summed (maximum for jitter_max) over the sets, and the result is taken
+    back to the response's units by hand.  It is the reference that
+    neighbour-batched prediction at k < N must equal bit for bit.
+    """
+    from dgcn import gp, trainer
+
+    xs = model.scaler.transform_x(np.asarray(x_star, dtype=np.float64))
+    hyper_star = trainer.hyper_for(model.theta_net, model.sigma_net, xs,
+                                   model.config.sigma2_floor)
+    nearest = np.argsort(cdist(xs, model.x), axis=1, kind="stable")[:, :k]
+    groups = {}
+    for i, row in enumerate(np.sort(nearest, axis=1)):
+        groups.setdefault(tuple(row), []).append(i)
+    out = np.empty((4, xs.shape[0]))
+    clamped = jitter_events = 0
+    jitter_max = 0.0
+    for sel, ids in groups.items():
+        sel, ids = list(sel), np.array(ids)
+        pred = gp.predict(gp.GpBatch(model.x[sel], model.y[sel],
+                                     model.hyper.take(sel)),
+                          xs[ids], hyper_star.take(ids), model.kernel_set,
+                          alpha_level=alpha_level,
+                          include_noise=include_noise, interval=interval)
+        out[:, ids] = pred.mean, pred.variance, pred.ci_low, pred.ci_high
+        clamped += pred.clamped
+        jitter_events += pred.jitter_events
+        jitter_max = max(jitter_max, pred.jitter_max)
+    mean, std = model.scaler.y_mean, model.scaler.y_std
+    return gp.Prediction(out[0] * std + mean, out[1] * std**2,
+                         out[2] * std + mean, out[3] * std + mean,
+                         alpha_level, clamped=clamped,
+                         jitter_events=jitter_events, jitter_max=jitter_max)
 
 
 def param_arrays(p):

@@ -125,7 +125,7 @@ class TestReportFileBytes:
                      bench.RunRecord(1, 0, 1, 1e-300, 0.1)],
             wall_clock=2.0, config_fingerprint="abc")
         report.write_csv(tmp_path / "runs.csv")
-        report.write_summary_json(tmp_path / "summary.json")
+        bench.write_json(tmp_path / "summary.json", report.summary())
         assert (tmp_path / "runs.csv").read_bytes() == (
             b"run_id,repeat,fold,metric_value,seconds\n"
             b"0,0,0,0.25,1.5\n"
@@ -269,7 +269,7 @@ class TestRunProtocol:
         csv_path = tmp_path / "runs.csv"
         json_path = tmp_path / "summary.json"
         report.write_csv(csv_path)
-        report.write_summary_json(json_path)
+        bench.write_json(json_path, report.summary())
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "run_id,repeat,fold,metric_value,seconds"
         assert len(lines) == 4

@@ -12,6 +12,7 @@ from dgcn import gp, linalg, trainer
 from dgcn.errors import (
     DimensionMismatch,
     InvalidAlpha,
+    InvalidSetting,
     NotPositiveDefinite,
     StaleMask,
 )
@@ -47,10 +48,14 @@ def make_nets(rng, n_v, n_k, hidden=(7, 6, 5)):
     return theta_net, sigma_net
 
 
+def nll(batch, kset):
+    return gp.nll_hyper_grad(batch, kset).value
+
+
 def net_nll(theta_net, sigma_net, x, y, kset, floor=1e-6):
     theta = theta_net.forward(x, training=True)
     sigma2 = sigma_net.forward(x, training=True)[:, 0] + floor
-    return gp.nll(gp.GpBatch(x, y, gp.HyperField(theta, sigma2)), kset)
+    return nll(gp.GpBatch(x, y, gp.HyperField(theta, sigma2)), kset)
 
 
 class TestNll:
@@ -58,13 +63,13 @@ class TestNll:
         kset = KernelSet((KernelId.SQUARED_EXP,))
         batch = gp.GpBatch(np.zeros((1, 1)), np.zeros(1),
                            constant_field([1.0], 1e-6, 1))
-        assert gp.nll(batch, kset) == pytest.approx(0.9189385, abs=1e-4)
+        assert nll(batch, kset) == pytest.approx(0.9189385, abs=1e-4)
 
     def test_single_point_response_two(self):
         kset = KernelSet((KernelId.SQUARED_EXP,))
         batch = gp.GpBatch(np.zeros((1, 1)), np.full(1, 2.0),
                            constant_field([1.0], 1e-6, 1))
-        assert gp.nll(batch, kset) == pytest.approx(2.9189385, abs=1e-4)
+        assert nll(batch, kset) == pytest.approx(2.9189385, abs=1e-4)
 
     def test_explicit_inverse_oracle(self):
         rng = np.random.default_rng(12)
@@ -76,14 +81,14 @@ class TestNll:
             kset = KernelSet((kern,))
             batch = gp.GpBatch(x, y, constant_field(np.tile(theta, 1), sigma2, 8))
             want = stationary_gp(kern.value, x, y, theta, sigma2, x[:1])[2]
-            assert gp.nll(batch, kset) == pytest.approx(want, abs=1e-8)
+            assert nll(batch, kset) == pytest.approx(want, abs=1e-8)
 
 
     @pytest.mark.parametrize("n", [1, 17, 200, 400])
     def test_value_is_the_direct_formula_bit_for_bit(self, n):
-        # nll is nll_hyper_grad's value; it must equal the NLL of the
-        # directly built covariance, its factor and alpha, also when the step
-        # assembles K in two row blocks (n = 400).
+        # nll_hyper_grad's value must equal the NLL of the directly built
+        # covariance, its factor and alpha, also when the step assembles K
+        # in two row blocks (n = 400).
         kset = KernelSet()
         batch = duplicated_batch(np.random.default_rng(n), n, 3, kset, 1e-2)
         k = cov_matrix(kset, batch.x, batch.x, batch.hyper.theta,
@@ -94,7 +99,7 @@ class TestNll:
         want = float(0.5 * batch.y @ alpha + 0.5 * linalg.logdet(factor)
                      + 0.5 * n * gp.LOG_2PI)
         assert len(linalg.row_blocks(n, gp._BLOCK_ENTRIES)) == 1 + (n == 400)
-        assert gp.nll(batch, kset) == want
+        assert nll(batch, kset) == want
 
 
 class TestNllHyperGrad:
@@ -109,7 +114,7 @@ class TestNllHyperGrad:
         # With y = 0 the quadratic term is identically zero, so the value
         # and the gradient are those of the log-determinant term alone.
         assert res.value == pytest.approx(
-            gp.nll(gp.GpBatch(x, y, hyper), kset), abs=1e-12
+            nll(gp.GpBatch(x, y, hyper), kset), abs=1e-12
         )
         for i in range(hyper.theta.shape[1]):
             h = 1e-6
@@ -118,8 +123,8 @@ class TestNllHyperGrad:
             down = hyper.theta.copy()
             down[:, i] -= h
             fd = (
-                gp.nll(gp.GpBatch(x, y, gp.HyperField(up, hyper.sigma2)), kset)
-                - gp.nll(gp.GpBatch(x, y, gp.HyperField(down, hyper.sigma2)), kset)
+                nll(gp.GpBatch(x, y, gp.HyperField(up, hyper.sigma2)), kset)
+                - nll(gp.GpBatch(x, y, gp.HyperField(down, hyper.sigma2)), kset)
             ) / (2 * h)
             got = res.theta[:, i].sum()
             assert got == pytest.approx(fd, abs=1e-6)
@@ -139,8 +144,8 @@ class TestNllHyperGrad:
             down = hyper.sigma2.copy()
             down[i] -= h
             fd = (
-                gp.nll(gp.GpBatch(x, y, gp.HyperField(hyper.theta, up)), kset)
-                - gp.nll(gp.GpBatch(x, y, gp.HyperField(hyper.theta, down)), kset)
+                nll(gp.GpBatch(x, y, gp.HyperField(hyper.theta, up)), kset)
+                - nll(gp.GpBatch(x, y, gp.HyperField(hyper.theta, down)), kset)
             ) / (2 * h)
             assert res.sigma2[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
@@ -241,8 +246,8 @@ class TestNllHyperGrad:
         np.add.at(tied, rows, res.theta)
 
         def nll_at(theta):
-            return gp.nll(gp.GpBatch(x, y, gp.HyperField(theta[rows], sigma2)),
-                          kset)
+            return nll(gp.GpBatch(x, y, gp.HyperField(theta[rows], sigma2)),
+                       kset)
 
         h = 1e-5
         fd = np.empty_like(theta0)
@@ -661,6 +666,13 @@ class TestConfidenceInterval:
         with pytest.raises(InvalidAlpha):
             gp.confidence_interval(np.zeros(1), np.ones(1), 10, 1.5)
 
+    @pytest.mark.parametrize("n_train", [1, 0])
+    def test_fewer_than_two_points_is_invalid_setting(self, n_train):
+        with pytest.raises(InvalidSetting, match=r"^need at least 2 training "
+                           rf"points for an interval, got {n_train}$") as info:
+            gp.confidence_interval(np.zeros(1), np.ones(1), n_train, 0.05)
+        assert isinstance(info.value, ValueError)
+
     def test_normal_interval_narrower_at_larger_alpha(self):
         lo1, hi1 = gp.normal_interval(np.zeros(1), np.ones(1), 0.05)
         lo2, hi2 = gp.normal_interval(np.zeros(1), np.ones(1), 0.5)
@@ -699,10 +711,10 @@ class TestTrainingSanity:
             batch = gp.GpBatch(x, y, gp.HyperField(theta, sigma2))
             res = gp.nll_grad(batch, kset, theta_net, sigma_net)
             cfg = OptimizerConfig("adam", learning_rate=1e-3)
-            OptimizerState(param_arrays(theta_net.params), cfg).step(
-                param_arrays(theta_net.params), param_arrays(res.theta_net))
-            OptimizerState(param_arrays(sigma_net.params), cfg).step(
-                param_arrays(sigma_net.params), param_arrays(res.sigma_net))
+            for net, grads in ((theta_net, res.theta_net),
+                               (sigma_net, res.sigma_net)):
+                for p, g in zip(param_arrays(net.params), param_arrays(grads)):
+                    OptimizerState(p, cfg).step(p, g)
             if net_nll(theta_net, sigma_net, x, y, kset) < res.value:
                 wins += 1
         assert wins >= 95

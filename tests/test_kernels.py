@@ -270,7 +270,8 @@ class TestCovMatrix:
             x = rng.standard_normal((n, n_v))
             theta = rng.uniform(-2.0, 2.0, (n, n_v * kset.n_k))
             k = cov_matrix(kset, x, x, theta, theta)
-            linalg.cholesky_jittered(k + 1e-8 * np.eye(n), (0.0,))
+            f = linalg.cholesky_jittered(k + 1e-8 * np.eye(n))
+            assert f.jitter_used == 0.0
 
     def test_diagonal_invariant_under_row_sign_flips(self):
         rng = np.random.default_rng(4)

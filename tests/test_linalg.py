@@ -42,7 +42,8 @@ class TestCholeskyJittered:
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         f = linalg.cholesky_jittered(a)
         np.testing.assert_array_equal(a, np.ones((2, 2)))
-        want = linalg.cholesky_jittered(a + f.jitter_used * np.eye(2), (0.0,))
+        want = linalg.cholesky_jittered(a + f.jitter_used * np.eye(2))
+        assert want.jitter_used == 0.0
         np.testing.assert_array_equal(f.lower, want.lower)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -379,23 +380,21 @@ class TestWorkspace:
         assert not np.shares_memory(inner.array("r", (3,)), ws.array("r", (3,)))
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("ladder", [linalg.DEFAULT_JITTER_LADDER,
-                                        (1e-6, 1e-3)])
     @pytest.mark.parametrize("copies", [0, 4])
     def test_factor_is_the_same_with_and_without_a_workspace(self, order,
-                                                             ladder, copies):
-        # Without a workspace a first rung free of jitter lets the LAPACK
-        # wrapper copy the matrix and later rungs copy over that array; a
+                                                             copies):
+        # Without a workspace rung 0 (no jitter) lets the LAPACK wrapper
+        # copy the matrix and later rungs copy over that array; a
         # workspace copies every rung into its buffer.  Neither may touch
         # the input, whatever its memory order.
-        rng = np.random.default_rng([copies, len(ladder)])
+        rng = np.random.default_rng([copies, len(linalg.DEFAULT_JITTER_LADDER)])
         n = 30
         b = rng.standard_normal((n - copies, n - copies))
         idx = np.r_[np.arange(n - copies), rng.integers(0, n - copies, copies)]
         a = np.array((b @ b.T)[np.ix_(idx, idx)], order=order)
         before = a.copy()
-        want = linalg.cholesky_jittered(a, ladder)
-        got = linalg.cholesky_jittered(a, ladder, workspace=linalg.Workspace())
+        want = linalg.cholesky_jittered(a)
+        got = linalg.cholesky_jittered(a, workspace=linalg.Workspace())
         assert got.jitter_used == want.jitter_used
         assert want.jitter_used > 0.0 or copies == 0
         assert want.lower.flags.f_contiguous and got.lower.flags.f_contiguous

@@ -253,13 +253,15 @@ class TestFlatBuffers:
         net = random_net(rng, self.SIZES, self.ACTS)
         per_array = net.params.copy()
         cfg = OptimizerConfig(algorithm, learning_rate=1e-2)
-        flat_state = OptimizerState([net.params.flat], cfg)
-        array_state = OptimizerState(param_arrays(per_array), cfg)
+        flat_state = OptimizerState(net.params.flat, cfg)
+        array_states = [OptimizerState(a, cfg) for a in param_arrays(per_array)]
         for _ in range(20):
             net.forward(rng.standard_normal((30, 3)), training=True)
             grads = net.backward(rng.standard_normal((30, 15)))
-            flat_state.step([net.params.flat], [grads.flat])
-            array_state.step(param_arrays(per_array), param_arrays(grads))
+            flat_state.step(net.params.flat, grads.flat)
+            for state, p, g in zip(array_states, param_arrays(per_array),
+                                   param_arrays(grads)):
+                state.step(p, g)
             np.testing.assert_array_equal(bits(net.params.flat),
                                           bits(per_array.flat))
 
@@ -280,16 +282,16 @@ class TestLossSq:
 class TestOptimizers:
     def test_sgd_arithmetic(self):
         w = np.array([1.0])
-        state = OptimizerState([w], OptimizerConfig("sgd", learning_rate=0.1))
-        state.step([w], [np.array([2.0])])
+        state = OptimizerState(w, OptimizerConfig("sgd", learning_rate=0.1))
+        state.step(w, np.array([2.0]))
         assert w[0] == pytest.approx(0.8)
 
     def test_adam_first_step_magnitude_is_learning_rate(self):
         for g in (1e-4, 0.5, 3.0, -42.0):
             w = np.array([10.0])
             cfg = OptimizerConfig("adam", learning_rate=1e-3)
-            state = OptimizerState([w], cfg)
-            state.step([w], [np.array([g])])
+            state = OptimizerState(w, cfg)
+            state.step(w, np.array([g]))
             delta = w[0] - 10.0
             assert np.sign(delta) == -np.sign(g)
             assert abs(delta) == pytest.approx(1e-3, rel=1e-3)
@@ -297,25 +299,25 @@ class TestOptimizers:
     def test_zero_gradient_is_fixed_point(self):
         w = np.array([3.0, -2.0])
         for algo in ("sgd", "adam", "nadam"):
-            state = OptimizerState([w], OptimizerConfig(algo))
+            state = OptimizerState(w, OptimizerConfig(algo))
             for _ in range(5):
-                state.step([w], [np.zeros(2)])
+                state.step(w, np.zeros(2))
             np.testing.assert_array_equal(w, [3.0, -2.0])
 
     def test_adam_step_size_bound(self):
         rng = np.random.default_rng(8)
         w = np.zeros(4)
         cfg = OptimizerConfig("adam", learning_rate=1e-2)
-        state = OptimizerState([w], cfg)
+        state = OptimizerState(w, cfg)
         for _ in range(200):
             before = w.copy()
-            state.step([w], [rng.standard_normal(4)])
+            state.step(w, rng.standard_normal(4))
             assert np.abs(w - before).max() <= cfg.learning_rate * 1.05
 
     def test_nadam_moves_against_gradient(self):
         w = np.array([0.0])
-        state = OptimizerState([w], OptimizerConfig("nadam", learning_rate=1e-3))
-        state.step([w], [np.array([5.0])])
+        state = OptimizerState(w, OptimizerConfig("nadam", learning_rate=1e-3))
+        state.step(w, np.array([5.0]))
         assert w[0] < 0.0
 
     def test_bad_config_rejected(self):

