@@ -92,7 +92,7 @@ def group_ms(model, sets: int = 200) -> float:
     of fresh queries.
     """
     xs = model.scaler.transform_x(queries(2 * 10**6, sets))
-    nearest = np.sort(model.index.query(xs, K), axis=1)
+    nearest = model.index.query(xs, K)
     cache = model._cache
     return float(np.median([timed(cache.solve, sel, model.y[sel])[1]
                             for sel in nearest])) * 1e3

@@ -204,7 +204,10 @@ def cross_cov(kset: KernelSet, train, star, rows=None) -> np.ndarray:
     """(n_star, m) covariances of test points with training points, as
     cov_matrix's entries bit for bit.  ``train`` and ``star`` are warped_rows;
     ``rows`` (n_star, m) holds each test point's training points, None all.
-    Blocks of about _BLOCK_ENTRIES sum squares over inputs in cdist's order."""
+    Per block of about _BLOCK_ENTRIES: one difference of the gathered
+    points and the queries, squared in place, summed over the inputs in
+    cdist's order (from input 0: the squares are >= +0, so this equals a
+    sum from zeros), one square root, the kernel values summed in place."""
     n_k, n_v, n_star = star.shape
     m = train.shape[2] if rows is None else rows.shape[1]
     out = np.empty((n_star, m))
@@ -212,14 +215,16 @@ def cross_cov(kset: KernelSet, train, star, rows=None) -> np.ndarray:
     with np.errstate(over="ignore"):
         for j in range(0, n_star, step):
             near = train[:, :, None] if rows is None else train.take(rows[j:j + step], 2)
-            dist = np.zeros((n_k, min(step, n_star - j), m))
-            for v in range(n_v):
-                d = near[:, v] - star[:, v, j:j + step, None]
-                d *= d
-                dist += d
+            d = near - star[:, :, j:j + step, None]  # (n_k, n_v, rows, m)
+            d *= d
+            dist = d[:, 0]
+            for v in range(1, n_v):
+                dist += d[:, v]
             np.sqrt(dist, out=dist)
-            out[j:j + step] = sum(kernel_value(kern, dist[i])
-                                  for i, kern in enumerate(kset.kernels))
+            part = out[j:j + step]
+            part[...] = kernel_value(kset.kernels[0], dist[0])
+            for i in range(1, n_k):
+                part += kernel_value(kset.kernels[i], dist[i])
     return out
 
 
@@ -360,55 +365,58 @@ def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net, *,
     )
 
 
-def predict(train: GpBatch | None, x_star, hyper_star: HyperField, kset: KernelSet,
+def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
             alpha_level: float = 0.05, include_noise: bool = False,
-            interval: str = "t", system: tuple | None = None) -> Prediction:
+            interval: str = "t") -> Prediction:
     """Predictive mean/variance at new points, with confidence bounds.
 
     The latent variance is the diagonal of the posterior covariance,
     clamped at 0; ``include_noise`` adds the predicted per-point noise
-    variance on top.  ``system`` is the caller's (factor, alpha, k_star):
-    solve_train's result for the training set and the C-ordered
-    cross_cov(...).T; train is then not read and may be None.
+    variance on top.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
-    if system is None and (x_star.ndim != 2
-                           or x_star.shape[1] != train.x.shape[1]):
+    if x_star.ndim != 2 or x_star.shape[1] != train.x.shape[1]:
         raise DimensionMismatch(
             f"test points must be (*, {train.x.shape[1]}), got {x_star.shape}"
         )
     if x_star.shape[0] != hyper_star.theta.shape[0]:
         raise DimensionMismatch("test points and their hyperparameters disagree")
-    if system is None:
-        star = warped_rows(x_star, hyper_star.theta, kset.n_k)
-        factor, alpha = solve_train(train_cov(train, kset), train.y)
-        k_star = np.ascontiguousarray(cross_cov(
-            kset, warped_rows(train.x, train.hyper.theta, kset.n_k), star).T)
-    else:
-        factor, alpha, k_star = system
-    mean = k_star.T @ alpha
+    star = warped_rows(x_star, hyper_star.theta, kset.n_k)
+    factor, alpha = solve_train(train_cov(train, kset), train.y)
+    k_star = np.ascontiguousarray(cross_cov(
+        kset, warped_rows(train.x, train.hyper.theta, kset.n_k), star).T)
+    mean, variance = posterior(factor, alpha, k_star, kset.n_k)
+    return predictive(mean, variance,
+                      hyper_star.sigma2 if include_noise else None, factor.n,
+                      alpha_level, interval, [factor.jitter_used])
+
+
+def posterior(factor, alpha, k_star, n_k: int) -> tuple:
+    """Mean and unclamped latent variance at test points: factor and alpha
+    are solve_train's for the training set, k_star the C-ordered
+    cross_cov(...).T, and n_k kernels give each test point prior n_k."""
     half = linalg.solve_lower(factor, k_star)
-    variance = float(kset.n_k) - np.einsum("ij,ij->j", half, half)
+    return k_star.T @ alpha, float(n_k) - np.einsum("ij,ij->j", half, half)
+
+
+def predictive(mean, variance, noise, n_train: int, alpha_level: float,
+               interval: str, jitters) -> Prediction:
+    """The Prediction of posterior means and latent variances: the
+    variances clamped at 0 and counted, ``noise`` (None for none) added,
+    the interval over n_train points; ``jitters`` lists each system's
+    factor.jitter_used."""
     clamped = int(np.count_nonzero(variance < 0.0))
     variance = np.maximum(variance, 0.0)
-    if include_noise:
-        variance = variance + hyper_star.sigma2
+    if noise is not None:
+        variance = variance + noise
     if interval == "t":
-        low, high = confidence_interval(mean, variance, factor.n, alpha_level)
+        low, high = confidence_interval(mean, variance, n_train, alpha_level)
     elif interval == "z":
         low, high = normal_interval(mean, variance, alpha_level)
     else:
         raise InvalidSetting("interval must be 't' or 'z'")
-    return Prediction(
-        mean=mean,
-        variance=variance,
-        ci_low=low,
-        ci_high=high,
-        alpha_level=alpha_level,
-        clamped=clamped,
-        jitter_events=int(factor.jitter_used > 0.0),
-        jitter_max=factor.jitter_used,
-    )
+    return Prediction(mean, variance, low, high, alpha_level, clamped,
+                      sum(j > 0.0 for j in jitters), max(jitters))
 
 
 # Prediction asks for the same few quantiles on every call; scipy's ppf

@@ -139,7 +139,8 @@ def glorot_init(specs, rng, output_bias: float = 0.0) -> MlpParams:
     """
     weights, biases = [], []
     for spec in specs:
-        lim = np.sqrt(6.0 / (spec.in_units + spec.out_units))
+        # A layer between two zero-width layers has no weights to draw.
+        lim = np.sqrt(6.0 / max(spec.in_units + spec.out_units, 1))
         weights.append(rng.uniform(-lim, lim, size=(spec.out_units, spec.in_units)))
         biases.append(np.zeros(spec.out_units))
     biases[-1][:] = output_bias

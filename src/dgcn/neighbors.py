@@ -1,8 +1,12 @@
 """Exact nearest-neighbor lookup over standardized training inputs.
 
-Both strategies return identical results: the k smallest Euclidean
-distances, ascending, with ties broken by ascending point index.  A query
-is one point or a block of points, answered in one call.  The kd-tree path
+Both strategies return identical results: the points at the k smallest
+Euclidean distances, ties at the k-th going to the lower point index, in
+ascending index order (the order neighbour-batched prediction groups them
+in).  A query is one point or a block of points, answered in one call.
+Brute force answers a row whose k-th distance is not tied from the mask
+of points at or below it; rows with ties rank their candidates by
+(distance, index).  The kd-tree path
 exists purely as a speedup for large training sets; it re-ranks candidate
 points with the same distance arithmetic (scipy's cdist, whose every entry
 is computed alone, whatever block it sits in) that the brute-force path
@@ -43,10 +47,12 @@ class NeighborIndex:
         return self.points.shape[0]
 
     def query(self, x_star, k: int) -> np.ndarray:
-        """Indices of the min(k, N) nearest points, by (distance, index).
+        """Indices of the min(k, N) nearest points, in ascending order.
 
-        One point (n_v,) gives a (min(k, N),) vector; a block of points
-        (m, n_v) gives an (m, min(k, N)) matrix, row i for point i.
+        Points are chosen by (distance, index): of points tied at the k-th
+        distance, the lower indices are kept.  One point (n_v,) gives a
+        (min(k, N),) vector; a block of points (m, n_v) gives an
+        (m, min(k, N)) matrix, row i for point i.
         """
         if k < 1:
             raise InvalidSetting("k must be >= 1")
@@ -68,28 +74,42 @@ class NeighborIndex:
     def _brute(self, block, k):
         out = np.empty((block.shape[0], k), dtype=np.intp)
         for start in range(0, block.shape[0], _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            dist = _distance.cdist(block[rows], self.points)
+            part = out[start : start + _BLOCK_ROWS]
+            dist = _distance.cdist(block[start : start + _BLOCK_ROWS], self.points)
             kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
             # Every point at or below the k-th distance; "not above" keeps
-            # whole rows of NaN distances, which then rank by index.
-            row, cand = np.nonzero(~(dist > kth))
-            out[rows] = _first_k(row, cand, dist[row, cand], dist.shape[0], k)
+            # whole rows of NaN distances, which then rank by index.  A row
+            # with exactly k such points is its set, in index order.
+            near = ~(dist > kth)
+            exact = np.count_nonzero(near, axis=1) == k
+            part[exact] = np.nonzero(near[exact])[1].reshape(-1, k)
+            if not exact.all():  # ties at the k-th distance, or inf or NaN
+                tied = ~exact
+                row, cand = np.nonzero(near[tied])
+                part[tied] = np.sort(_first_k(row, cand, dist[tied][row, cand],
+                                              np.count_nonzero(tied), k), axis=1)
         return out
 
     def _kdtree(self, block, k):
-        dd, _ = self._tree.query(block, k=k)
-        radius = dd.reshape(block.shape[0], k)[:, -1]
+        # A row with an inf or NaN coordinate, which the tree refuses, or
+        # whose distances overflow (an inf radius) takes every point.
+        radius = np.full(block.shape[0], np.inf)
+        finite = np.isfinite(block).all(axis=1)
+        dd, _ = self._tree.query(block[finite], k=k)
+        radius[finite] = dd.reshape(-1, k)[:, -1]
         # Tiny inflation so candidates on the radius are never lost to
         # last-ulp disagreement between tree and cdist distance sums.
-        balls = self._tree.query_ball_point(
-            block, radius * (1.0 + 1e-12) + 1e-300
-        )
+        finite = np.isfinite(radius)
+        balls = iter(self._tree.query_ball_point(
+            block[finite], radius[finite] * (1.0 + 1e-12) + 1e-300
+        ))
         out = np.empty((block.shape[0], k), dtype=np.intp)
-        for i, ball in enumerate(balls):
-            cand = np.asarray(ball, dtype=np.intp)
+        for i in range(block.shape[0]):
+            cand = (np.asarray(next(balls), dtype=np.intp) if finite[i]
+                    else np.arange(self.n))
             dist = _distance.cdist(block[i : i + 1], self.points[cand])[0]
             out[i] = cand[np.lexsort((cand, dist))[:k]]
+        out.sort(axis=1)
         return out
 
 

@@ -144,7 +144,7 @@ def forecast_recursive(model: TrainedModel, history, steps: int,
         clamped += pred.clamped
         jitter_events += pred.jitter_events
         jitter_max = max(jitter_max, pred.jitter_max)
-        window = np.roll(window, -1)
+        window[:-1] = window[1:]
         window[-1] = means[step]
     if detailed:
         return Prediction(means, variances, lows, highs, alpha_level,

@@ -18,10 +18,13 @@ for bit.
 
 Prediction standardizes the query points, runs both networks in inference
 mode, then solves one GP system per group of test points that share the
-same nearest-neighbor set.  With k at least the training size all test
+same nearest-neighbor set (neighbour sets come back in index order, so
+equal sets are equal rows).  With k at least the training size all test
 points form one group over the whole training set, which is the full,
 unbatched prediction.  Every query's cross-covariance with its neighbours
-is built in one pass per call (gp.cross_cov); each group takes its rows.
+is built in one pass per call (gp.cross_cov); each group takes its rows,
+and pays only for its system's factor and solves (gp.posterior).  The
+clamp, noise, interval, units and finite check run once per call.
 
 A model caches what its prediction calls would otherwise rebuild from its
 stored training set: the points warped by each kernel's length-scales,
@@ -594,18 +597,6 @@ def _check_query(model: TrainedModel, x_star_raw) -> np.ndarray:
     return x
 
 
-def _destandardize(model: TrainedModel, pred: gp.Prediction) -> gp.Prediction:
-    """Back to the response's units; the diagnostic counts pass through."""
-    s = model.scaler
-    return replace(
-        pred,
-        mean=s.inverse_y(pred.mean),
-        variance=pred.variance * s.y_std**2,
-        ci_low=s.inverse_y(pred.ci_low),
-        ci_high=s.inverse_y(pred.ci_high),
-    )
-
-
 def check_k(k, alpha_level: float = 0.05, interval: str = "t",
             config: TrainConfig | None = None, flags: bool = False):
     """The neighbour count prediction uses, checked with alpha and interval.
@@ -644,7 +635,7 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     queries form one group and no neighbour search runs: this is the full,
     unbatched GP prediction.
     """
-    k = check_k(k, alpha_level, interval, model.config)
+    k = min(check_k(k, alpha_level, interval, model.config), model.n)
     x_raw = _check_query(model, x_star_raw)
     if x_raw.shape[0] == 0:
         return _empty_prediction(alpha_level)
@@ -656,13 +647,13 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
         raise NonFiniteLoss(f"{exc} for the query points") from exc
 
     # Each group is (training rows, query rows).
-    if k >= model.n:
+    if k == model.n:
         everything = slice(None)
         groups = [(everything, everything)]
     else:
-        # One neighbour query for the whole block; queries whose sorted
-        # neighbour sets are equal share one factorization.
-        nearest = np.sort(model.index.query(xs, k), axis=1)
+        # One neighbour query for the whole block, each set in index order;
+        # queries with equal sets share one factorization.
+        nearest = model.index.query(xs, k)
         by_set: dict = {}
         for i, row in enumerate(nearest):
             by_set.setdefault(row.tobytes(), []).append(i)
@@ -672,47 +663,42 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     n_star = xs.shape[0]
     mean = np.empty(n_star)
     variance = np.empty(n_star)
-    ci_low = np.empty(n_star)
-    ci_high = np.empty(n_star)
 
-    cache = _fill_cache(model, min(k, model.n), len(groups))
+    cache = _fill_cache(model, k, len(groups))
     kset = model.kernel_set
     cross = gp.cross_cov(kset, cache.warped,
                          gp.warped_rows(xs, hyper_star.theta, kset.n_k),
-                         None if k >= model.n else nearest)
+                         None if k == model.n else nearest)
 
-    def solve_group(group) -> tuple:
+    def solve_group(group) -> float:
         sel, ids = group
         if isinstance(sel, slice):
-            system = cache.full
+            factor, alpha = cache.full
         elif cache.k is not None:
-            system = cache.solve(sel, model.y[sel])
+            factor, alpha = cache.solve(sel, model.y[sel])
         else:
-            system = gp.solve_train(_stored_cov(model, sel), model.y[sel])
-        pred = gp.predict(None, xs[ids], hyper_star.take(ids), kset,
-                          alpha_level=alpha_level, include_noise=include_noise,
-                          interval=interval, system=(
-                              *system, np.ascontiguousarray(cross[ids].T)))
-        mean[ids] = pred.mean
-        variance[ids] = pred.variance
-        ci_low[ids] = pred.ci_low
-        ci_high[ids] = pred.ci_high
-        return pred.clamped, pred.jitter_events, pred.jitter_max
+            factor, alpha = gp.solve_train(_stored_cov(model, sel), model.y[sel])
+        mean[ids], variance[ids] = gp.posterior(
+            factor, alpha, np.ascontiguousarray(cross[ids].T), kset.n_k)
+        return factor.jitter_used
 
-    # Groups write disjoint rows of the output arrays; the clamp and jitter
-    # diagnostics are returned per group and combined here, so no state is
-    # shared.
+    # Groups write disjoint rows of the mean and variance arrays and return
+    # their jitter, so no state is shared; the clamp, noise, interval and
+    # the response's units are then applied to the whole call at once.
     workers = worker_count()
     if workers > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve_group, groups))
+            jitters = list(pool.map(solve_group, groups))
     else:
-        solved = list(map(solve_group, groups))
-    clamped, jitter_events, jitter_max = zip(*solved)
-    pred = gp.Prediction(mean, variance, ci_low, ci_high, alpha_level,
-                         clamped=sum(clamped), jitter_events=sum(jitter_events),
-                         jitter_max=max(jitter_max))
-    pred = _destandardize(model, pred)
+        jitters = list(map(solve_group, groups))
+    pred = gp.predictive(mean, variance,
+                         hyper_star.sigma2 if include_noise else None,
+                         k, alpha_level, interval, jitters)
+    s = model.scaler
+    pred.mean = s.inverse_y(pred.mean)
+    pred.variance = pred.variance * s.y_std**2
+    pred.ci_low = s.inverse_y(pred.ci_low)
+    pred.ci_high = s.inverse_y(pred.ci_high)
     finite = np.isfinite(pred.mean) & np.isfinite(pred.variance)
     finite &= np.isfinite(pred.ci_low) & np.isfinite(pred.ci_high)
     if not finite.all():

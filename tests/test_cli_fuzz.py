@@ -76,6 +76,7 @@ optimizer_keys = ["algorithm", "learning_rate", "beta1", "beta2", "epsilon"]
                            + [f"optimizer.{k}" for k in optimizer_keys]
                            + [f"sigma_optimizer.{k}" for k in optimizer_keys]),
        value=junk)
+@example(key="theta_hidden", value=[0, 0])
 def test_config_value_of_wrong_type_or_range(work, key, value):
     config = dict(FAST)
     block, _, sub = key.rpartition(".")

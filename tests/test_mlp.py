@@ -57,6 +57,14 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             Mlp([LayerSpec(2, 3, "sigmoid"), LayerSpec(4, 1, "linear")])
 
+    def test_stacked_zero_width_layers_output_the_bias(self):
+        # [2, 0, 0, 3]: the middle layer has no weights at all.
+        net = random_net(np.random.default_rng(1), [2, 0, 0, 3],
+                         ["sigmoid", "relu", "linear"])
+        net.params.biases[-1][:] = [1.0, 2.0, 3.0]
+        out = net.forward(np.random.default_rng(2).standard_normal((4, 2)))
+        np.testing.assert_array_equal(out, np.tile([1.0, 2.0, 3.0], (4, 1)))
+
     def test_determinism_under_fixed_seed(self):
         rng = np.random.default_rng(9)
         net = random_net(rng, [2, 8, 1], ["sigmoid", "linear"])

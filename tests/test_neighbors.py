@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from dgcn.errors import DimensionMismatch, EmptyDataset, InvalidSetting
-from dgcn.neighbors import NeighborIndex
+from dgcn.neighbors import NeighborIndex, _first_k
 
 
 def brute_reference(points, x, k):
+    """The k nearest points by (distance, index), in that rank order."""
     d = np.sqrt(((points - x) ** 2).sum(axis=1))
     order = np.lexsort((np.arange(len(points)), d))
     return order[: min(k, len(points))]
@@ -36,13 +38,18 @@ class TestBuildIndex:
 
 class TestQuery:
     def test_hand_distances_1d(self):
-        idx = NeighborIndex(np.array([[0.0], [1.0], [2.0], [10.0]]))
-        np.testing.assert_array_equal(idx.query([9.5], 2), [3, 2])
+        pts = np.array([[0.0], [1.0], [2.0], [10.0]])
+        idx = NeighborIndex(pts)
+        want = np.sort(brute_reference(pts, [9.5], 2))
+        np.testing.assert_array_equal(want, [2, 3])
+        np.testing.assert_array_equal(idx.query([9.5], 2), want)
 
     def test_k_at_least_n_returns_all_sorted(self):
         pts = np.array([[0.0], [5.0], [2.0]])
         idx = NeighborIndex(pts)
-        np.testing.assert_array_equal(idx.query([0.1], 10), [0, 2, 1])
+        want = np.sort(brute_reference(pts, [0.1], 10))
+        np.testing.assert_array_equal(want, [0, 1, 2])
+        np.testing.assert_array_equal(idx.query([0.1], 10), want)
 
     def test_equidistant_tie_prefers_lower_index(self):
         pts = np.array([[-1.0], [1.0], [3.0]])
@@ -89,7 +96,7 @@ class TestStrategyEquivalence:
             else:
                 q = rng.standard_normal(2)
             k = int(rng.integers(1, 12))
-            want = brute_reference(pts, q, k)
+            want = np.sort(brute_reference(pts, q, k))
             np.testing.assert_array_equal(brute.query(q, k), want)
             np.testing.assert_array_equal(tree.query(q, k), want)
 
@@ -134,7 +141,7 @@ class TestBatchedQuery:
         for q, row in zip(queries, block):
             np.testing.assert_array_equal(brute.query(q, k), row)
             np.testing.assert_array_equal(tree.query(q, k), row)
-            np.testing.assert_array_equal(brute_reference(pts, q, k), row)
+            np.testing.assert_array_equal(np.sort(brute_reference(pts, q, k)), row)
 
     def test_blocks_larger_than_one_distance_block(self):
         rng = np.random.default_rng(8)
@@ -145,7 +152,28 @@ class TestBatchedQuery:
         block = brute.query(queries, 9)
         np.testing.assert_array_equal(tree.query(queries, 9), block)
         for q, row in zip(queries, block):
-            np.testing.assert_array_equal(brute_reference(pts, q, 9), row)
+            np.testing.assert_array_equal(np.sort(brute_reference(pts, q, 9)), row)
+
+    @given(point_sets(), st.sampled_from([None, 1e308, np.inf]))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_rows_equal_the_ranked_fallback(self, case, overflow):
+        # Rows whose k-th distance is untied take their set from the mask
+        # of points at or below it; tied rows (and an overflowed row, all
+        # of whose distances are inf) rank their candidates with _first_k.
+        # Sending every row through _first_k must give the same sets.
+        pts, queries, k = case
+        if overflow:
+            queries = np.vstack([queries, np.full(pts.shape[1], overflow)])
+        k = min(k, len(pts))
+        dist = cdist(queries, pts)
+        assert not overflow or np.isinf(dist[-1]).all()
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+        row, cand = np.nonzero(~(dist > kth))
+        want = np.sort(_first_k(row, cand, dist[row, cand], len(queries), k),
+                       axis=1)
+        for strategy in ("brute", "kdtree"):
+            np.testing.assert_array_equal(
+                NeighborIndex(pts, strategy).query(queries, k), want)
 
     @pytest.mark.parametrize("strategy", ["brute", "kdtree"])
     def test_empty_block_and_width_mismatch(self, strategy):

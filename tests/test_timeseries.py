@@ -204,6 +204,32 @@ class TestForecastRecursive:
         assert got.jitter_max == max(p.jitter_max for p in steps)
         assert getattr(got, seen) > 0
 
+    @pytest.mark.parametrize("extra", [-30, 0, 5])
+    def test_detailed_equals_hand_loop_over_shifted_windows(self, extra):
+        # Five lags, so every step shifts the window by one: the reference
+        # builds each step's window afresh from the history and the means
+        # so far.  k < N for extra < 0, else every step is a full solve.
+        series = np.sin(np.arange(80) / 4.0) + 0.01 * np.cos(np.arange(80))
+        model = trainer.fit(lag_embed(series, LagSpec(5)),
+                            fast_config(max_epochs=3))
+        k = model.n + extra
+        got = forecast_recursive(model, series, steps=8, k=k, detailed=True)
+        values = list(series)
+        steps = []
+        for _ in range(8):
+            window = np.array(values[-5:])
+            steps.append(trainer.predict_batched(model, window[None, :], k=k))
+            values.append(steps[-1].mean[0])
+        for name in ("mean", "variance", "ci_low", "ci_high"):
+            np.testing.assert_array_equal(
+                getattr(got, name), [getattr(p, name)[0] for p in steps])
+        assert (got.alpha_level, got.clamped, got.jitter_events) == (
+            0.05, sum(p.clamped for p in steps),
+            sum(p.jitter_events for p in steps))
+        assert got.jitter_max == max(p.jitter_max for p in steps)
+        np.testing.assert_array_equal(
+            forecast_recursive(model, series, steps=8, k=k), got.mean)
+
 
 class TestE1Score:
     def test_perfect_forecast_scores_zero(self):

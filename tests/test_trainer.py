@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from dgcn import gp, linalg, trainer
 from dgcn.errors import (
@@ -387,6 +388,57 @@ class TestPredictBatched:
             diagnostics += want.clamped + want.jitter_events
         assert (model._cache.k is not None) == cached
         assert (diagnostics > 0) == (which != "sine")
+
+    @staticmethod
+    def lattice_model(strategy):
+        """Integer-lattice inputs, a third of them duplicated rows, and
+        queries on and between the lattice points: most queries' k-th
+        nearest distance is shared by more than one training point."""
+        rng = np.random.default_rng(11)
+        x = rng.integers(-2, 3, (60, 2)).astype(np.float64)
+        x[40:] = x[:20]
+        data = Dataset(x, np.sin(x.sum(axis=1)) + 0.1 * rng.standard_normal(60))
+        model = trainer.fit(data, quiet_config(batch_size=30, max_epochs=3,
+                                               neighbor_strategy=strategy))
+        return model, np.vstack([x[:10], rng.integers(-4, 5, (15, 2)) / 2.0])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_tied_neighbour_sets_match_neighbour_prediction(
+            self, monkeypatch, strategy, cached, threads):
+        monkeypatch.setenv("DGCN_THREADS", threads)
+        model, probe = self.lattice_model(strategy)
+        if cached:
+            model._cache.build(model)
+        else:
+            monkeypatch.setattr(trainer, "_CACHE_ENTRIES", 0)
+        dist = np.sort(cdist(model.scaler.transform_x(probe), model.x), axis=1)
+        for k in (5, 12, 37):
+            # Rows where the k-th and (k+1)-th distances tie.
+            assert np.count_nonzero(dist[:, k - 1] == dist[:, k]) >= 5
+            want = neighbour_prediction(model, probe, k)
+            got = trainer.predict_batched(model, probe, k=k)
+            for f in dataclasses.fields(want):
+                np.testing.assert_array_equal(getattr(got, f.name),
+                                              getattr(want, f.name))
+        assert (model._cache.k is not None) == cached
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_overflowed_query_rows_with_either_strategy(self, strategy):
+        # Every distance from these rows is inf (1e308 warps past float64),
+        # so their neighbour sets are the k lowest indices, as brute force
+        # ranks them; the kd-tree cannot bound such rows and takes every
+        # point as a candidate.
+        model, _ = self.lattice_model(strategy)
+        probe = np.array([[1e308, 0.0], [0.0, -1e308], [0.5, 0.5]])
+        with np.errstate(over="ignore"):
+            want = neighbour_prediction(model, probe, 5)
+            got = trainer.predict_batched(model, probe, k=5)
+        for f in dataclasses.fields(want):
+            np.testing.assert_array_equal(getattr(got, f.name),
+                                          getattr(want, f.name))
+        assert np.isfinite(got.mean).all()
 
     @pytest.mark.parametrize("extra, calls", [(-1, 1), (0, 0), (7, 0)])
     def test_neighbour_search_only_below_n(self, monkeypatch, extra, calls):
