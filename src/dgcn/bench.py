@@ -331,9 +331,9 @@ def timing_benchmark(sizes, batch_sizes, epochs: int = 100,
     """Wall-clock training time per (N, N_b) configuration, fixed epochs.
 
     ``batch_sizes`` entries are ints, or None for full batch (N_b = N);
-    full-batch rows whose covariance storage would exceed the memory cap
-    are skipped with a recorded reason.  Early stopping is disabled so
-    every row runs the same number of epochs.  Every row's config is built
+    full-batch rows (N_b >= N) whose covariance storage would exceed the
+    memory cap are skipped with a recorded reason.  Early stopping is
+    disabled so every row runs the same number of epochs.  Every row's config is built
     first, so a bad size, batch size or epoch count raises InvalidSetting
     before any training; then one small warm-up fit runs, not timed.
     """
@@ -350,7 +350,7 @@ def timing_benchmark(sizes, batch_sizes, epochs: int = 100,
         for nb, cfg in zip(batch_sizes, row_configs):
             # ~6 dense N x N float64 intermediates live at peak.
             needed = 6 * 8 * n**2
-            if nb is None and needed > memory_cap_bytes:
+            if cfg.batch_size >= n and needed > memory_cap_bytes:
                 report.skipped.append((
                     n, cfg.batch_size, f"full batch at N={n} needs ~{needed >> 20} MiB"))
                 continue

@@ -136,11 +136,11 @@ def cmd_forecast(args) -> int:
     spec = timeseries.LagSpec(args.lags)
     check_integer("--steps", args.steps, 0)
     series = timeseries.read_series_csv(args.series)
+    timeseries.trailing_window(series, spec.n_lags)  # fails before training
     data = timeseries.lag_embed(series, spec)
     model = trainer.fit(data, config)
-    pred = timeseries.forecast_recursive(
-        model, series[np.isfinite(series)], args.steps, k=args.k, detailed=True
-    )
+    pred = timeseries.forecast_recursive(model, series, args.steps, k=args.k,
+                                         detailed=True)
     bench.write_prediction_csv(args.out, pred, "index", "prediction",
                                start=series.size)
     print(f"wrote {args.steps}-step forecast to {args.out}")

@@ -95,8 +95,8 @@ class MissingColumn(_DataError):
 
 
 class InvalidSetting(DgcnError, ValueError):
-    """A setting is unusable: a config key, CLI flag, DGCN_THREADS or a
-    prediction rule (neighbour count, alpha, interval)."""
+    """A setting is unusable: a config key, CLI flag or a prediction rule
+    (neighbour count, alpha, interval)."""
 
     exit_code = 2
 

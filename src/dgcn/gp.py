@@ -197,7 +197,9 @@ def warped_rows(x, theta, n_k: int) -> np.ndarray:
     n, n_v = x.shape
     if theta.shape != (n, n_v * n_k):
         raise DimensionMismatch(f"length-scales {theta.shape} for points {x.shape}")
-    return np.ascontiguousarray((np.tile(x, n_k) * theta).T).reshape(n_k, n_v, n)
+    with np.errstate(over="ignore"):  # an overflowed query warps to inf
+        warped = np.tile(x, n_k) * theta
+    return np.ascontiguousarray(warped.T).reshape(n_k, n_v, n)
 
 
 def cross_cov(kset: KernelSet, train, star, rows=None) -> np.ndarray:

@@ -30,7 +30,7 @@ _BLOCK_ROWS = 256
 
 
 class NeighborIndex:
-    """Immutable index over a fixed point set; safe for concurrent queries."""
+    """Immutable index over a fixed point set."""
 
     def __init__(self, points, strategy: str = "brute"):
         points = np.ascontiguousarray(points, dtype=np.float64)

@@ -96,7 +96,7 @@ def lag_embed(series, spec: LagSpec) -> Dataset:
     return Dataset(x=x, y=y, columns=columns)
 
 
-def _trailing_window(history, n_lags: int) -> np.ndarray:
+def trailing_window(history, n_lags: int) -> np.ndarray:
     """A copy of the last n_lags values of history, the first forecast's
     inputs; SeriesTooShort if there are fewer or any is missing."""
     history = np.asarray(history, dtype=np.float64).reshape(-1)
@@ -125,7 +125,7 @@ def forecast_recursive(model: TrainedModel, history, steps: int,
     ``jitter_max`` is the highest level any step used.
     """
     steps = check_integer("steps", steps, 0)
-    window = _trailing_window(history, model.n_v)
+    window = trailing_window(history, model.n_v)
     means = np.empty(steps)
     variances = np.empty(steps)
     lows = np.empty(steps)
@@ -159,10 +159,12 @@ def forecast_direct(history, n_lags: int, steps: int, config: TrainConfig,
 
     Model h learns to map a lag window to the value h steps ahead, so no
     predicted value is ever fed back.  Costs one fit per step; the
-    recursive mode is the default everywhere.
+    recursive mode is the default everywhere.  Raises InvalidSetting
+    unless steps is an integer >= 0.
     """
+    steps = check_integer("steps", steps, 0)
     history = np.asarray(history, dtype=np.float64).reshape(-1)
-    window = _trailing_window(history, n_lags)[None, :]
+    window = trailing_window(history, n_lags)[None, :]
     out = np.empty(steps)
     for h in range(steps):
         data = lag_embed(history, LagSpec(n_lags, (h,)))

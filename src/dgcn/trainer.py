@@ -45,8 +45,9 @@ input space and a leaf holds nearby points, so its block spans few cache
 lines of the memory-bound gather.  K and the factor take 8 N^2 bytes
 each; models with N^2 above _CACHE_ENTRIES (N > 4096) cache nothing: each
 call warps the points again and factors the whole set or each group's
-block for itself.  The cache is filled before groups are handed to
-DGCN_THREADS workers, which only read it; it is never saved, and update()
+block for itself.  The cache is filled before the groups are solved, in
+one serial loop (worker threads measured slower: the Python work around
+each group's LAPACK calls holds the GIL).  It is never saved, and update()
 and load() return models with an empty one.  Cached or not, every
 prediction is the same bit for bit.
 
@@ -59,10 +60,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -98,17 +97,6 @@ from .neighbors import STRATEGIES, NeighborIndex
 
 MODEL_MAGIC = b"DGCN"
 MODEL_FORMAT_VERSION = 1
-
-
-def worker_count() -> int:
-    """Worker cap from DGCN_THREADS (unset or empty means 1 = serial).
-
-    Raises InvalidSetting unless the value is an integer >= 1.
-    """
-    raw = os.environ.get("DGCN_THREADS", "").strip() or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        raise InvalidSetting(f"DGCN_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
 
 
 def derived_seed(*keys: int) -> int:
@@ -163,6 +151,17 @@ _STD_FLOOR = 1e-12
 _CACHE_ENTRIES = 1 << 24
 
 
+def _column_stats(a):
+    """Mean and floored standard deviation of a's columns; a constant column
+    whose computed ones overflow gets its value and the floor, exactly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = a.mean(axis=0), np.maximum(a.std(axis=0), _STD_FLOOR)
+    if a.shape[0]:
+        exact = ~np.isfinite([mean, std]).all(axis=0) & (a == a[0]).all(axis=0)
+        mean, std = np.where(exact, a[0], mean), np.where(exact, _STD_FLOOR, std)
+    return mean, std
+
+
 @dataclass
 class Scaler:
     """Per-column standardization for inputs and (optionally) the target."""
@@ -184,16 +183,14 @@ class Scaler:
     def fit(cls, x, y, standardize_y: bool = True) -> "Scaler":
         """Column statistics of x, and of y with standardize_y.
 
-        Raises InvalidTarget when a mean or standard deviation overflows
-        float64 (values of about 1e154 and above).
+        Raises InvalidTarget when a non-constant column's mean or standard
+        deviation overflows float64 (values of about 1e154 and above).
         """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_mean = x.mean(axis=0)
-            x_std = np.maximum(x.std(axis=0), _STD_FLOOR)
-            y_mean, y_std = ((float(y.mean()), float(max(y.std(), _STD_FLOOR)))
-                             if standardize_y else (0.0, 1.0))
+        x_mean, x_std = _column_stats(x)
+        y_mean, y_std = (map(float, _column_stats(y)) if standardize_y
+                         else (0.0, 1.0))
         bad = np.flatnonzero(~(np.isfinite(x_mean) & np.isfinite(x_std)))
         if bad.size:
             raise InvalidTarget(
@@ -553,8 +550,10 @@ def update(model: TrainedModel, new_data: Dataset, epochs: int) -> TrainedModel:
 
     The scalers are reused (not refit); the neighbor index is rebuilt over
     the enlarged training set.  With epochs=0 the networks are untouched
-    and only the stored data and index grow.
+    and only the stored data and index grow.  Raises InvalidSetting unless
+    epochs is an integer >= 0.
     """
+    epochs = check_integer("epochs", epochs, 0)
     if new_data.n_v != model.n_v:
         raise SchemaMismatch(
             f"model expects {model.n_v} inputs, new data has {new_data.n_v}"
@@ -670,8 +669,8 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
                          gp.warped_rows(xs, hyper_star.theta, kset.n_k),
                          None if k == model.n else nearest)
 
-    def solve_group(group) -> float:
-        sel, ids = group
+    jitters = []
+    for sel, ids in groups:
         if isinstance(sel, slice):
             factor, alpha = cache.full
         elif cache.k is not None:
@@ -680,17 +679,9 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
             factor, alpha = gp.solve_train(_stored_cov(model, sel), model.y[sel])
         mean[ids], variance[ids] = gp.posterior(
             factor, alpha, np.ascontiguousarray(cross[ids].T), kset.n_k)
-        return factor.jitter_used
-
-    # Groups write disjoint rows of the mean and variance arrays and return
-    # their jitter, so no state is shared; the clamp, noise, interval and
-    # the response's units are then applied to the whole call at once.
-    workers = worker_count()
-    if workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jitters = list(pool.map(solve_group, groups))
-    else:
-        jitters = list(map(solve_group, groups))
+        jitters.append(factor.jitter_used)
+    # The clamp, noise, interval and the response's units are applied to
+    # the whole call at once.
     pred = gp.predictive(mean, variance,
                          hyper_star.sigma2 if include_noise else None,
                          k, alpha_level, interval, jitters)

@@ -394,6 +394,21 @@ class TestTimingBenchmark:
         assert lines[0] == "N,N_b,seconds,sec_per_epoch"
         assert len(lines) == 4
 
+    def test_memory_cap_applies_to_a_batch_above_n(self, monkeypatch):
+        # N_b = 300 >= N = 256 is a full batch: the cap skips it, and only
+        # the untimed 64-point warm-up fit runs.
+        fitted = []
+        fit = trainer.fit
+        monkeypatch.setattr(bench.trainer, "fit",
+                            lambda data, cfg: fitted.append(data.n)
+                            or fit(data, cfg))
+        report = bench.timing_benchmark(
+            sizes=[256], batch_sizes=[300], epochs=2, synthetic_dims=3,
+            memory_cap_bytes=6 * 8 * 256**2 - 1)
+        assert report.rows == []
+        assert [s[:2] for s in report.skipped] == [(256, 300)]
+        assert fitted == [64]
+
     def test_time_grows_with_n_at_fixed_batch(self):
         report = bench.timing_benchmark(
             sizes=[200, 1600], batch_sizes=[100], epochs=3, synthetic_dims=3)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgcn import cli, errors, trainer
+from dgcn import bench, cli, errors, timeseries, trainer
 
 from test_trainer import rewrite_manifest
 
@@ -317,12 +317,19 @@ class TestPredict:
                     "--out", tmp_path / "pred.csv"]) == 3
         assert "malformed model manifest" in capsys.readouterr().err
 
-    def test_bad_thread_setting_is_usage_error(self, tmp_path, sine_csv,
+    def test_retired_thread_setting_is_ignored(self, tmp_path, sine_csv,
                                                fast_config_json, monkeypatch):
+        # The variable the removed prediction worker pool read: any value,
+        # even one that pool refused with exit 2, now changes nothing.
+        retired = "DGCN_" + "THREADS"
         model = self.fit_model(tmp_path, sine_csv, fast_config_json)
-        monkeypatch.setenv("DGCN_THREADS", "banana")
-        assert run(["predict", "--model", model, "--data", sine_csv,
-                    "--out", tmp_path / "pred.csv"]) == 2
+        args = ["predict", "--model", model, "--data", sine_csv, "--k", 7]
+        monkeypatch.delenv(retired, raising=False)
+        assert run([*args, "--out", tmp_path / "plain.csv"]) == 0
+        monkeypatch.setenv(retired, "banana")
+        assert run([*args, "--out", tmp_path / "set.csv"]) == 0
+        assert ((tmp_path / "set.csv").read_bytes()
+                == (tmp_path / "plain.csv").read_bytes())
 
 
     @pytest.mark.parametrize("extra", [
@@ -452,6 +459,46 @@ class TestForecastAndGapFilling:
         assert_usage_error(capsys, ["cats", "--series", series_path,
                                     "--k", k, "--out-dir", tmp_path])
         assert not (tmp_path / "forecast.csv").exists()
+
+    @staticmethod
+    def sine_series_with_gaps(tmp_path, gaps):
+        cells = [repr(float(v)) for v in np.sin(np.arange(200) / 5.0)]
+        for i in gaps:
+            cells[i] = ""
+        path = tmp_path / "series.csv"
+        path.write_text("value\n" + "\n".join(cells) + "\n")
+        return path
+
+    def test_forecast_trailing_gap_is_data_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # Values 198-199 are missing, so the first forecast's lag window
+        # has a gap; this is found before any training.
+        series_path = self.sine_series_with_gaps(tmp_path, [197, 198])
+        monkeypatch.setattr(cli.trainer, "fit", None)
+        out = tmp_path / "forecast.csv"
+        err = assert_data_error(capsys, ["forecast", "--series", series_path,
+                                         "--steps", 3, "--lags", 5,
+                                         "--out", out])
+        assert "values 196-200, has missing values" in err
+        assert not out.exists()
+
+    def test_forecast_interior_gap_forecasts_from_the_last_lags(
+            self, tmp_path, fast_config_json):
+        series_path = self.sine_series_with_gaps(tmp_path, [100, 150, 190])
+        out = tmp_path / "forecast.csv"
+        assert run(["forecast", "--series", series_path, "--steps", 4,
+                    "--lags", 5, "--config", fast_config_json, "--out", out,
+                    "--seed", 3]) == 0
+        # The same forecast from the gap-free history's last five values.
+        series = timeseries.read_series_csv(series_path)
+        model = trainer.fit(
+            timeseries.lag_embed(series, timeseries.LagSpec(5)),
+            cli.load_config(fast_config_json, 3))
+        pred = timeseries.forecast_recursive(
+            model, series[np.isfinite(series)], 4, detailed=True)
+        bench.write_prediction_csv(tmp_path / "want.csv", pred, "index",
+                                   "prediction", start=200)
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.parametrize("strategy", ["recursive", "direct"])
     def test_cats_gap_in_a_trailing_window_is_data_error(self, tmp_path,

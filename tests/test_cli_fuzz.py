@@ -202,6 +202,9 @@ def degenerate_tables(draw) -> list:
 
 @settings(max_examples=80, deadline=None)
 @example(table=[[1e155, 0.5], [-1e155, -0.5], [1e155, 0.25], [-1e155, 0.75]])
+@example(table=[[0.0, 0.0, 3.2031249999999998e+199]] * 12)
+@example(table=[[3.2031249999999998e+199, 0.5, 0.25]] * 12)
+@example(table=[[9e307, 0.5], [9e307, -0.5], [9e307, 0.25]])
 @given(table=degenerate_tables())
 def test_degenerate_training_table(work, table):
     data = work / "table.csv"
@@ -211,10 +214,16 @@ def test_degenerate_training_table(work, table):
                       "--out", work / "table.dgcn"])
     with np.errstate(over="ignore", invalid="ignore"):
         columns = np.array(table)
-        stats = [columns.mean(axis=0), columns.std(axis=0)] if table else []
+        # A constant column standardizes to zeros, however large it is.
+        varies = (columns != columns[:1]).any(axis=0) if table else []
+        stats = ([columns.mean(axis=0)[varies], columns.std(axis=0)[varies]]
+                 if table else [])
     if len(table) >= 2 and not np.isfinite(stats).all():
         # An input column or the response cannot be standardized.
         assert code == 3 and err.startswith("data error: "), err
+    if len(table) >= 2 and not np.any(varies):
+        # Every column is constant: nothing overflows.
+        assert not err.startswith("data error: "), err
     if code == 0:
         call(["predict", "--model", work / "table.dgcn", "--data", data,
               "--out", work / "pred.csv"])

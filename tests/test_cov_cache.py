@@ -73,11 +73,10 @@ class TestCachedEqualsUncached:
                             max_size=5, unique=True),
            seed=st.integers(0, 2**16), k_over=st.integers(-60, 8),
            variant=st.sampled_from(["fitted", "update0", "update1", "loaded"]),
-           include_noise=st.booleans(), interval=st.sampled_from(["t", "z"]),
-           threads=st.sampled_from(["1", "2"]))
+           include_noise=st.booleans(), interval=st.sampled_from(["t", "z"]))
     def test_every_prediction_field_is_identical(
             self, n, n_v, kernels, seed, k_over, variant, include_noise,
-            interval, threads):
+            interval):
         k = max(2, n + k_over)  # k < N and k >= N
         base = make_model(n, n_v, seed, kernels)
         warm(base, n_v, max(2, n // 3))
@@ -104,9 +103,7 @@ class TestCachedEqualsUncached:
             reference = predict(uncached(model))
         if model._cache.k is None:
             warm(model, n_v, max(2, model.n // 3))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("DGCN_THREADS", threads)
-            first, second = predict(model), predict(model)
+        first, second = predict(model), predict(model)
         assert model._cache.k is not None
         assert (model._cache.full is not None) == (k >= model.n)
         assert_same_prediction(reference, first)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgcn import bench, timeseries, trainer
-from dgcn.errors import ParseError, SeriesTooShort, ShapeMismatch
+from dgcn.errors import InvalidSetting, ParseError, SeriesTooShort, ShapeMismatch
 from dgcn.mlp import OptimizerConfig
 from dgcn.timeseries import (
     CATS_BLOCKS,
@@ -164,6 +164,13 @@ class TestForecastRecursive:
         gappy[37] = 0.0
         assert forecast_recursive(model, gappy, steps=2).shape == (2,)
         assert timeseries.forecast_direct(gappy, 5, 2, config).shape == (2,)
+
+    @pytest.mark.parametrize("steps", [-1, True, 2.5, "2", None])
+    def test_direct_step_count_must_be_a_non_negative_integer(self, steps):
+        series = np.sin(np.arange(40) / 3.0)
+        with pytest.raises(InvalidSetting, match="steps"):
+            timeseries.forecast_direct(series, 5, steps,
+                                       fast_config(max_epochs=1))
 
     def test_direct_mode_no_feedback(self):
         # A clean sine is predictable directly at every horizon; the

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import re
 import struct
-import sys
 import tempfile
 import zlib
 from pathlib import Path
@@ -123,6 +122,18 @@ class TestDatasetAndScaler:
         y = np.ones(10)
         scaler = Scaler.fit(x, y)
         assert np.all(np.isfinite(scaler.transform_x(x)))
+
+    @pytest.mark.parametrize("value", [3.203125e199, 9e307, -1.5e308])
+    def test_constant_column_of_any_magnitude_is_exact(self, value):
+        # Twelve copies of the value sum, or square their mean's rounding
+        # error, past float64; the column's exact statistics are the value
+        # and no spread.
+        x = np.column_stack([np.linspace(-1.0, 1.0, 12), np.full(12, value)])
+        scaler = Scaler.fit(x, np.full(12, value))
+        assert scaler.x_mean[1] == scaler.y_mean == value
+        assert scaler.x_std[1] == scaler.y_std == trainer._STD_FLOOR
+        np.testing.assert_array_equal(scaler.transform_x(x)[:, 1], 0.0)
+        assert scaler.x_std[0] == np.linspace(-1.0, 1.0, 12).std()
 
     @pytest.mark.parametrize("standardize_y", [True, False])
     def test_overflowing_input_column_is_invalid(self, standardize_y):
@@ -337,38 +348,45 @@ class TestPredictBatched:
         model = trainer.fit(data, quiet_config(batch_size=10, max_epochs=10))
         return model, np.random.default_rng(7).uniform(0, 2 * np.pi, (25, 1))
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @staticmethod
+    def query_blocks(calls, probe):
+        """The probe in one call, or each row in a call of its own."""
+        if calls == "whole":
+            return [probe]
+        return [probe[i:i + 1] for i in range(len(probe))]
+
+    @pytest.mark.parametrize("calls", ["whole", "rows"])
     @pytest.mark.parametrize("include_noise", [False, True])
     @pytest.mark.parametrize("interval", ["t", "z"])
     @pytest.mark.parametrize("extra", [0, 7])
     @pytest.mark.parametrize("which", ["sine", "jitter"])
-    def test_k_equals_n_matches_full_prediction(self, monkeypatch, which, extra,
-                                                interval, include_noise,
-                                                threads):
-        monkeypatch.setenv("DGCN_THREADS", threads)
+    def test_k_equals_n_matches_full_prediction(self, which, extra, interval,
+                                                include_noise, calls):
         model, probe = (self.sine_model() if which == "sine"
                         else self.jitter_model())
-        full = full_prediction(model, probe, include_noise=include_noise,
-                               interval=interval)
-        batched = trainer.predict_batched(model, probe, k=model.n + extra,
-                                          include_noise=include_noise,
-                                          interval=interval)
+        jitter_events = 0
+        for block in self.query_blocks(calls, probe):
+            full = full_prediction(model, block, include_noise=include_noise,
+                                   interval=interval)
+            batched = trainer.predict_batched(model, block, k=model.n + extra,
+                                              include_noise=include_noise,
+                                              interval=interval)
+            for f in dataclasses.fields(full):
+                np.testing.assert_array_equal(getattr(batched, f.name),
+                                              getattr(full, f.name))
+            jitter_events += full.jitter_events
         if which == "jitter":
-            assert full.jitter_events == 1
-        for f in dataclasses.fields(full):
-            np.testing.assert_array_equal(getattr(batched, f.name),
-                                          getattr(full, f.name))
+            assert jitter_events == len(self.query_blocks(calls, probe))
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("calls", ["whole", "rows"])
     @pytest.mark.parametrize("cached", [False, True])
     @pytest.mark.parametrize("include_noise", [False, True])
     @pytest.mark.parametrize("interval", ["t", "z"])
     @pytest.mark.parametrize("which", ["sine", "clamping", "jitter"])
     def test_k_below_n_matches_neighbour_prediction(
-            self, monkeypatch, which, interval, include_noise, cached, threads):
+            self, monkeypatch, which, interval, include_noise, cached, calls):
         # Uncached groups factor their own gathered covariance; cached
         # groups gather from the model's leaf-order K.
-        monkeypatch.setenv("DGCN_THREADS", threads)
         model, probe = getattr(self, f"{which}_model")()
         if cached:
             model._cache.build(model)
@@ -376,16 +394,17 @@ class TestPredictBatched:
             monkeypatch.setattr(trainer, "_CACHE_ENTRIES", 0)
         diagnostics = 0
         for k in (6, model.n - 1):
-            want = neighbour_prediction(model, probe, k,
-                                        include_noise=include_noise,
-                                        interval=interval)
-            got = trainer.predict_batched(model, probe, k=k,
-                                          include_noise=include_noise,
-                                          interval=interval)
-            for f in dataclasses.fields(want):
-                np.testing.assert_array_equal(getattr(got, f.name),
-                                              getattr(want, f.name))
-            diagnostics += want.clamped + want.jitter_events
+            for block in self.query_blocks(calls, probe):
+                want = neighbour_prediction(model, block, k,
+                                            include_noise=include_noise,
+                                            interval=interval)
+                got = trainer.predict_batched(model, block, k=k,
+                                              include_noise=include_noise,
+                                              interval=interval)
+                for f in dataclasses.fields(want):
+                    np.testing.assert_array_equal(getattr(got, f.name),
+                                                  getattr(want, f.name))
+                diagnostics += want.clamped + want.jitter_events
         assert (model._cache.k is not None) == cached
         assert (diagnostics > 0) == (which != "sine")
 
@@ -402,12 +421,11 @@ class TestPredictBatched:
                                                neighbor_strategy=strategy))
         return model, np.vstack([x[:10], rng.integers(-4, 5, (15, 2)) / 2.0])
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("calls", ["whole", "rows"])
     @pytest.mark.parametrize("cached", [False, True])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_tied_neighbour_sets_match_neighbour_prediction(
-            self, monkeypatch, strategy, cached, threads):
-        monkeypatch.setenv("DGCN_THREADS", threads)
+            self, monkeypatch, strategy, cached, calls):
         model, probe = self.lattice_model(strategy)
         if cached:
             model._cache.build(model)
@@ -417,11 +435,12 @@ class TestPredictBatched:
         for k in (5, 12, 37):
             # Rows where the k-th and (k+1)-th distances tie.
             assert np.count_nonzero(dist[:, k - 1] == dist[:, k]) >= 5
-            want = neighbour_prediction(model, probe, k)
-            got = trainer.predict_batched(model, probe, k=k)
-            for f in dataclasses.fields(want):
-                np.testing.assert_array_equal(getattr(got, f.name),
-                                              getattr(want, f.name))
+            for block in self.query_blocks(calls, probe):
+                want = neighbour_prediction(model, block, k)
+                got = trainer.predict_batched(model, block, k=k)
+                for f in dataclasses.fields(want):
+                    np.testing.assert_array_equal(getattr(got, f.name),
+                                                  getattr(want, f.name))
         assert (model._cache.k is not None) == cached
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -439,6 +458,27 @@ class TestPredictBatched:
             np.testing.assert_array_equal(getattr(got, f.name),
                                           getattr(want, f.name))
         assert np.isfinite(got.mean).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_query_that_overflows_once_warped_gets_the_prior(self):
+        # 1e308 standardizes to a finite value that overflows when scaled
+        # by a length-scale of 50: it is far from every training point.
+        data = sine_dataset(n=40)
+        model = trainer.fit(data, quiet_config(batch_size=20, max_epochs=2))
+        theta_net = model.theta_net
+        theta_net.params.weights[-1][:] = 0.0
+        theta_net.params.biases[-1][:] = 50.0
+        model = trainer._assemble(theta_net, model.sigma_net, model.scaler,
+                                  model.config, model.x, model.y,
+                                  model.columns, model.log)
+        s = model.scaler
+        probe = np.array([[1e308], [-1e308]])
+        assert np.isfinite(s.transform_x(probe)).all()
+        for k in (5, model.n):
+            pred = trainer.predict_batched(model, probe, k=k)
+            np.testing.assert_array_equal(pred.mean, [s.y_mean] * 2)
+            np.testing.assert_array_equal(
+                pred.variance, [model.kernel_set.n_k * s.y_std**2] * 2)
 
     @pytest.mark.parametrize("extra, calls", [(-1, 1), (0, 0), (7, 0)])
     def test_neighbour_search_only_below_n(self, monkeypatch, extra, calls):
@@ -505,16 +545,6 @@ class TestPredictBatched:
         with pytest.raises(SchemaMismatch):
             trainer.predict_batched(model, np.ones((3, 2)))
 
-    def test_threaded_prediction_matches_serial(self, monkeypatch):
-        data = sine_dataset(n=50, noise=0.05)
-        model = trainer.fit(data, quiet_config(batch_size=25, max_epochs=5))
-        probe = np.linspace(-0.3, 6.5, 40)[:, None]
-        serial = trainer.predict_batched(model, probe, k=10)
-        monkeypatch.setenv("DGCN_THREADS", "4")
-        threaded = trainer.predict_batched(model, probe, k=10)
-        np.testing.assert_array_equal(serial.mean, threaded.mean)
-        np.testing.assert_array_equal(serial.variance, threaded.variance)
-
     @staticmethod
     def clamping_model():
         """A model whose near-singular solves clamp many variances to 0."""
@@ -532,26 +562,6 @@ class TestPredictBatched:
                                   model.config, model.x, model.y,
                                   model.columns, model.log)
         return model, np.concatenate([data.x, data.x + 1e-3])
-
-    @pytest.mark.parametrize("threads", ["2", "8"])
-    def test_threaded_prediction_equals_serial_with_clamp_count(
-            self, monkeypatch, threads):
-        model, probe = self.clamping_model()
-        serial = trainer.predict_batched(model, probe, k=10)
-        assert serial.clamped > 0
-        monkeypatch.setenv("DGCN_THREADS", threads)
-        # More workers than cores and frequent thread switches: a lost
-        # update to a shared counter would show up as a smaller count.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                threaded = trainer.predict_batched(model, probe, k=10)
-                for f in dataclasses.fields(serial):
-                    np.testing.assert_array_equal(getattr(threaded, f.name),
-                                                  getattr(serial, f.name))
-        finally:
-            sys.setswitchinterval(interval)
 
     @staticmethod
     def jitter_model():
@@ -621,32 +631,6 @@ class TestPredictBatched:
             np.testing.assert_array_equal(getattr(got, f.name),
                                           getattr(want, f.name))
 
-    def test_threaded_jitter_equals_serial(self, monkeypatch):
-        model, probe = self.jitter_model()
-        serial = trainer.predict_batched(model, probe, k=6)
-        assert serial.jitter_events > 0
-        monkeypatch.setenv("DGCN_THREADS", "4")
-        threaded = trainer.predict_batched(model, probe, k=6)
-        for f in dataclasses.fields(serial):
-            np.testing.assert_array_equal(getattr(threaded, f.name),
-                                          getattr(serial, f.name))
-
-    @pytest.mark.parametrize("value, want", [(None, 1), ("", 1), ("1", 1),
-                                             ("3", 3), (" 2 ", 2)])
-    def test_worker_count_accepts_positive_integers(self, monkeypatch, value,
-                                                    want):
-        if value is None:
-            monkeypatch.delenv("DGCN_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("DGCN_THREADS", value)
-        assert trainer.worker_count() == want
-
-    @pytest.mark.parametrize("value", ["banana", "0", "-1", "2.5", "1e3"])
-    def test_worker_count_rejects_other_values(self, monkeypatch, value):
-        monkeypatch.setenv("DGCN_THREADS", value)
-        with pytest.raises(InvalidSetting):
-            trainer.worker_count()
-
     def test_query_the_networks_cannot_map_is_a_numeric_failure(self):
         model, probe = self.sine_model()
         probe[3] = np.nan
@@ -666,6 +650,13 @@ class TestUpdate:
             np.testing.assert_array_equal(a, b)
         assert updated.n == model.n + 2
         assert updated.index.n == model.n + 2
+
+    @pytest.mark.parametrize("epochs", [-1, True, 2.5, "1", None])
+    def test_epoch_count_must_be_a_non_negative_integer(self, epochs):
+        data = sine_dataset(n=20)
+        model = trainer.fit(data, quiet_config(batch_size=20, max_epochs=1))
+        with pytest.raises(InvalidSetting, match="epochs"):
+            trainer.update(model, data, epochs)
 
     def test_update_on_known_subset_does_not_degrade(self):
         data = sine_dataset(n=40, noise=0.05)
