@@ -62,17 +62,6 @@ class HyperField:
         if not np.all(self.sigma2 > 0.0):
             raise ValueError("noise variances must be strictly positive")
 
-    def take(self, idx) -> "HyperField":
-        """The rows idx (copies for an index array, views for a slice).
-
-        They passed the finite and positive checks as part of this field,
-        so the checks are not run again.
-        """
-        out = object.__new__(HyperField)
-        out.theta = self.theta[idx]
-        out.sigma2 = self.sigma2[idx]
-        return out
-
 
 @dataclass
 class GpBatch:
@@ -121,6 +110,12 @@ class HyperGradients:
 # kernel values, slopes, a slice of G) holds about 1 MiB of float64, so the
 # arrays a block works on at one time stay in L2.
 _BLOCK_ENTRIES = 1 << 17
+# Sets below this many points take train_cov's full square.  Each of its
+# cdist calls does twice the condensed pairs' work, but pdist's wrapper
+# costs about 16 us more per call: the square took 0.3-0.4 of the condensed
+# build's time at 16 points, 0.6-0.7 at 50, about 1 at 100 and 1.5-1.9 at
+# 200 (README, prediction).
+_SQUARE_BELOW = 96
 
 
 def _warped(batch: GpBatch, kset: KernelSet) -> list:
@@ -181,15 +176,27 @@ def _blocked_cov(kset: KernelSet, warped, sigma2, blocks, slopes: bool,
     return k, per_block
 
 
-def train_cov(train: GpBatch, kset: KernelSet) -> np.ndarray:
-    """Noise-added covariance K + diag(sigma2) of a training set.
+def train_cov(kset: KernelSet, warped, sigma2) -> np.ndarray:
+    """Noise-added covariance K + diag(sigma2) of a stored point set.
 
-    Built like the training step's K, over row blocks of about 1 MiB per
-    block array, so a large set needs no condensed temporaries of its size.
+    ``warped`` is the set's warped_rows, (n_k, n_v, m), and sigma2 its noise
+    variances.  Below _SQUARE_BELOW points each kernel's values are taken
+    over cdist(z, z)'s full square and summed in kernel order, and the
+    diagonal is written as n_k + sigma2.  From it on, K is built like the
+    training step's, over row blocks of about 1 MiB per block array, so a
+    large set needs no condensed temporaries of its size.  Either way K
+    equals cov_matrix with that diagonal bit for bit.
     """
-    blocks = linalg.row_blocks(train.n, _BLOCK_ENTRIES)
-    return _blocked_cov(kset, _warped(train, kset), train.hyper.sigma2,
-                        blocks, False, None)[0]
+    points = np.ascontiguousarray(warped.transpose(0, 2, 1))  # (n_k, m, n_v)
+    m = points.shape[1]
+    if m >= _SQUARE_BELOW:
+        blocks = linalg.row_blocks(m, _BLOCK_ENTRIES)
+        return _blocked_cov(kset, points, sigma2, blocks, False, None)[0]
+    out = np.zeros((m, m))
+    for kern, z in zip(kset.kernels, points):
+        out += kernel_value(kern, cdist(z, z))
+    out[np.diag_indices(m)] = float(kset.n_k) + sigma2
+    return out
 
 
 def warped_rows(x, theta, n_k: int) -> np.ndarray:
@@ -384,9 +391,10 @@ def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
     if x_star.shape[0] != hyper_star.theta.shape[0]:
         raise DimensionMismatch("test points and their hyperparameters disagree")
     star = warped_rows(x_star, hyper_star.theta, kset.n_k)
-    factor, alpha = solve_train(train_cov(train, kset), train.y)
-    k_star = np.ascontiguousarray(cross_cov(
-        kset, warped_rows(train.x, train.hyper.theta, kset.n_k), star).T)
+    warped = warped_rows(train.x, train.hyper.theta, kset.n_k)
+    factor, alpha = solve_train(train_cov(kset, warped, train.hyper.sigma2),
+                                train.y)
+    k_star = np.ascontiguousarray(cross_cov(kset, warped, star).T)
     mean, variance = posterior(factor, alpha, k_star, kset.n_k)
     return predictive(mean, variance,
                       hyper_star.sigma2 if include_noise else None, factor.n,

@@ -269,8 +269,9 @@ def one_set_cov(kset: KernelSet, warped, slopes: bool = False, *,
     0, its value at d == 0; otherwise S is empty.  K is a new array; the
     condensed slopes are written into the workspace if one is given.
     K equals cov_matrix(kset, x, x, theta, theta) bit for bit; the diagonal
-    blocks of gp's row-blocked covariance (training steps and prediction)
-    are assembled here.
+    blocks of gp's row-blocked covariance (training steps, and prediction
+    sets of gp._SQUARE_BELOW points or more) are assembled here.  Smaller
+    prediction sets take cdist's full square instead (gp.train_cov).
     """
     m = warped[0].shape[0]
     if m == 0:  # squareform would read an empty vector as one point

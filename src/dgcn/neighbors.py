@@ -82,7 +82,7 @@ class NeighborIndex:
             # with exactly k such points is its set, in index order.
             near = ~(dist > kth)
             exact = np.count_nonzero(near, axis=1) == k
-            part[exact] = np.nonzero(near[exact])[1].reshape(-1, k)
+            part[exact] = (np.flatnonzero(near[exact]) % self.n).reshape(-1, k)
             if not exact.all():  # ties at the k-th distance, or inf or NaN
                 tied = ~exact
                 row, cand = np.nonzero(near[tied])

@@ -28,19 +28,23 @@ clamp, noise, interval, units and finite check run once per call.
 
 A model caches what its prediction calls would otherwise rebuild from its
 stored training set: the points warped by each kernel's length-scales,
-and K + diag(sigma2) or its factor.  A call at k >= N keeps only the
-whole set's Cholesky factor and alpha = K^-1 y, so later ones only build
-the cross-covariance and solve.  Calls at k < N count the training pairs
+and K + diag(sigma2) or its factor.  The warped points come first: every
+covariance of stored points (a group's, the whole set's, K) is built from
+them by gp.train_cov.  A call at k >= N keeps only the whole set's
+Cholesky factor and alpha = K^-1 y, so later ones only build the
+cross-covariance and solve.  Calls at k < N count the training pairs
 their groups build, k (k - 1) / 2 per group, and build K when the count
-reaches N (N - 1) / 2, the cost of one full build, so a single such call
-never builds it.  K is checked (linalg.check_covariance) once, when built;
-a group gathers its block, a principal block of K, and factors it in
-place without checks (linalg.cholesky_in_place), gathering it again for
-the jitter ladder if it needs one.  K is stored in the leaf order of a
-kd-tree over the stored inputs (scipy's default leaf size, whatever the
-neighbour strategy), built from the reordered points, so each entry is
-the row-order K's bit for bit; a neighbour set's block is one flat take
-of its positions, in the set's own order.  A neighbour set is a ball in
+reaches N (N - 1) / 2, the cost of one full build: a call whose groups
+build fewer pairs than that leaves K unbuilt, and one whose groups build
+at least that many builds it within the call.  K is checked
+(linalg.check_covariance) once, when built; a group gathers its block, a
+principal block of K, and factors it in place without checks
+(linalg.cholesky_in_place), gathering it again for the jitter ladder if
+it needs one.  K is stored in the leaf order of a kd-tree over the
+stored inputs (scipy's default leaf size, whatever the neighbour
+strategy), built from the reordered points, so each entry is the
+row-order K's bit for bit; a neighbour set's block is one flat take of
+its positions, in the set's own order.  A neighbour set is a ball in
 input space and a leaf holds nearby points, so its block spans few cache
 lines of the memory-bound gather.  K and the factor take 8 N^2 bytes
 each; models with N^2 above _CACHE_ENTRIES (N > 4096) cache nothing: each
@@ -334,11 +338,20 @@ class _CovCache:
     full: tuple | None = None  # the whole set's factor and alpha
     warped: np.ndarray | None = None  # gp.warped_rows of the stored set
 
+    def points(self, model: "TrainedModel") -> np.ndarray:
+        """gp.warped_rows of the stored set, warped on the first call."""
+        if self.warped is None:
+            self.warped = gp.warped_rows(model.x, model.hyper.theta,
+                                         model.kernel_set.n_k)
+        return self.warped
+
     def build(self, model: "TrainedModel") -> None:
         """K + diag(sigma2) of the stored set, in kd-tree leaf order, checked."""
         self.order = cKDTree(model.x).indices
         self.pos = np.argsort(self.order)
-        self.k = linalg.check_covariance(_stored_cov(model, self.order))
+        self.k = linalg.check_covariance(gp.train_cov(
+            model.kernel_set, self.points(model)[:, :, self.order],
+            model.hyper.sigma2[self.order]))
 
     def block(self, sel) -> np.ndarray:
         """K[np.ix_(sel, sel)] of the stored set, by one flat take."""
@@ -351,12 +364,6 @@ class _CovCache:
         """Factor and alpha of sel's block, factored where it was gathered."""
         factor = linalg.cholesky_in_place(self.block(sel), lambda: self.block(sel))
         return factor, linalg.solve_spd(factor, y)
-
-
-def _stored_cov(model: "TrainedModel", rows) -> np.ndarray:
-    """K + diag(sigma2) of the stored points ``rows``, from their kernels."""
-    batch = gp.GpBatch(model.x[rows], model.y[rows], model.hyper.take(rows))
-    return gp.train_cov(batch, model.kernel_set)
 
 
 @dataclass
@@ -676,7 +683,9 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
         elif cache.k is not None:
             factor, alpha = cache.solve(sel, model.y[sel])
         else:
-            factor, alpha = gp.solve_train(_stored_cov(model, sel), model.y[sel])
+            k_sel = gp.train_cov(kset, cache.warped[:, :, sel],
+                                 model.hyper.sigma2[sel])
+            factor, alpha = gp.solve_train(k_sel, model.y[sel])
         mean[ids], variance[ids] = gp.posterior(
             factor, alpha, np.ascontiguousarray(cross[ids].T), kset.n_k)
         jitters.append(factor.jitter_used)
@@ -705,16 +714,15 @@ def _fill_cache(model: TrainedModel, k: int, n_groups: int) -> _CovCache:
     n = model.n
     capped = n * n > _CACHE_ENTRIES
     cache = _CovCache() if capped else model._cache
+    warped = cache.points(model)
     if k == n:
         if cache.full is None:
-            cache.full = gp.solve_train(_stored_cov(model, slice(None)), model.y)
+            cache.full = gp.solve_train(gp.train_cov(
+                model.kernel_set, warped, model.hyper.sigma2), model.y)
     elif cache.k is None and not capped:
         cache.pairs += n_groups * (k * (k - 1) // 2)
         if cache.pairs >= n * (n - 1) // 2:
             cache.build(model)
-    if cache.warped is None:  # after K and the factor: no higher peak
-        cache.warped = gp.warped_rows(model.x, model.hyper.theta,
-                                      model.kernel_set.n_k)
     return cache
 
 

@@ -287,8 +287,11 @@ def neighbour_prediction(model, x_star, k, alpha_level=0.05,
     for sel, ids in groups.items():
         sel, ids = list(sel), np.array(ids)
         pred = gp.predict(gp.GpBatch(model.x[sel], model.y[sel],
-                                     model.hyper.take(sel)),
-                          xs[ids], hyper_star.take(ids), model.kernel_set,
+                                     gp.HyperField(model.hyper.theta[sel],
+                                                   model.hyper.sigma2[sel])),
+                          xs[ids], gp.HyperField(hyper_star.theta[ids],
+                                                 hyper_star.sigma2[ids]),
+                          model.kernel_set,
                           alpha_level=alpha_level,
                           include_noise=include_noise, interval=interval)
         out[:, ids] = pred.mean, pred.variance, pred.ci_low, pred.ci_high

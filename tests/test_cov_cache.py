@@ -129,6 +129,18 @@ class TestWhenBuilt:
         assert model._cache.pairs >= threshold
         assert model._cache.full is None  # no k >= N call yet
 
+    def test_one_call_with_enough_groups_builds(self):
+        # 66 pairs per k = 12 group: 48 distinct sets reach 80 * 79 / 2.
+        model = make_model(n=80)
+        x = np.random.default_rng(6).uniform(-2, 2, (300, 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "_CACHE_ENTRIES", 0)
+            expected = trainer.predict_batched(uncached(model), x, k=12)
+        got = trainer.predict_batched(model, x, k=12)
+        assert model._cache.pairs >= 80 * 79 // 2
+        assert model._cache.k is not None
+        assert_same_prediction(expected, got)
+
     def test_k_at_least_n_builds_at_once_and_reuses_the_factor(self, monkeypatch):
         model = make_model(n=50)
         calls = {"train_cov": 0, "solve_train": 0}
@@ -157,14 +169,28 @@ class TestWhenBuilt:
         factor, alpha = cache.full
         assert factor.lower.shape == (50, 50) and alpha.shape == (50,)
 
-    def test_cached_groups_evaluate_no_kernels(self, monkeypatch):
+    @pytest.mark.parametrize("square_below", [gp._SQUARE_BELOW, 0])
+    def test_cached_groups_evaluate_no_kernels(self, monkeypatch, square_below):
+        # An uncached group's K comes from train_cov's full square (cdist)
+        # or, with the constant at 0, from its row blocks (one_set_cov).
+        monkeypatch.setattr(gp, "_SQUARE_BELOW", square_below)
         model = make_model(n=50)
         x = np.random.default_rng(3).uniform(-2, 2, (12, 2))
         warm(model, 2, 20)
-        expected = trainer.predict_batched(uncached(model), x, k=20)
         seen = []
-        monkeypatch.setattr(gp, "one_set_cov",
-                            lambda *args, **kwargs: seen.append(args))
+        for name in ("cdist", "one_set_cov"):
+            real = getattr(gp, name)
+
+            def recorded(*args, _real=real, _name=name, **kwargs):
+                seen.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(gp, name, recorded)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "_CACHE_ENTRIES", 0)
+            expected = trainer.predict_batched(uncached(model), x, k=20)
+        assert set(seen) == {"cdist" if square_below else "one_set_cov"}
+        seen.clear()
         assert_same_prediction(expected,
                                trainer.predict_batched(model, x, k=20))
         assert seen == []
@@ -198,30 +224,46 @@ class TestWhenBuilt:
 
 
 class TestTrainingCovariance:
-    @settings(max_examples=30, deadline=None)
+    """gp.train_cov's full square and its row blocks against cov_matrix."""
+
+    @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 40), n_v=st.integers(1, 3),
+           kernels=st.lists(st.sampled_from(ALL_KERNELS), min_size=1,
+                            max_size=5, unique=True),
+           square_below=st.sampled_from([0, gp._SQUARE_BELOW]),
            entries=st.sampled_from([1, 7, 64, 1 << 17]),
-           seed=st.integers(0, 2**16))
-    def test_row_blocks_equal_the_one_set_build(self, n, n_v, entries, seed):
+           overflow=st.booleans(), seed=st.integers(0, 2**16))
+    def test_both_builds_equal_cov_matrix(self, n, n_v, kernels, square_below,
+                                          entries, overflow, seed):
+        # square_below 0 forces the row blocks, the constant the full
+        # square.  The last row copies the first (off-diagonal d = 0); with
+        # ``overflow`` row 1 warps to inf, whose diagonal cdist makes NaN.
         rng = np.random.default_rng(seed)
-        kset = KernelSet()
+        kset = KernelSet(tuple(kernels))
         x = rng.uniform(-2.0, 2.0, (n, n_v))
         if n > 1:
             x[-1] = x[0]
-        hyper = gp.HyperField(rng.uniform(-2.0, 2.0, (n, n_v * kset.n_k)),
-                              rng.uniform(1e-4, 1.0, n))
-        expected = cov_matrix(kset, x, x, hyper.theta, hyper.theta)
-        expected[np.diag_indices_from(expected)] += hyper.sigma2
+        theta = rng.uniform(-2.0, 2.0, (n, n_v * kset.n_k))
+        if overflow and n > 2:
+            x[1, 0], theta[1, 0] = 1e10, 1e300
+        sigma2 = rng.uniform(1e-4, 1.0, n)
+        with np.errstate(over="ignore"):
+            expected = cov_matrix(kset, x, x, theta, theta)
+        expected[np.diag_indices_from(expected)] = kset.n_k + sigma2
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp, "_SQUARE_BELOW", square_below)
             mp.setattr(gp, "_BLOCK_ENTRIES", entries)
-            got = gp.train_cov(gp.GpBatch(x, np.zeros(n), hyper), kset)
+            got = gp.train_cov(kset, gp.warped_rows(x, theta, kset.n_k), sigma2)
         assert got.flags.c_contiguous
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(bits(got), bits(expected))
 
 
-def full_train_cov(model):
-    return gp.train_cov(gp.GpBatch(model.x, model.y, model.hyper),
-                        model.kernel_set)
+def stored_cov(model, rows=slice(None)):
+    """K + diag(sigma2) of the model's stored points ``rows``."""
+    return gp.train_cov(model.kernel_set,
+                        gp.warped_rows(model.x[rows], model.hyper.theta[rows],
+                                       model.kernel_set.n_k),
+                        model.hyper.sigma2[rows])
 
 
 def bits(a):
@@ -245,7 +287,7 @@ class TestLeafOrderLayout:
         warm(model, 3, 12)
         np.testing.assert_array_equal(np.sort(cache.order), np.arange(70))
         np.testing.assert_array_equal(cache.pos[cache.order], np.arange(70))
-        want = full_train_cov(model)[np.ix_(cache.order, cache.order)]
+        want = stored_cov(model)[np.ix_(cache.order, cache.order)]
         np.testing.assert_array_equal(bits(cache.k), bits(want))
 
     @settings(max_examples=20, deadline=None)
@@ -268,11 +310,9 @@ class TestLeafOrderLayout:
                  for size in (1, 2, n - 1, n)]
         sets.append(np.array([0, n - 1]))  # the two copies of one point
         for sel in sets:
-            sub = gp.GpBatch(model.x[sel], model.y[sel], model.hyper.take(sel))
             got = model._cache.block(sel)
             assert got.flags.c_contiguous and got.shape == (sel.size,) * 2
-            np.testing.assert_array_equal(
-                bits(got), bits(gp.train_cov(sub, model.kernel_set)))
+            np.testing.assert_array_equal(bits(got), bits(stored_cov(model, sel)))
 
     @pytest.mark.parametrize("first_k, then_k", [(15, 60), (60, 15), (60, 60)])
     @pytest.mark.parametrize("strategy", ["brute", "kdtree"])
@@ -368,8 +408,8 @@ class TestBuildChecksK:
             edit(k)
             return k
 
-        bad = broken(gp.GpBatch(model.x, model.y, model.hyper),
-                     model.kernel_set)
+        bad = stored_cov(model)
+        edit(bad)
         with pytest.raises(error):
             linalg.cholesky_jittered(bad)
         monkeypatch.setattr(gp, "train_cov", broken)

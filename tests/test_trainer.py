@@ -382,10 +382,11 @@ class TestPredictBatched:
     @pytest.mark.parametrize("cached", [False, True])
     @pytest.mark.parametrize("include_noise", [False, True])
     @pytest.mark.parametrize("interval", ["t", "z"])
-    @pytest.mark.parametrize("which", ["sine", "clamping", "jitter"])
+    @pytest.mark.parametrize("which", ["sine", "clamping", "jitter", "wide"])
     def test_k_below_n_matches_neighbour_prediction(
             self, monkeypatch, which, interval, include_noise, cached, calls):
-        # Uncached groups factor their own gathered covariance; cached
+        # Uncached groups build their own covariance, below gp._SQUARE_BELOW
+        # points from the full square and from it on in row blocks; cached
         # groups gather from the model's leaf-order K.
         model, probe = getattr(self, f"{which}_model")()
         if cached:
@@ -393,7 +394,10 @@ class TestPredictBatched:
         else:
             monkeypatch.setattr(trainer, "_CACHE_ENTRIES", 0)
         diagnostics = 0
-        for k in (6, model.n - 1):
+        square_below = gp._SQUARE_BELOW
+        for k in (6, square_below - 1, square_below, model.n - 1):
+            if k >= model.n:
+                continue
             for block in self.query_blocks(calls, probe):
                 want = neighbour_prediction(model, block, k,
                                             include_noise=include_noise,
@@ -406,7 +410,7 @@ class TestPredictBatched:
                                                   getattr(want, f.name))
                 diagnostics += want.clamped + want.jitter_events
         assert (model._cache.k is not None) == cached
-        assert (diagnostics > 0) == (which != "sine")
+        assert (diagnostics > 0) == (which not in ("sine", "wide"))
 
     @staticmethod
     def lattice_model(strategy):
@@ -544,6 +548,13 @@ class TestPredictBatched:
         model = trainer.fit(data, quiet_config(batch_size=30, max_epochs=2))
         with pytest.raises(SchemaMismatch):
             trainer.predict_batched(model, np.ones((3, 2)))
+
+    @staticmethod
+    def wide_model():
+        """The sine model over more points than gp._SQUARE_BELOW."""
+        data = sine_dataset(n=gp._SQUARE_BELOW + 24, noise=0.1)
+        model = trainer.fit(data, quiet_config(batch_size=40, max_epochs=4))
+        return model, np.random.default_rng(7).uniform(0, 2 * np.pi, (25, 1))
 
     @staticmethod
     def clamping_model():
