@@ -10,8 +10,9 @@ how much was needed instead of crashing.
 LAPACK is called directly (dpotrf, dtrtrs, dpotri): the same routines
 scipy.linalg's cholesky and solve_triangular call for a Fortran-ordered
 factor, so the results are the same bit for bit, without scipy's
-finiteness scan of every operand.  A factor from cholesky_jittered is
-finite by construction.
+finiteness scan of every operand.  No matrix is scanned either: a NaN
+or inf that dpotrf reads fails a pivot or leaves a non-finite factor
+diagonal, which both factor entry points test.
 
 A Workspace holds float64 buffers that a sequence of calls can reuse
 instead of allocating their large arrays afresh, such as the factor and
@@ -33,10 +34,6 @@ from scipy.linalg.lapack import dtrtrs as _dtrtrs
 from .errors import DimensionMismatch, NotPositiveDefinite
 
 DEFAULT_JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
-
-# Entries per row block of the symmetry check: one difference block holds
-# about 1 MiB of float64.
-_CHECK_BLOCK_ENTRIES = 1 << 17
 
 
 class Workspace:
@@ -94,24 +91,25 @@ class CholeskyFactor:
 def cholesky_jittered(a, *, workspace: Workspace | None = None) -> CholeskyFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
 
-    Tries each rung of the module's DEFAULT_JITTER_LADDER in order and
-    returns the factor for the first one that succeeds, together with the
-    jitter that was actually added.  Each rung copies ``a`` into the
-    factor's array (Fortran order, the workspace's buffer if one is given),
-    adds its jitter to the diagonal and factors it there in place; with a
-    workspace, the returned factor is valid until the workspace factors
-    again.  Without a workspace, rung 0 (no jitter) lets the LAPACK wrapper
-    make that copy, a new array, and later rungs copy over it.
+    Only the lower triangle of ``a`` is read.  Tries each rung of the
+    module's DEFAULT_JITTER_LADDER in order and returns the factor for the
+    first one that succeeds, together with the jitter that was actually
+    added.  Each rung copies ``a`` into the factor's array (Fortran order,
+    the workspace's buffer if one is given), adds its jitter to the
+    diagonal and factors it there in place; with a workspace, the returned
+    factor is valid until the workspace factors again.  Without a
+    workspace, rung 0 (no jitter) lets the LAPACK wrapper make that copy, a
+    new array, and later rungs copy over it.
 
     Raises
     ------
     NotPositiveDefinite
-        If the factorization still fails at the top of the ladder.
+        If the factorization still fails at the top of the ladder, or if
+        the lower triangle holds a NaN or inf.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    check_covariance(a, workspace)
     lower = None if workspace is None else workspace.array("factor", a.shape, "F")
     for jitter in DEFAULT_JITTER_LADDER:
         if lower is None:
@@ -121,43 +119,30 @@ def cholesky_jittered(a, *, workspace: Workspace | None = None) -> CholeskyFacto
             if jitter:
                 lower[np.diag_indices_from(lower)] += jitter
             lower, info = _dpotrf(lower, lower=1, clean=1, overwrite_a=1)
-        if info > 0:  # a leading minor is not positive definite
-            continue
-        _check_info("dpotrf", info)
-        return CholeskyFactor(lower=lower, jitter_used=float(jitter))
+        if info <= 0:  # else a leading minor is not positive definite
+            return _checked_factor(lower, info, jitter)
     raise NotPositiveDefinite(
         f"factorization failed with jitter up to {DEFAULT_JITTER_LADDER[-1]:g}"
     )
 
 
-def check_covariance(a, workspace: Workspace | None = None) -> np.ndarray:
-    """cholesky_jittered's checks of a square matrix a; returns a.
-
-    NotPositiveDefinite for a non-finite entry, DimensionMismatch when
-    max |a_pq - a_qp| > 1e-10 * max(max |a|, 1), found by comparing row
-    blocks a[r0:r1, :r1] with a[:r1, r0:r1].T of about 1 MiB each in the
-    factor's workspace buffer, which the factorization overwrites."""
-    # max() and min() propagate NaN, so the scale rejects NaN as well as inf.
-    scale = max(a.max(), -a.min()) if a.size else 0.0
-    if not np.isfinite(scale):
-        raise NotPositiveDefinite("matrix contains non-finite entries")
-    for r0, r1 in row_blocks(a.shape[0], _CHECK_BLOCK_ENTRIES):
-        diff = work_array(workspace, "factor", (r1 - r0, r1))
-        np.subtract(a[r0:r1, :r1], a[:r1, r0:r1].T, out=diff)
-        if np.abs(diff, out=diff).max() > 1e-10 * max(scale, 1.0):
-            raise DimensionMismatch("matrix is not symmetric")
-    return a
-
-
 def cholesky_in_place(a, regather) -> CholeskyFactor:
-    """cholesky_jittered(a) for a C-ordered principal block of a checked
-    matrix: a.T is a in Fortran order, factored there with no checks or
-    copy.  Past rung 0 the ladder runs on regather(), a fresh copy of a."""
+    """cholesky_jittered(a.T), a C-ordered a's factor if it is exactly
+    symmetric: a.T is a in Fortran order, factored there with no copy.
+    Past rung 0 the ladder runs on regather().T; regather() copies a."""
     lower, info = _dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
     if info > 0:
-        return cholesky_jittered(regather())
+        return cholesky_jittered(regather().T)
+    return _checked_factor(lower, info, 0.0)
+
+
+def _checked_factor(lower, info: int, jitter) -> CholeskyFactor:
+    """dpotrf's factor at this jitter; a non-finite diagonal (from a NaN
+    or inf that no jitter repairs) raises NotPositiveDefinite at once."""
     _check_info("dpotrf", info)
-    return CholeskyFactor(lower=lower, jitter_used=0.0)
+    if not np.isfinite(np.diagonal(lower)).all():
+        raise NotPositiveDefinite("matrix contains non-finite entries")
+    return CholeskyFactor(lower=lower, jitter_used=float(jitter))
 
 
 def row_blocks(n: int, entries: int) -> list:

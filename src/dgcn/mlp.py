@@ -32,7 +32,8 @@ def _act(name, a):
         return np.maximum(a, 0.0)
     if name == "linear":
         return a
-    return np.logaddexp(0.0, a)  # softplus; LayerSpec checked the name
+    with np.errstate(invalid="ignore"):  # NaN stays NaN; callers reject it
+        return np.logaddexp(0.0, a)  # softplus; LayerSpec checked the name
 
 
 def _act_prime(name, a):
@@ -253,7 +254,8 @@ class Mlp:
                 d = d * (s * (1.0 - s))
             elif activation != "linear":
                 d = d * _act_prime(activation, cache.preacts[i])
-            np.matmul(d.T, cache.layer_inputs[i], out=grad_w[i])
+            with np.errstate(invalid="ignore"):  # an inf input gives NaN
+                np.matmul(d.T, cache.layer_inputs[i], out=grad_w[i])
             np.sum(d, axis=0, out=grad_b[i])
             d = d @ self.params.weights[i]
         return MlpGrads(weights=grad_w, biases=grad_b, inputs=d, flat=flat)

@@ -36,12 +36,12 @@ cross-covariance and solve.  Calls at k < N count the training pairs
 their groups build, k (k - 1) / 2 per group, and build K when the count
 reaches N (N - 1) / 2, the cost of one full build: a call whose groups
 build fewer pairs than that leaves K unbuilt, and one whose groups build
-at least that many builds it within the call.  K is checked
-(linalg.check_covariance) once, when built; a group gathers its block, a
-principal block of K, and factors it in place without checks
-(linalg.cholesky_in_place), gathering it again for the jitter ladder if
-it needs one.  K is stored in the leaf order of a kd-tree over the
-stored inputs (scipy's default leaf size, whatever the neighbour
+at least that many builds it within the call.  K is built exactly
+symmetric, not scanned; a group gathers its block, a principal block of
+K, and factors it in place (linalg.cholesky_in_place, whose factor check
+finds a NaN or inf the block reads), gathering it again for the jitter
+ladder if it needs one.  K is stored in the leaf order of a kd-tree over
+the stored inputs (scipy's default leaf size, whatever the neighbour
 strategy), built from the reordered points, so each entry is the
 row-order K's bit for bit; a neighbour set's block is one flat take of
 its positions, in the set's own order.  A neighbour set is a ball in
@@ -346,12 +346,12 @@ class _CovCache:
         return self.warped
 
     def build(self, model: "TrainedModel") -> None:
-        """K + diag(sigma2) of the stored set, in kd-tree leaf order, checked."""
+        """K + diag(sigma2) of the stored set, in kd-tree leaf order."""
         self.order = cKDTree(model.x).indices
         self.pos = np.argsort(self.order)
-        self.k = linalg.check_covariance(gp.train_cov(
-            model.kernel_set, self.points(model)[:, :, self.order],
-            model.hyper.sigma2[self.order]))
+        self.k = gp.train_cov(model.kernel_set,
+                              self.points(model)[:, :, self.order],
+                              model.hyper.sigma2[self.order])
 
     def block(self, sel) -> np.ndarray:
         """K[np.ix_(sel, sel)] of the stored set, by one flat take."""
@@ -512,6 +512,9 @@ def _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
             break
     theta_net.clear_cache()
     sigma_net.clear_cache()
+    # Earlier NaN weights fail the next forward; the last step's need this.
+    if not all(np.isfinite(net.params.flat).all() for net in (theta_net, sigma_net)):
+        raise NonFiniteLoss(f"non-finite weights after epoch {log.epochs_run}")
 
 
 def fit(data: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:

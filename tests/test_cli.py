@@ -704,12 +704,17 @@ class TestRejectedSettings:
         assert no_fit == []
         assert f"{next(iter(config))} with t intervals must be at least 2" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("epochs", [1, 2])
     def test_overflowing_networks_are_a_numeric_failure(self, tmp_path,
-                                                        sine_csv, capsys):
-        # A valid but huge input noise drives the length-scales to inf.
+                                                        sine_csv, capsys,
+                                                        epochs):
+        # A valid but huge input noise drives the length-scales to inf; on
+        # a one-step fit the NaN weights come out of the last step.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"input_noise_std": 1e308,
-                                      "max_epochs": 2}))
+                                      "max_epochs": epochs,
+                                      "batch_size": 40}))
         capsys.readouterr()
         assert run(["train", "--data", sine_csv, "--config", config,
                     "--out", tmp_path / "m.dgcn"]) == 4

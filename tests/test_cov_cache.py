@@ -9,6 +9,7 @@ and it must never reach a model file.
 
 import dataclasses
 import tempfile
+import types
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgcn import gp, linalg, trainer
-from dgcn.errors import DimensionMismatch, NotPositiveDefinite
+from dgcn.errors import NotPositiveDefinite
 from dgcn.kernels import ALL_KERNELS, KernelSet, cov_matrix
 from dgcn.trainer import Dataset
 
@@ -258,6 +259,46 @@ class TestTrainingCovariance:
         np.testing.assert_array_equal(bits(got), bits(expected))
 
 
+class TestEveryBuilderIsExactlySymmetric:
+    """No factorization compares K with its transpose: LAPACK reads one
+    triangle, so every builder must make K exactly symmetric."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2, 17, 95, 96, 200, 363]),
+           n_v=st.sampled_from([1, 3, 8]),
+           kernels=st.lists(st.sampled_from(ALL_KERNELS), min_size=1,
+                            max_size=5, unique=True),
+           entries=st.sampled_from([1 << 17, 1 << 11]),
+           copies=st.integers(0, 3), seed=st.integers(0, 2**16))
+    def test_k_equals_its_transpose(self, n, n_v, kernels, entries, copies,
+                                    seed):
+        # 95 and 96 straddle train_cov's full square and its row blocks;
+        # 363 takes two default blocks, and 2^11 entries many.  The last
+        # ``copies`` rows repeat earlier ones.
+        rng = np.random.default_rng(seed)
+        kset = KernelSet(tuple(kernels))
+        x = rng.uniform(-2.0, 2.0, (n, n_v))
+        x[n - min(copies, n - 1):] = x[:min(copies, n - 1)]
+        hyper = gp.HyperField(rng.uniform(-2.0, 2.0, (n, n_v * kset.n_k)),
+                              rng.uniform(1e-4, 1.0, n))
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp, "_BLOCK_ENTRIES", entries)
+            built.append(gp.train_cov(
+                kset, gp.warped_rows(x, hyper.theta, kset.n_k), hyper.sigma2))
+            warped = gp._warped(gp.GpBatch(x, np.zeros(n), hyper), kset)
+            for blocks in ([(0, n)], linalg.row_blocks(n, entries)):
+                for slopes, ws in ((False, None), (True, linalg.Workspace())):
+                    built.append(gp._blocked_cov(kset, warped, hyper.sigma2,
+                                                 blocks, slopes, ws)[0])
+            cache = trainer._CovCache()
+            cache.build(types.SimpleNamespace(x=x, hyper=hyper,
+                                              kernel_set=kset))
+            built.append(cache.k)
+        for k in built:
+            assert np.array_equal(k, k.T)
+
+
 def stored_cov(model, rows=slice(None)):
     """K + diag(sigma2) of the model's stored points ``rows``."""
     return gp.train_cov(model.kernel_set,
@@ -390,29 +431,32 @@ class TestOnePassCrossCovariance:
             assert np.all(pred.variance[2] < pred.variance[:2])
 
 
-class TestBuildChecksK:
-    """K is checked once, when the cache builds it, as the factor checks it."""
+class TestBadKSurfacesAtTheFactor:
+    """The cache stores K as built, with no scan; a NaN or inf in it
+    surfaces when a gathered block that reads it is factored."""
 
-    @pytest.mark.parametrize("edit, error", [
-        (lambda k: k.__setitem__((1, 1), np.nan), NotPositiveDefinite),
-        (lambda k: k.__setitem__((2, 0), np.inf), NotPositiveDefinite),
-        (lambda k: k.__setitem__((0, 3), k[0, 3] + 1e-3), DimensionMismatch),
-    ])
-    def test_a_bad_k_raises_what_cholesky_jittered_raises(self, monkeypatch,
-                                                          edit, error):
+    @pytest.mark.parametrize("where", [(1, 1), (2, 0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_bad_k_is_stored_and_raises_where_read(self, monkeypatch,
+                                                     where, bad):
         model = make_model(n=30)
         real = gp.train_cov
 
         def broken(*args):
             k = real(*args)
-            edit(k)
+            k[where] = k[where[::-1]] = bad
             return k
 
-        bad = stored_cov(model)
-        edit(bad)
-        with pytest.raises(error):
-            linalg.cholesky_jittered(bad)
-        monkeypatch.setattr(gp, "train_cov", broken)
-        with pytest.raises(error):
+        with monkeypatch.context() as mp:
+            mp.setattr(gp, "train_cov", broken)
             model._cache.build(model)
-        assert model._cache.k is None
+        cache = model._cache
+        np.testing.assert_array_equal(cache.k[where], bad)
+        read = np.unique(cache.order[list(where)])  # the entry's points
+        unread = np.setdiff1d(np.arange(model.n), read)
+        for sel in (unread, unread[::2]):
+            factor, _ = cache.solve(sel, model.y[sel])
+            assert np.isfinite(factor.lower).all()
+        with pytest.raises(NotPositiveDefinite):
+            sel = np.r_[unread[:4], read]
+            cache.solve(sel, model.y[sel])

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
@@ -48,8 +46,8 @@ class TestCholeskyJittered:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
-        # LAPACK gets no finiteness check of its own; the max-abs scan must
-        # catch NaN too, on or off the diagonal.
+        # LAPACK gets no finiteness check of its own; the factor's diagonal
+        # check must catch NaN too, on or off the diagonal.
         for where in ((0, 0), (0, 1)):
             a = np.eye(3)
             a[where] = a[where[::-1]] = bad
@@ -60,11 +58,9 @@ class TestCholeskyJittered:
         with pytest.raises(NotPositiveDefinite):
             linalg.cholesky_jittered(np.array([[1.0, 0.0], [0.0, -5.0]]))
 
-    def test_rejects_nonsquare_and_asymmetric(self):
+    def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             linalg.cholesky_jittered(np.ones((2, 3)))
-        with pytest.raises(DimensionMismatch):
-            linalg.cholesky_jittered(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_reconstruction_invariant(self):
         rng = np.random.default_rng(0)
@@ -76,66 +72,51 @@ class TestCholeskyJittered:
             assert err.max() < 1e-9 * np.abs(a).max()
 
 
-def old_checks_reject(a) -> bool:
-    """The input checks as full-square expressions (n^2 temporaries)."""
-    scale = np.abs(a).max()
-    return (not np.isfinite(scale)
-            or np.abs(a - a.T).max() > 1e-10 * max(scale, 1.0))
+def exactly_symmetric(a):
+    return np.tril(a) + np.tril(a, -1).T
+
+
+def factor_read(entry, a):
+    """Factor a with entry, keeping a; returns it and the square LAPACK
+    reads the lower triangle of: a itself, or for cholesky_in_place a.T."""
+    if entry == "jittered":
+        return lambda: linalg.cholesky_jittered(a), a
+    return lambda: linalg.cholesky_in_place(a.copy(), a.copy), a.T
 
 
 class TestCholeskyChecks:
-    """Finiteness and symmetry checks, scanned in row blocks."""
+    """Both entry points check the factor, not the matrix: what LAPACK
+    reads (the lower triangle) must be finite, the rest is never read."""
 
-    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("entry", ["jittered", "in_place"])
+    @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected_anywhere(self, rows, bad, monkeypatch):
-        # One entry at a time, so most placements are also asymmetric.
+    def test_non_finite_rejected_anywhere(self, entry, mirrored, bad):
         n = 5
-        monkeypatch.setattr(linalg, "_CHECK_BLOCK_ENTRIES", rows * n)
         for p in range(n):
-            for q in range(n):
+            for q in range(p + 1):
                 a = 2.0 * np.eye(n)
-                a[p, q] = bad
+                factor, read = factor_read(entry, a)
+                read[p, q] = bad
+                if mirrored:
+                    read[q, p] = bad
                 with pytest.raises(NotPositiveDefinite):
-                    linalg.cholesky_jittered(a)
+                    factor()
 
-    @pytest.mark.parametrize("rows", [1, 3, 7])
-    @pytest.mark.parametrize("s", [0.25, 3e3])
-    @pytest.mark.parametrize("margin", [-1e-3, 1e-3])
-    def test_asymmetry_tolerance_as_before(self, rows, s, margin,
-                                           monkeypatch):
-        # Tolerance 1e-10 * max(max |a|, 1); max |a| = 2s here.
-        n = 7
-        monkeypatch.setattr(linalg, "_CHECK_BLOCK_ENTRIES", rows * n)
-        base = s * (1.5 * np.eye(n) + 0.5)
-        delta = 1e-10 * max(2.0 * s, 1.0) * (1.0 + margin)
+    @pytest.mark.parametrize("entry", ["jittered", "in_place"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-3])
+    def test_an_entry_above_the_diagonal_is_not_read(self, entry, bad):
+        n = 6
+        base = random_spd(np.random.default_rng(11), n)
         for p in range(n):
-            for q in range(n):
-                if p == q:
-                    continue
+            for q in range(p + 1, n):
                 a = base.copy()
-                a[p, q] += delta
-                assert old_checks_reject(a) == (margin > 0)
-                if margin > 0:
-                    with pytest.raises(DimensionMismatch):
-                        linalg.cholesky_jittered(a)
-                else:
-                    linalg.cholesky_jittered(a)
-
-    def test_checks_make_no_square_temporary(self):
-        # The last row breaks symmetry, so the scan covers every block and
-        # raises before LAPACK gets a copy of the matrix.
-        n = 1024
-        a = random_spd(np.random.default_rng(7), n)
-        a[-1, 0] += 1.0
-        tracemalloc.start()
-        try:
-            with pytest.raises(DimensionMismatch):
-                linalg.cholesky_jittered(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < a.nbytes / 4
+                factor, read = factor_read(entry, a)
+                read[p, q] += bad
+                got = factor()
+                want = linalg.cholesky_jittered(exactly_symmetric(read))
+                assert got.jitter_used == want.jitter_used == 0.0
+                np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
 
 
 def scipy_ladder(a, ladder=linalg.DEFAULT_JITTER_LADDER):
@@ -212,12 +193,8 @@ class TestDirectLapack:
             linalg.solve_spd(f, np.ones(2))
 
 
-def exactly_symmetric(a):
-    return np.tril(a) + np.tril(a, -1).T
-
-
 class TestCholeskyInPlace:
-    """A checked, exactly symmetric matrix factored in its own memory."""
+    """An exactly symmetric matrix factored in its own memory."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 201])
     def test_equals_cholesky_jittered_in_the_given_array(self, n):
@@ -245,17 +222,6 @@ class TestCholeskyInPlace:
         assert len(copies) == 1
         assert got.jitter_used == want.jitter_used > 0.0
         np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
-
-    @pytest.mark.parametrize("bad, error", [(np.nan, NotPositiveDefinite),
-                                            (-np.inf, NotPositiveDefinite),
-                                            (1e-3, DimensionMismatch)])
-    def test_check_covariance_raises_as_cholesky_jittered(self, bad, error):
-        a = 2.0 * np.eye(4)
-        a[0, 3] += bad
-        for check in (linalg.check_covariance, linalg.cholesky_jittered):
-            with pytest.raises(error):
-                check(a)
-        linalg.check_covariance(2.0 * np.eye(4))
 
 
 def test_row_blocks_from_the_entry_budget():

@@ -642,6 +642,7 @@ class TestPredictBatched:
             np.testing.assert_array_equal(getattr(got, f.name),
                                           getattr(want, f.name))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_query_the_networks_cannot_map_is_a_numeric_failure(self):
         model, probe = self.sine_model()
         probe[3] = np.nan
