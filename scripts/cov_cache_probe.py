@@ -11,7 +11,8 @@ batch 200, like the benchmark's predict-knn set-up), then prints:
   neighbour sets;
 - the first and second call at k >= N for 500 queries on a fresh model,
   and their ratio (the first builds K and keeps its factor and alpha, the
-  second reuses them), and the bytes the cache holds after them;
+  second reuses them), the bytes the cache holds after them, and the
+  bytes of the warped points the model keeps beside it;
 - the median of 3 first k >= N calls after a k = 200 call has built K,
   each on a fresh cache: the one-off cost of a k >= N call that finds K in
   leaf order and builds the whole set's K again to factor it;
@@ -133,7 +134,7 @@ def knn_calls(model, label: str) -> None:
 def cache_mib(model) -> float:
     """Bytes of every array the model's cache holds, in MiB."""
     cache = model._cache
-    held = [cache.k, cache.order, cache.pos, cache.warped]
+    held = [cache.k, cache.order, cache.pos]
     if cache.full is not None:
         factor, alpha = cache.full
         held += [factor.lower, alpha]
@@ -175,7 +176,8 @@ def main() -> None:
     print(f"N={args.n}: k>=N with {FULL_QUERIES} queries: first {s1:.3f} s, "
           f"second {s2:.3f} s, ratio {s1 / s2:.2f}x; identical: {same}")
     print(f"N={args.n}: cache after the k>=N calls holds "
-          f"{cache_mib(model):.1f} MiB")
+          f"{cache_mib(model):.1f} MiB; the model's warped points "
+          f"{model.warped.nbytes / 2**20:.2f} MiB")
     if model.n ** 2 <= trainer._CACHE_ENTRIES:
         print(f"N={args.n}: first k>=N call after K was built in leaf order, "
               f"median of 3: {full_after_leaf_ms(model):.1f} ms")

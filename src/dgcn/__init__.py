@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     StaleMask,
 )
-from .gp import GpBatch, HyperField, Prediction, confidence_interval, predict
+from .gp import HyperField, Prediction, confidence_interval
 from .kernels import ALL_KERNELS, KernelId, KernelSet
 from .mlp import LayerSpec, Mlp, OptimizerConfig, RegularizerSpec
 from .neighbors import NeighborIndex
@@ -72,7 +72,6 @@ __all__ = [
     "DimensionMismatch",
     "EmptyDataset",
     "FormatVersionMismatch",
-    "GpBatch",
     "HyperField",
     "InvalidAlpha",
     "InvalidSetting",
@@ -108,7 +107,6 @@ __all__ = [
     "lag_embed",
     "load",
     "load_csv",
-    "predict",
     "predict_batched",
     "run_protocol",
     "save",

@@ -37,7 +37,6 @@ from .kernels import (  # noqa: F401
     kernel_value,
     kernel_value_slope,
     one_set_cov,
-    theta_block,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -118,13 +117,6 @@ _BLOCK_ENTRIES = 1 << 17
 _SQUARE_BELOW = 96
 
 
-def _warped(batch: GpBatch, kset: KernelSet) -> list:
-    """The batch's points scaled by each kernel's length-scales."""
-    n_v = batch.x.shape[1]
-    return [batch.x * theta_block(batch.hyper.theta, n_v, i)
-            for i in range(kset.n_k)]
-
-
 def _blocked_cov(kset: KernelSet, warped, sigma2, blocks, slopes: bool,
                  ws: linalg.Workspace | None):
     """Pass 1 of the training step: K + diag(sigma2) over row blocks.
@@ -179,7 +171,7 @@ def _blocked_cov(kset: KernelSet, warped, sigma2, blocks, slopes: bool,
 def train_cov(kset: KernelSet, warped, sigma2) -> np.ndarray:
     """Noise-added covariance K + diag(sigma2) of a stored point set.
 
-    ``warped`` is the set's warped_rows, (n_k, n_v, m), and sigma2 its noise
+    ``warped`` is the set's warped_rows, (n_k, m, n_v), and sigma2 its noise
     variances.  Below _SQUARE_BELOW points each kernel's values are taken
     over cdist(z, z)'s full square and summed in kernel order, and the
     diagonal is written as n_k + sigma2.  From it on, K is built like the
@@ -187,48 +179,51 @@ def train_cov(kset: KernelSet, warped, sigma2) -> np.ndarray:
     large set needs no condensed temporaries of its size.  Either way K
     equals cov_matrix with that diagonal bit for bit.
     """
-    points = np.ascontiguousarray(warped.transpose(0, 2, 1))  # (n_k, m, n_v)
-    m = points.shape[1]
+    m = warped.shape[1]
     if m >= _SQUARE_BELOW:
         blocks = linalg.row_blocks(m, _BLOCK_ENTRIES)
-        return _blocked_cov(kset, points, sigma2, blocks, False, None)[0]
+        return _blocked_cov(kset, warped, sigma2, blocks, False, None)[0]
     out = np.zeros((m, m))
-    for kern, z in zip(kset.kernels, points):
+    for kern, z in zip(kset.kernels, warped):
         out += kernel_value(kern, cdist(z, z))
     out[np.diag_indices(m)] = float(kset.n_k) + sigma2
     return out
 
 
 def warped_rows(x, theta, n_k: int) -> np.ndarray:
-    """x warped by each kernel, (n_k, n_v, N): [i, :, p] is x_p * theta_i,p."""
+    """x warped by each kernel, C-ordered (n_k, N, n_v): [i, p] is
+    x_p * theta_i,p, so [i] is the (N, n_v) point set kernel i sees."""
     n, n_v = x.shape
     if theta.shape != (n, n_v * n_k):
         raise DimensionMismatch(f"length-scales {theta.shape} for points {x.shape}")
     with np.errstate(over="ignore"):  # an overflowed query warps to inf
         warped = np.tile(x, n_k) * theta
-    return np.ascontiguousarray(warped.T).reshape(n_k, n_v, n)
+    return np.ascontiguousarray(warped.reshape(n, n_k, n_v).transpose(1, 0, 2))
 
 
 def cross_cov(kset: KernelSet, train, star, rows=None) -> np.ndarray:
     """(n_star, m) covariances of test points with training points, as
     cov_matrix's entries bit for bit.  ``train`` and ``star`` are warped_rows;
     ``rows`` (n_star, m) holds each test point's training points, None all.
-    Per block of about _BLOCK_ENTRIES: one difference of the gathered
-    points and the queries, squared in place, summed over the inputs in
-    cdist's order (from input 0: the squares are >= +0, so this equals a
-    sum from zeros), one square root, the kernel values summed in place."""
-    n_k, n_v, n_star = star.shape
-    m = train.shape[2] if rows is None else rows.shape[1]
+    Per block of about _BLOCK_ENTRIES: one gather of training rows along
+    axis 1, one difference of them and the queries, squared in place, the
+    squares summed over the last axis (the inputs) in cdist's order (from
+    input 0: the squares are >= +0, so this equals a sum from zeros), one
+    square root, the kernel values summed in place."""
+    n_k, n_star, n_v = star.shape
+    m = train.shape[1] if rows is None else rows.shape[1]
     out = np.empty((n_star, m))
     step = max(1, _BLOCK_ENTRIES // max(m * n_k * n_v, 1))
     with np.errstate(over="ignore"):
         for j in range(0, n_star, step):
-            near = train[:, :, None] if rows is None else train.take(rows[j:j + step], 2)
-            d = near - star[:, :, j:j + step, None]  # (n_k, n_v, rows, m)
+            near = train[:, None] if rows is None else train.take(rows[j:j + step], 1)
+            d = near - star[:, j:j + step, None]  # (n_k, rows, m, n_v)
             d *= d
-            dist = d[:, 0]
-            for v in range(1, n_v):
-                dist += d[:, v]
+            # Summed into a new contiguous array: summing into d's strided
+            # view of input 0 measured 12-20% slower at k = 50 and 200.
+            dist = d[..., 0] if n_v == 1 else d[..., 0] + d[..., 1]
+            for v in range(2, n_v):
+                dist += d[..., v]
             np.sqrt(dist, out=dist)
             part = out[j:j + step]
             part[...] = kernel_value(kset.kernels[0], dist[0])
@@ -294,7 +289,7 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
     theta = batch.hyper.theta
     n, n_v = x.shape
     blocks = linalg.row_blocks(n, _BLOCK_ENTRIES)
-    warped = _warped(batch, kset)
+    warped = warped_rows(x, theta, kset.n_k)
     k, slopes = _blocked_cov(kset, warped, batch.hyper.sigma2, blocks, True,
                              workspace)
     factor, alpha = solve_train(k, batch.y, workspace=workspace)
@@ -374,6 +369,7 @@ def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net, *,
     )
 
 
+# No package caller, but kept: benchmarks/spans.py traces gp.predict.
 def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
             alpha_level: float = 0.05, include_noise: bool = False,
             interval: str = "t") -> Prediction:

@@ -26,29 +26,31 @@ is built in one pass per call (gp.cross_cov); each group takes its rows,
 and pays only for its system's factor and solves (gp.posterior).  The
 clamp, noise, interval, units and finite check run once per call.
 
-A model caches what its prediction calls would otherwise rebuild from its
-stored training set: the points warped by each kernel's length-scales,
-and K + diag(sigma2) or its factor.  The warped points come first: every
-covariance of stored points (a group's, the whole set's, K) is built from
-them by gp.train_cov.  A call at k >= N keeps only the whole set's
-Cholesky factor and alpha = K^-1 y, so later ones only build the
-cross-covariance and solve.  Calls at k < N count the training pairs
-their groups build, k (k - 1) / 2 per group, and build K when the count
-reaches N (N - 1) / 2, the cost of one full build: a call whose groups
-build fewer pairs than that leaves K unbuilt, and one whose groups build
-at least that many builds it within the call.  K is built exactly
-symmetric, not scanned; a group gathers its block, a principal block of
-K, and factors it in place (linalg.cholesky_in_place, whose factor check
-finds a NaN or inf the block reads), gathering it again for the jitter
-ladder if it needs one.  K is stored in the leaf order of a kd-tree over
-the stored inputs (scipy's default leaf size, whatever the neighbour
-strategy), built from the reordered points, so each entry is the
-row-order K's bit for bit; a neighbour set's block is one flat take of
-its positions, in the set's own order.  A neighbour set is a ball in
-input space and a leaf holds nearby points, so its block spans few cache
-lines of the memory-bound gather.  K and the factor take 8 N^2 bytes
-each; models with N^2 above _CACHE_ENTRIES (N > 4096) cache nothing: each
-call warps the points again and factors the whole set or each group's
+A model warps its stored training set once, when it is built (fit, update,
+load): gp.warped_rows gives the C-ordered (n_k, N, n_v) array of the
+points scaled by each kernel's length-scales, the one layout that the
+training step, gp.train_cov and gp.cross_cov all read.  Every covariance
+of stored points (a group's, the whole set's, K) is built by gp.train_cov
+from the array's rows along axis 1.  A model also caches what its
+prediction calls would otherwise rebuild: K + diag(sigma2) or its factor.
+A call at k >= N keeps only the whole set's Cholesky factor and alpha =
+K^-1 y, so later ones only build the cross-covariance and solve.  Calls at
+k < N count the training pairs their groups build, k (k - 1) / 2 per
+group, and build K when the count reaches N (N - 1) / 2, the cost of one
+full build: a call whose groups build fewer pairs than that leaves K
+unbuilt, and one whose groups build at least that many builds it within
+the call.  K is built exactly symmetric, not scanned; a group gathers its
+block, a principal block of K, and factors it in place
+(linalg.cholesky_in_place, whose factor check finds a NaN or inf the block
+reads), gathering it again for the jitter ladder if it needs one.  K is
+stored in the leaf order of a kd-tree over the stored inputs (scipy's
+default leaf size, whatever the neighbour strategy), built from the
+reordered points, so each entry is the row-order K's bit for bit; a
+neighbour set's block is one flat take of its positions, in the set's own
+order.  A neighbour set is a ball in input space and a leaf holds nearby
+points, so its block spans few cache lines of the memory-bound gather.  K
+and the factor take 8 N^2 bytes each; models with N^2 above _CACHE_ENTRIES
+(N > 4096) cache nothing: each call factors the whole set or each group's
 block for itself.  The cache is filled before the groups are solved, in
 one serial loop (worker threads measured slower: the Python work around
 each group's LAPACK calls holds the GIL).  It is never saved, and update()
@@ -336,21 +338,12 @@ class _CovCache:
     order: np.ndarray | None = None  # k's row r is point order[r]
     pos: np.ndarray | None = None  # point i is k's row pos[i]
     full: tuple | None = None  # the whole set's factor and alpha
-    warped: np.ndarray | None = None  # gp.warped_rows of the stored set
-
-    def points(self, model: "TrainedModel") -> np.ndarray:
-        """gp.warped_rows of the stored set, warped on the first call."""
-        if self.warped is None:
-            self.warped = gp.warped_rows(model.x, model.hyper.theta,
-                                         model.kernel_set.n_k)
-        return self.warped
 
     def build(self, model: "TrainedModel") -> None:
         """K + diag(sigma2) of the stored set, in kd-tree leaf order."""
         self.order = cKDTree(model.x).indices
         self.pos = np.argsort(self.order)
-        self.k = gp.train_cov(model.kernel_set,
-                              self.points(model)[:, :, self.order],
+        self.k = gp.train_cov(model.kernel_set, model.warped[:, self.order],
                               model.hyper.sigma2[self.order])
 
     def block(self, sel) -> np.ndarray:
@@ -370,8 +363,10 @@ class _CovCache:
 class TrainedModel:
     """Self-contained regressor: networks, scalers, data, index, config.
 
-    Treat instances as immutable; update() returns a new model.  Only the
-    private prediction cache changes, and it never changes a result.
+    Treat instances as immutable; update() returns a new model.  ``warped``,
+    x warped by each kernel (gp.warped_rows), is made once, when the model
+    is built.  Only the private prediction cache changes, and it never
+    changes a result.
     """
 
     theta_net: Mlp
@@ -384,8 +379,13 @@ class TrainedModel:
     hyper: gp.HyperField  # inference-mode hyperparameters over x
     index: NeighborIndex
     log: TrainingLog
+    warped: np.ndarray = field(init=False, repr=False, compare=False)
     _cache: _CovCache = field(default_factory=_CovCache, init=False,
                               repr=False, compare=False)
+
+    def __post_init__(self):
+        self.warped = gp.warped_rows(self.x, self.hyper.theta,
+                                     self.kernel_set.n_k)
 
     @property
     def n(self) -> int:
@@ -675,7 +675,7 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
 
     cache = _fill_cache(model, k, len(groups))
     kset = model.kernel_set
-    cross = gp.cross_cov(kset, cache.warped,
+    cross = gp.cross_cov(kset, model.warped,
                          gp.warped_rows(xs, hyper_star.theta, kset.n_k),
                          None if k == model.n else nearest)
 
@@ -686,7 +686,7 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
         elif cache.k is not None:
             factor, alpha = cache.solve(sel, model.y[sel])
         else:
-            k_sel = gp.train_cov(kset, cache.warped[:, :, sel],
+            k_sel = gp.train_cov(kset, model.warped[:, sel],
                                  model.hyper.sigma2[sel])
             factor, alpha = gp.solve_train(k_sel, model.y[sel])
         mean[ids], variance[ids] = gp.posterior(
@@ -717,11 +717,10 @@ def _fill_cache(model: TrainedModel, k: int, n_groups: int) -> _CovCache:
     n = model.n
     capped = n * n > _CACHE_ENTRIES
     cache = _CovCache() if capped else model._cache
-    warped = cache.points(model)
     if k == n:
         if cache.full is None:
             cache.full = gp.solve_train(gp.train_cov(
-                model.kernel_set, warped, model.hyper.sigma2), model.y)
+                model.kernel_set, model.warped, model.hyper.sigma2), model.y)
     elif cache.k is None and not capped:
         cache.pairs += n_groups * (k * (k - 1) // 2)
         if cache.pairs >= n * (n - 1) // 2:

@@ -5,11 +5,12 @@ inverses, double loops) and never imports the package's own linear-algebra
 or covariance code paths, so it can serve as an oracle for them.  The
 exceptions are :func:`full_square_hyper_grad`, a bit-for-bit reference that
 takes the package's kernel forms, :func:`stationary_fit`, a training loop
-over the package's likelihood gradient, :func:`full_prediction`, one
-``gp.predict`` over a model's whole training set,
-:func:`neighbour_prediction`, one ``gp.predict`` per neighbour set, and the
-network helpers :func:`param_arrays` and :func:`loss_sq` (see their
-docstrings).
+over the package's likelihood gradient, :func:`full_prediction` and
+:func:`neighbour_prediction`, which build each system's covariances with
+``kernels.cov_matrix`` (not the prediction path's ``gp.train_cov`` and
+``gp.cross_cov``) and solve it with the package's ``linalg``,
+``gp.posterior`` and ``gp.predictive``, and the network helpers
+:func:`param_arrays` and :func:`loss_sq` (see their docstrings).
 """
 
 import math
@@ -234,25 +235,56 @@ def stationary_fit(data, config):
     return theta, sigma2()
 
 
+def _queries(model, x_star):
+    """Standardized queries and their inference-mode hyperparameters."""
+    from dgcn import trainer
+
+    xs = model.scaler.transform_x(np.asarray(x_star, dtype=np.float64))
+    return xs, trainer.hyper_for(model.theta_net, model.sigma_net, xs,
+                                 model.config.sigma2_floor)
+
+
+def _one_system(model, sel, xs, theta_star, noise, alpha_level, interval):
+    """The Prediction of one GP system, in standardized units.
+
+    K + diag(sigma2) of the stored points ``sel`` and their covariances with
+    the queries come from kernels.cov_matrix, never from the product's
+    builders; the system is solved by linalg.cholesky_jittered and
+    solve_spd, and gp.posterior and gp.predictive give the Prediction
+    (``noise`` is added to the variances unless None).
+    """
+    from dgcn import gp, linalg
+    from dgcn.kernels import cov_matrix
+
+    kset = model.kernel_set
+    x, theta = model.x[sel], model.hyper.theta[sel]
+    with np.errstate(over="ignore"):  # an overflowed query warps to inf
+        k = cov_matrix(kset, x, x, theta, theta)
+        k_star = cov_matrix(kset, x, xs, theta, theta_star)
+    k[np.diag_indices_from(k)] = kset.n_k + model.hyper.sigma2[sel]
+    factor = linalg.cholesky_jittered(k)
+    alpha = linalg.solve_spd(factor, model.y[sel])
+    mean, variance = gp.posterior(factor, alpha, k_star, kset.n_k)
+    return gp.predictive(mean, variance, noise, factor.n, alpha_level,
+                         interval, [factor.jitter_used])
+
+
 def full_prediction(model, x_star, alpha_level=0.05, include_noise=False,
                     interval="t"):
-    """Unbatched prediction: one gp.predict over the whole stored training set.
+    """Unbatched prediction: one GP system over the whole stored training set.
 
     The query is standardized and its hyperparameters drawn as in
-    prediction, then the result is taken back to the response's units by
-    hand.  It is the reference that neighbour-batched prediction at k >= N
-    must equal bit for bit.
+    prediction, the system is built and solved by _one_system, and the
+    result is taken back to the response's units by hand.  It is the
+    reference that neighbour-batched prediction at k >= N must equal bit
+    for bit.
     """
     from dataclasses import replace
 
-    from dgcn import gp, trainer
-
-    xs = model.scaler.transform_x(np.asarray(x_star, dtype=np.float64))
-    hyper_star = trainer.hyper_for(model.theta_net, model.sigma_net, xs,
-                                   model.config.sigma2_floor)
-    pred = gp.predict(gp.GpBatch(model.x, model.y, model.hyper), xs,
-                      hyper_star, model.kernel_set, alpha_level=alpha_level,
-                      include_noise=include_noise, interval=interval)
+    xs, hyper_star = _queries(model, x_star)
+    pred = _one_system(model, slice(None), xs, hyper_star.theta,
+                       hyper_star.sigma2 if include_noise else None,
+                       alpha_level, interval)
     mean, std = model.scaler.y_mean, model.scaler.y_std
     return replace(pred, mean=pred.mean * std + mean,
                    variance=pred.variance * std**2,
@@ -262,21 +294,19 @@ def full_prediction(model, x_star, alpha_level=0.05, include_noise=False,
 
 def neighbour_prediction(model, x_star, k, alpha_level=0.05,
                          include_noise=False, interval="t"):
-    """Neighbour-batched prediction at k < N, one gp.predict per set.
+    """Neighbour-batched prediction at k < N, one GP system per set.
 
     Each query's k nearest stored points are ranked by (distance, index)
     over cdist of the standardized inputs and put in ascending index
     order, as predict_batched orders them.  Queries with the same set
-    share one gp.predict over those stored points; the diagnostics are
+    share one _one_system over those stored points; the diagnostics are
     summed (maximum for jitter_max) over the sets, and the result is taken
     back to the response's units by hand.  It is the reference that
     neighbour-batched prediction at k < N must equal bit for bit.
     """
-    from dgcn import gp, trainer
+    from dgcn import gp
 
-    xs = model.scaler.transform_x(np.asarray(x_star, dtype=np.float64))
-    hyper_star = trainer.hyper_for(model.theta_net, model.sigma_net, xs,
-                                   model.config.sigma2_floor)
+    xs, hyper_star = _queries(model, x_star)
     nearest = np.argsort(cdist(xs, model.x), axis=1, kind="stable")[:, :k]
     groups = {}
     for i, row in enumerate(np.sort(nearest, axis=1)):
@@ -286,14 +316,9 @@ def neighbour_prediction(model, x_star, k, alpha_level=0.05,
     jitter_max = 0.0
     for sel, ids in groups.items():
         sel, ids = list(sel), np.array(ids)
-        pred = gp.predict(gp.GpBatch(model.x[sel], model.y[sel],
-                                     gp.HyperField(model.hyper.theta[sel],
-                                                   model.hyper.sigma2[sel])),
-                          xs[ids], gp.HyperField(hyper_star.theta[ids],
-                                                 hyper_star.sigma2[ids]),
-                          model.kernel_set,
-                          alpha_level=alpha_level,
-                          include_noise=include_noise, interval=interval)
+        pred = _one_system(model, sel, xs[ids], hyper_star.theta[ids],
+                           hyper_star.sigma2[ids] if include_noise else None,
+                           alpha_level, interval)
         out[:, ids] = pred.mean, pred.variance, pred.ci_low, pred.ci_high
         clamped += pred.clamped
         jitter_events += pred.jitter_events

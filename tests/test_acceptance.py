@@ -80,14 +80,17 @@ class TestCriterion01StationaryOracle:
 
                 theta_net, sigma_net = constant_nets(n_v, kset, theta, sigma2,
                                                      rng)
-                hyper = trainer.hyper_for(theta_net, sigma_net, x, 1e-6)
-                hyper_star = trainer.hyper_for(theta_net, sigma_net, x_star,
-                                               1e-6)
-                batch = gp.GpBatch(x, y, hyper)
-                pred = gp.predict(batch, x_star, hyper_star, kset)
+                # Standardizes nothing, so the model predicts on x as given.
+                identity = trainer.Scaler(np.zeros(n_v), np.ones(n_v), 0.0,
+                                          1.0, False)
+                model = trainer._assemble(
+                    theta_net, sigma_net, identity, TrainConfig(kernels=kset),
+                    x, y, None, trainer.TrainingLog())
+                pred = trainer.predict_batched(model, x_star, k=n)
+                batch = gp.GpBatch(x, y, model.hyper)
                 value = gp.nll_hyper_grad(batch, kset).value
                 o_mean, o_var, o_nll = stationary_gp(
-                    kern.value, x, y, theta, hyper.sigma2[0], x_star)
+                    kern.value, x, y, theta, model.hyper.sigma2[0], x_star)
                 worst = max(
                     worst,
                     np.abs(pred.mean - o_mean).max(),

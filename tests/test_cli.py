@@ -42,6 +42,16 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def run_subprocess(args, **env):
+    """``python -m dgcn.cli`` with ``args`` in a new process, the package's
+    source on its path and ``env`` added to its environment."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "dgcn.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def assert_usage_error(capsys, args):
     """Exit 2 with a one-line message on stderr and no traceback."""
     capsys.readouterr()
@@ -119,6 +129,17 @@ class TestTrain:
                         "--config", fast_config_json, "--out", out,
                         "--seed", 7]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_determinism_across_processes(self, tmp_path, sine_csv,
+                                               fast_config_json):
+        # The bytes depend on the BLAS thread count, so both runs pin it.
+        outs = [tmp_path / "a.dgcn", tmp_path / "b.dgcn"]
+        for out in outs:
+            done = run_subprocess(["train", "--data", sine_csv, "--target",
+                                   "y", "--config", fast_config_json, "--out",
+                                   out, "--seed", 7], OPENBLAS_NUM_THREADS="1")
+            assert done.returncode == 0, done.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestBadInputs:
@@ -293,7 +314,10 @@ class TestPredict:
         # training set fit could never have produced.
         model = self.fit_model(tmp_path, sine_csv, fast_config_json)
         fitted = trainer.load(model)
-        trainer.save(replace(fitted, x=fitted.x[:1], y=fitted.y[:1]), model)
+        one = replace(fitted.hyper, theta=fitted.hyper.theta[:1],
+                      sigma2=fitted.hyper.sigma2[:1])
+        trainer.save(replace(fitted, x=fitted.x[:1], y=fitted.y[:1],
+                             hyper=one), model)
         with pytest.raises(errors.FormatVersionMismatch, match="stores 1 "):
             trainer.load(model)
         err = assert_data_error(capsys, ["predict", "--model", model,
@@ -375,14 +399,8 @@ class TestPredict:
                                              fast_config_json, extra):
         # With a real model, so nothing but the check stops the prediction.
         model = self.fit_model(tmp_path, sine_csv, fast_config_json)
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "dgcn.cli", "predict", "--model", str(model),
-             "--data", str(sine_csv), "--out", str(tmp_path / "pred.csv"),
-             *map(str, extra)],
-            capture_output=True, text=True, env=env, timeout=120)
+        done = run_subprocess(["predict", "--model", model, "--data", sine_csv,
+                               "--out", tmp_path / "pred.csv", *extra])
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: --")

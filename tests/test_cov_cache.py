@@ -8,9 +8,13 @@ and it must never reach a model file.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tempfile
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +228,39 @@ class TestWhenBuilt:
         assert model == fresh
 
 
+class TestWarpedOncePerModel:
+    """A model warps its stored set when it is built; its prediction calls
+    warp only their queries, whether the cache is built, empty or capped."""
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_calls_warp_only_their_queries(self, monkeypatch, capped):
+        model = make_model(n=40)
+        stored = model.warped
+        np.testing.assert_array_equal(
+            bits(stored), bits(gp.warped_rows(model.x, model.hyper.theta,
+                                              model.kernel_set.n_k)))
+        if capped:
+            monkeypatch.setattr(trainer, "_CACHE_ENTRIES", 0)
+        sizes = []
+        real = gp.warped_rows
+
+        def recorded(x, theta, n_k):
+            sizes.append(x.shape[0])
+            return real(x, theta, n_k)
+
+        monkeypatch.setattr(gp, "warped_rows", recorded)
+        x = np.random.default_rng(8).uniform(-2, 2, (7, 2))
+        for k in (5, 40, 12, 40):
+            trainer.predict_batched(model, x, k=k)
+        calls = 4
+        if not capped:
+            calls += warm(model, 2, 12)
+            trainer.predict_batched(model, x, k=12)
+            calls += 1
+        assert len(sizes) == calls and set(sizes) <= {7, 8}
+        assert model.warped is stored
+
+
 class TestTrainingCovariance:
     """gp.train_cov's full square and its row blocks against cov_matrix."""
 
@@ -282,17 +319,16 @@ class TestEveryBuilderIsExactlySymmetric:
         hyper = gp.HyperField(rng.uniform(-2.0, 2.0, (n, n_v * kset.n_k)),
                               rng.uniform(1e-4, 1.0, n))
         built = []
+        warped = gp.warped_rows(x, hyper.theta, kset.n_k)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gp, "_BLOCK_ENTRIES", entries)
-            built.append(gp.train_cov(
-                kset, gp.warped_rows(x, hyper.theta, kset.n_k), hyper.sigma2))
-            warped = gp._warped(gp.GpBatch(x, np.zeros(n), hyper), kset)
+            built.append(gp.train_cov(kset, warped, hyper.sigma2))
             for blocks in ([(0, n)], linalg.row_blocks(n, entries)):
                 for slopes, ws in ((False, None), (True, linalg.Workspace())):
                     built.append(gp._blocked_cov(kset, warped, hyper.sigma2,
                                                  blocks, slopes, ws)[0])
             cache = trainer._CovCache()
-            cache.build(types.SimpleNamespace(x=x, hyper=hyper,
+            cache.build(types.SimpleNamespace(x=x, hyper=hyper, warped=warped,
                                               kernel_set=kset))
             built.append(cache.k)
         for k in built:
@@ -460,3 +496,17 @@ class TestBadKSurfacesAtTheFactor:
         with pytest.raises(NotPositiveDefinite):
             sel = np.r_[unread[:4], read]
             cache.solve(sel, model.y[sel])
+
+
+class TestProbeScript:
+    """scripts/cov_cache_probe.py reads the cache's arrays; it must run."""
+
+    def test_small_run_exits_0_with_identical_calls(self):
+        script = (Path(__file__).resolve().parent.parent / "scripts"
+                  / "cov_cache_probe.py")
+        done = subprocess.run(
+            [sys.executable, str(script), "--n", "300", "--n-above", "400"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+        assert done.returncode == 0, done.stderr
+        assert "identical: True" in done.stdout

@@ -14,7 +14,6 @@ PUBLIC = [
     "DimensionMismatch",
     "EmptyDataset",
     "FormatVersionMismatch",
-    "GpBatch",
     "HyperField",
     "InvalidAlpha",
     "InvalidSetting",
@@ -50,7 +49,6 @@ PUBLIC = [
     "lag_embed",
     "load",
     "load_csv",
-    "predict",
     "predict_batched",
     "run_protocol",
     "save",
@@ -60,7 +58,7 @@ PUBLIC = [
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC) == 52
+    assert len(PUBLIC) == 50
     assert sorted(dgcn.__all__) == PUBLIC
 
 
