@@ -18,10 +18,11 @@ batch 200, like the benchmark's predict-knn set-up), then prints:
   leaf order and builds the whole set's K again to factor it;
 - the tracemalloc peak of each k >= N call and of the building call.
 
-It then repeats the k = 200 calls and one k >= N call on a model above the
-cache's cap (N = 4200 by default), which never builds a cache, and prints
-their peaks.  Only numpy, scipy and dgcn are used.  Run from the
-repository root:
+It then repeats the k = 200 calls and one k >= N call on a second model
+(N = 4200 by default) with the cache's cap, trainer._CACHE_ENTRIES,
+lowered below N^2 for those calls and restored after them, so that model
+never builds a cache whatever its N, and prints their peaks.  Only numpy,
+scipy and dgcn are used.  Run from the repository root:
 
     python3 scripts/cov_cache_probe.py [--n 3200] [--n-above 4200]
 
@@ -35,6 +36,7 @@ import argparse
 import math
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
@@ -158,6 +160,18 @@ def full_after_leaf_ms(model, runs: int = 3) -> float:
     return float(np.median(times)) * 1e3
 
 
+@contextmanager
+def capped(n: int):
+    """trainer._CACHE_ENTRIES at most n^2 - 1 inside the block, so a model
+    of n points runs above the cap; the old value is restored after it."""
+    saved = trainer._CACHE_ENTRIES
+    trainer._CACHE_ENTRIES = min(saved, n * n - 1)
+    try:
+        yield trainer._CACHE_ENTRIES
+    finally:
+        trainer._CACHE_ENTRIES = saved
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=3200)
@@ -195,12 +209,15 @@ def main() -> None:
           f"(call {calls}) {p:.1f} MiB; K holds {8 * args.n**2 / 2**20:.1f} MiB")
 
     model = fitted(args.n_above, 1)
-    knn_calls(model, f"N={args.n_above}")
-    print(f"N={args.n_above}: peak of a k={K} call "
-          f"{peak(dgcn.predict_batched, model, queries(0, QUERIES), k=K):.1f} MiB, "
-          f"of a k>=N call "
-          f"{peak(dgcn.predict_batched, model, x, k=model.n):.1f} MiB; "
-          f"cache built: {built(model)}")
+    with capped(model.n) as cap:
+        print(f"N={args.n_above}: cache cap lowered to {cap} entries "
+              f"(N^2 = {model.n ** 2}) for this model's calls")
+        knn_calls(model, f"N={args.n_above}")
+        print(f"N={args.n_above}: peak of a k={K} call "
+              f"{peak(dgcn.predict_batched, model, queries(0, QUERIES), k=K):.1f}"
+              f" MiB, of a k>=N call "
+              f"{peak(dgcn.predict_batched, model, x, k=model.n):.1f} MiB; "
+              f"cache built: {built(model)}")
 
 
 if __name__ == "__main__":

@@ -47,8 +47,8 @@ class SchemaMismatch(_DataError):
 
 
 class EmptyDataset(_DataError, ValueError):
-    """An operation received fewer points than it needs: a dataset or
-    neighbour index none, training fewer than two."""
+    """Too few points or inputs: a dataset needs a point and an input
+    column, a neighbour index a point, training two points."""
 
 
 class InvalidTarget(_DataError, ValueError):

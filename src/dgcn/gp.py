@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dger as _dger
-from scipy.spatial.distance import cdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.stats import norm as _norm
 from scipy.stats import t as _student_t
 
@@ -36,7 +36,6 @@ from .kernels import (  # noqa: F401
     kernel_deriv,
     kernel_value,
     kernel_value_slope,
-    one_set_cov,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -121,26 +120,22 @@ def _blocked_cov(kset: KernelSet, warped, sigma2, blocks, slopes: bool,
                  ws: linalg.Workspace | None):
     """Pass 1 of the training step: K + diag(sigma2) over row blocks.
 
-    Per block R = [r0, r1): the diagonal block R x R from condensed pairs
-    (kernels.one_set_cov), then, per kernel, cdist(z_R, z_<r0), its kernel
-    values summed into K[R, :r0] and mirrored into K[:r0, R].  Every entry
-    equals one_set_cov over the whole set bit for bit, whatever the blocks.
-    With ``slopes``, the second result lists per block the diagonal
-    block's condensed slopes (as one_set_cov gives them) and the left
-    part's slope arrays (k'(d) / d per kernel, as kernel_value_slope gives
-    them); otherwise its lists are empty.
-    With more than one block, K, the left parts' distances and their
-    slopes are written into the workspace if one is given; with one
-    block, K is one_set_cov's new array.
+    Per block b = R = [r0, r1): the diagonal block from condensed pairs
+    (_diag_block), then, per kernel, cdist(z_R, z_<r0), its kernel values
+    summed into K[R, :r0] and mirrored into K[:r0, R].  K equals
+    kernels.cov_matrix's plus the noise bit for bit, whatever the blocks.
+    With ``slopes`` the second result lists per block the diagonal block's
+    condensed slopes and the left part's, k'(d) / d per kernel i, kept in
+    roles ("pair_slopes", b, i) and ("slopes", b, i); otherwise its lists
+    are empty.  With more than one block, K and the left parts' distances
+    are workspace arrays too; with one block, K is the diagonal block.
     """
     n = warped[0].shape[0]
     k = linalg.work_array(ws, "cov", (n, n)) if len(blocks) != 1 else None
     per_block = []
     for b, (r0, r1) in enumerate(blocks):
-        k_diag, diag_slopes = one_set_cov(kset, [z[r0:r1] for z in warped],
-                                          slopes=slopes,
-                                          workspace=None if ws is None
-                                          else ws.scope(b))
+        k_diag, diag_slopes = _diag_block(kset, warped[:, r0:r1], b,
+                                          slopes, ws)
         if k is None:
             k = k_diag  # one block: the diagonal block is all of K
         else:
@@ -166,6 +161,33 @@ def _blocked_cov(kset: KernelSet, warped, sigma2, blocks, slopes: bool,
         per_block.append((diag_slopes, left_slopes))
     k[np.diag_indices_from(k)] += sigma2
     return k, per_block
+
+
+def _diag_block(kset: KernelSet, warped, b: int, slopes: bool,
+                ws: linalg.Workspace | None):
+    """Block b's K without noise, from condensed pairs: per kernel one
+    pdist (equal to cdist entry for entry) of the block's rows ``warped``,
+    its values summed condensed in kernel order, then squareform's new
+    square with diagonal n_k.  With ``slopes``, also each kernel i's
+    k'(d) / d on the pairs, in role ("pair_slopes", b, i): its
+    squareform(s, checks=False) has diagonal 0, the value at d == 0."""
+    m = warped.shape[1]
+    condensed = np.zeros(m * (m - 1) // 2)
+    pair_slopes = []
+    for i, (kern, z) in enumerate(zip(kset.kernels, warped)):
+        d = pdist(z)
+        if slopes:
+            value, slope_over_d = kernel_value_slope(
+                kern, d, out=linalg.work_array(ws, ("pair_slopes", b, i),
+                                               d.shape))
+            pair_slopes.append(slope_over_d)
+        else:
+            value = kernel_value(kern, d)
+        condensed += value
+        del value  # freed before the next kernel's arrays and K
+    out = squareform(condensed, checks=False)
+    np.fill_diagonal(out, float(kset.n_k))
+    return out, pair_slopes
 
 
 def train_cov(kset: KernelSet, warped, sigma2) -> np.ndarray:
@@ -255,11 +277,10 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
     row blocks R = [r0, r1) of about 1 MiB per block array:
 
     - pass 1 (_blocked_cov), per block: the diagonal block R x R from
-      condensed pairs (kernels.one_set_cov: one pdist and one
-      kernel_value_slope per kernel, the kernel sum rebuilt as a square,
-      the slopes kept condensed); then, per kernel, the part left of it,
-      cdist(z_R, z_<r0), its kernel values summed into K[R, :r0] and
-      mirrored into K[:r0, R], its slopes S kept (empty when r0 = 0);
+      condensed pairs (one pdist and one kernel_value_slope per kernel,
+      the slopes kept condensed), then the part left of it, K[R, :r0]
+      from cdist(z_R, z_<r0), mirrored into K[:r0, R], its slopes S kept
+      (empty when r0 = 0);
     - the factorization, alpha, the log-determinant and G = K^-1 - alpha
       alpha^T, written over K, on the whole matrix;
     - pass 2, per block and kernel: W = S * G, in a square rebuilt from the
@@ -278,12 +299,13 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
     ``workspace`` keeps the step's large arrays for the next call (a fit
     passes one to all its steps; with None the arrays are new, and the
     result is the same bit for bit): the factor and the inverse (n^2
-    entries each), each diagonal block's condensed slopes, and with more
-    than one block K (later G), the left parts' distances and their slopes
-    (about n^2 / 2 entries per kernel).  On a call with a used workspace
-    the large new arrays are K with one block (later G), the diagonal
-    blocks' slope squares, one at a time, and the condensed distances and
-    kernel values; no array of the result lives in the workspace.
+    entries each), each block b's slopes per kernel i, in roles
+    ("pair_slopes", b, i) and ("slopes", b, i) (about n^2 / 2 entries per
+    kernel), and with more than one block K (later G) and the left parts'
+    distances.  On a call with a used workspace the large new arrays are
+    K with one block (later G), the diagonal blocks' slope squares, one
+    at a time, and the condensed distances and kernel values; no array of
+    the result lives in the workspace.
     """
     x = batch.x
     theta = batch.hyper.theta

@@ -11,6 +11,8 @@ each correlation stays a valid (positive semidefinite) kernel for any
 length-scale field, including negative entries.  Several kernels are
 evaluated on the same points and their matrices summed; every correlation
 equals 1 at zero distance, so the summed matrix has diagonal exactly n_k.
+gp assembles every such matrix that training and prediction factor;
+cov_matrix here is their two-set reference.
 
 Length-scale fields are stored as an (N, n_v * n_k) block matrix: columns
 [i*n_v, (i+1)*n_v) hold the per-dimension scales for kernel i.
@@ -45,10 +47,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatch, InvalidSetting
-from .linalg import Workspace, work_array
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -214,11 +215,6 @@ def kernel_deriv(kernel: KernelId, d):
     return float(kernel_value_slope(kernel, d.reshape(1))[1][0] * d)
 
 
-def theta_block(theta, n_v: int, kernel_index: int) -> np.ndarray:
-    """Slice the columns of the block matrix belonging to one kernel."""
-    return theta[:, kernel_index * n_v : (kernel_index + 1) * n_v]
-
-
 def _checked_set(kset: KernelSet, x, theta):
     x = np.asarray(x, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
@@ -238,8 +234,8 @@ def cov_matrix(kset: KernelSet, xa, xb, theta_a, theta_b) -> np.ndarray:
 
     Entry (p, q) is sum_i k_i(||theta_i_p * x_p - theta_i_q * x_q||).
     Distances are computed pairwise and exactly, so identical rows yield a
-    distance of exactly 0.  A set against itself is built from condensed
-    pairs by one_set_cov, whose K equals this one bit for bit.
+    distance of exactly 0.  No package path calls it: gp's builders equal
+    it bit for bit, and tests and the benchmark's tracer read it.
     """
     xa, theta_a = _checked_set(kset, xa, theta_a)
     xb, theta_b = _checked_set(kset, xb, theta_b)
@@ -250,44 +246,7 @@ def cov_matrix(kset: KernelSet, xa, xb, theta_a, theta_b) -> np.ndarray:
     n_v = xa.shape[1]
     out = np.zeros((xa.shape[0], xb.shape[0]))
     for i, kern in enumerate(kset.kernels):
-        za = xa * theta_block(theta_a, n_v, i)
-        zb = xb * theta_block(theta_b, n_v, i)
-        out += kernel_value(kern, cdist(za, zb))
+        cols = slice(i * n_v, (i + 1) * n_v)  # kernel i's length-scales
+        out += kernel_value(kern, cdist(xa * theta_a[:, cols],
+                                        xb * theta_b[:, cols]))
     return out
-
-
-def one_set_cov(kset: KernelSet, warped, slopes: bool = False, *,
-                workspace: Workspace | None = None):
-    """Summed covariance of one point set with itself, from condensed pairs.
-
-    warped[i] is the set scaled by kernel i's length-scales.  Each pair's
-    distance is taken once (pdist, which equals cdist entry for entry) and
-    its kernel values are summed condensed in kernel order; squareform then
-    rebuilds the square, whose diagonal is set to exactly n_k.  Returns
-    (K, S): with ``slopes`` true, S lists each kernel's k'(d) / d on the
-    condensed pairs, whose square squareform(s, checks=False) has diagonal
-    0, its value at d == 0; otherwise S is empty.  K is a new array; the
-    condensed slopes are written into the workspace if one is given.
-    K equals cov_matrix(kset, x, x, theta, theta) bit for bit; the diagonal
-    blocks of gp's row-blocked covariance (training steps, and prediction
-    sets of gp._SQUARE_BELOW points or more) are assembled here.  Smaller
-    prediction sets take cdist's full square instead (gp.train_cov).
-    """
-    m = warped[0].shape[0]
-    if m == 0:  # squareform would read an empty vector as one point
-        return np.zeros((0, 0)), [np.zeros(0) for _ in warped] if slopes else []
-    condensed = np.zeros(m * (m - 1) // 2)
-    pair_slopes = []
-    for i, (kern, z) in enumerate(zip(kset.kernels, warped)):
-        d = pdist(z)
-        if slopes:
-            value, slope_over_d = kernel_value_slope(
-                kern, d, out=work_array(workspace, ("pair_slopes", i), d.shape))
-            pair_slopes.append(slope_over_d)
-        else:
-            value = kernel_value(kern, d)
-        condensed += value
-        del value  # freed before the next kernel's arrays and K
-    out = squareform(condensed, checks=False)
-    np.fill_diagonal(out, float(kset.n_k))
-    return out, pair_slopes

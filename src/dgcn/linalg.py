@@ -44,21 +44,15 @@ class Workspace:
     role's buffer, which grows to the largest size asked for and never
     shrinks.  A smaller call after a larger one (a full batch after a
     merged tail) therefore neither evicts nor duplicates the buffer.  Two
-    arrays alive at the same time need two roles.  A workspace is not
-    thread-safe: concurrent calls must not share one.
+    arrays alive at the same time need two roles; a role is any hashable
+    key, such as ("slopes", b, i) for block b's kernel i.  A workspace is
+    not thread-safe: concurrent calls must not share one.
     """
 
     __slots__ = ("_buffers",)
 
     def __init__(self):
         self._buffers = {}
-
-    def scope(self, key) -> "Workspace":
-        """A workspace of its own for one caller's roles, kept under key."""
-        child = self._buffers.get(("scope", key))
-        if child is None:
-            child = self._buffers[("scope", key)] = Workspace()
-        return child
 
     def array(self, role, shape, order: str = "C") -> np.ndarray:
         size = math.prod(shape)

@@ -132,8 +132,9 @@ class Dataset:
             raise DimensionMismatch("x must be (N, n_v) and y (N,) or (N, h)")
         if self.x.shape[0] != self.y.shape[0]:
             raise DimensionMismatch("x and y row counts differ")
-        if self.x.shape[0] < 1:
-            raise EmptyDataset("need at least 1 point")
+        if min(self.x.shape) < 1:
+            raise EmptyDataset("need at least 1 point and 1 input column, "
+                               f"got x of shape {self.x.shape}")
         for name, a in (("x", self.x), ("y", self.y)):
             bad = np.flatnonzero(~np.isfinite(a).reshape(a.shape[0], -1).all(1))
             if bad.size:
@@ -783,8 +784,8 @@ def load(path) -> TrainedModel:
     Raises FormatVersionMismatch when the CRC matches but the manifest does
     not decode into a consistent model (bad JSON, missing keys, wrong
     types, array shapes that do not fit the networks, fewer than 2 stored
-    training points), and ChecksumMismatch when the declared arrays do not
-    cover the payload.
+    training points, networks of 0 inputs), and ChecksumMismatch when the
+    declared arrays do not cover the payload.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -852,6 +853,8 @@ def _decode(data: bytes, head: int) -> TrainedModel:
         raise ValueError("training data, scaler and network widths disagree")
     if y.size < 2:  # fit stores at least 2; predicting needs 2
         raise ValueError(f"model stores {y.size} training points, not at least 2")
+    if n_v < 1:  # a Dataset has at least 1 input column
+        raise ValueError("model networks take 0 inputs, not at least 1")
     reg = RegularizerSpec(config.dropout_rate, config.input_noise_std)
 
     def rebuild(prefix, specs):

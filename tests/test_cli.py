@@ -105,6 +105,21 @@ class TestTrain:
                                          "--out", tmp_path / "m.dgcn"])
         assert "at least 2 points" in err
 
+    def test_target_only_csv_is_data_error(self, tmp_path, capsys):
+        # No input column: nothing to warp, so training never starts.
+        data = tmp_path / "target.csv"
+        data.write_text("y\n" + "".join(f"{i / 7.0!r}\n" for i in range(40)))
+        out = tmp_path / "m.dgcn"
+        err = assert_data_error(capsys, ["train", "--data", data,
+                                         "--out", out])
+        assert "at least 1 point and 1 input column" in err
+        assert not out.exists() and not (tmp_path / "m.dgcn.log.json").exists()
+        err = assert_data_error(capsys, [
+            "crossval", "--data", data, "--folds", 3, "--repeats", 1,
+            "--out-dir", tmp_path])
+        assert "1 input column" in err
+        assert not (tmp_path / "crossval_summary.json").exists()
+
     def test_overflowing_response_statistics_are_data_errors(self, tmp_path,
                                                              fast_config_json,
                                                              capsys):

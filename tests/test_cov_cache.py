@@ -177,13 +177,13 @@ class TestWhenBuilt:
     @pytest.mark.parametrize("square_below", [gp._SQUARE_BELOW, 0])
     def test_cached_groups_evaluate_no_kernels(self, monkeypatch, square_below):
         # An uncached group's K comes from train_cov's full square (cdist)
-        # or, with the constant at 0, from its row blocks (one_set_cov).
+        # or, with the constant at 0, from its one row block (pdist).
         monkeypatch.setattr(gp, "_SQUARE_BELOW", square_below)
         model = make_model(n=50)
         x = np.random.default_rng(3).uniform(-2, 2, (12, 2))
         warm(model, 2, 20)
         seen = []
-        for name in ("cdist", "one_set_cov"):
+        for name in ("cdist", "pdist"):
             real = getattr(gp, name)
 
             def recorded(*args, _real=real, _name=name, **kwargs):
@@ -194,7 +194,7 @@ class TestWhenBuilt:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trainer, "_CACHE_ENTRIES", 0)
             expected = trainer.predict_batched(uncached(model), x, k=20)
-        assert set(seen) == {"cdist" if square_below else "one_set_cov"}
+        assert set(seen) == {"cdist" if square_below else "pdist"}
         seen.clear()
         assert_same_prediction(expected,
                                trainer.predict_batched(model, x, k=20))
@@ -510,3 +510,9 @@ class TestProbeScript:
             env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
         assert done.returncode == 0, done.stderr
         assert "identical: True" in done.stdout
+        # The second model runs with the cap below its N^2.
+        capped = [line for line in done.stdout.splitlines()
+                  if line.startswith("N=400:")]
+        assert "cache cap lowered to 159999 entries" in capped[0]
+        assert "cache built: False" in capped[-1]
+        assert not any("cache built: True" in line for line in capped)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, squareform
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
@@ -21,6 +22,7 @@ from dgcn.kernels import (
     KernelId,
     KernelSet,
     cov_matrix,
+    kernel_value_slope,
 )
 from dgcn.mlp import Mlp, OptimizerConfig, OptimizerState, RegularizerSpec
 
@@ -342,7 +344,7 @@ class TestBlockedHyperGrad:
 
     @pytest.mark.parametrize("n, rows", [(1, 1), (17, 1), (17, 5), (64, 7),
                                          (64, 64)])
-    def test_covariance_is_the_one_set_covariance(self, n, rows, monkeypatch):
+    def test_covariance_is_cov_matrix_plus_noise(self, n, rows, monkeypatch):
         # The factored matrix equals cov_matrix plus the noise diagonal bit
         # for bit, mirrored halves and duplicated rows included.
         kset = KernelSet()
@@ -442,6 +444,79 @@ class TestCondensedDiagonalBlocks:
         oracle, _ = masked_divide_hyper_grad(kset.names(), batch.x, batch.y,
                                              batch.hyper.theta, batch.hyper.sigma2)
         assert np.abs(got.theta - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+
+@st.composite
+def symmetric_cases(draw):
+    """A kernel set, a point set of 0 to 30 rows with its field (some rows
+    may be duplicated), noise variances, and row blocks: one, or several."""
+    names = [k.value for k in ALL_KERNELS]
+    kernels = draw(st.one_of(
+        st.sampled_from([[name] for name in names]),
+        st.just(names),
+    ))
+    kset = KernelSet.from_names(kernels)
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 30)))
+    n_v = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, n_v))
+    theta = rng.uniform(-3.0, 3.0, (n, n_v * kset.n_k))
+    if n > 2 and draw(st.booleans()):
+        src = rng.integers(0, n, n // 3 + 1)
+        dst = rng.integers(0, n, src.size)
+        x[dst], theta[dst] = x[src], theta[src]  # exact zero distances
+    sigma2 = rng.uniform(1e-6, 1e-1, n)
+    rows = draw(st.one_of(st.just(max(n, 1)), st.integers(1, max(n, 1))))
+    return kset, x, theta, sigma2, linalg.row_blocks(n, rows * n)
+
+
+def noisy_cov_matrix(kset, x, theta, sigma2):
+    want = cov_matrix(kset, x, x, theta, theta)
+    want[np.diag_indices_from(want)] += sigma2
+    return want
+
+
+class TestBlockedCovariance:
+    """gp._blocked_cov, which builds the training step's K and every stored
+    set's of _SQUARE_BELOW points or more, against the two-set forms."""
+
+    @given(symmetric_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_blocked_equals_two_set_bit_for_bit(self, case):
+        kset, x, theta, sigma2, blocks = case
+        warped = gp.warped_rows(x, theta, kset.n_k)
+        got = gp._blocked_cov(kset, warped, sigma2, blocks, False, None)[0]
+        assert_bits_equal(got, noisy_cov_matrix(kset, x, theta, sigma2))
+        assert_bits_equal(np.diag(got), float(kset.n_k) + sigma2)
+
+    @given(symmetric_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_block_slopes_equal_two_set_forms(self, case):
+        # Pass 2 of the training step reads each block's condensed slopes
+        # as squares and its left part's slopes as they are: both must be
+        # the full-square ones, every block's still intact once all are
+        # built into one workspace.
+        kset, x, theta, sigma2, blocks = case
+        warped = gp.warped_rows(x, theta, kset.n_k)
+        k, per_block = gp._blocked_cov(kset, warped, sigma2, blocks, True,
+                                       linalg.Workspace())
+        assert_bits_equal(k, noisy_cov_matrix(kset, x, theta, sigma2))
+        assert len(per_block) == len(blocks)
+        for (r0, r1), (pair_slopes, left_slopes) in zip(blocks, per_block):
+            assert len(pair_slopes) == kset.n_k
+            assert len(left_slopes) == (kset.n_k if r0 else 0)
+            for kern, z, pairs in zip(kset.kernels, warped, pair_slopes):
+                got = squareform(pairs, checks=False)
+                full = kernel_value_slope(kern, cdist(z[r0:r1], z[r0:r1]))[1]
+                assert_bits_equal(got, full)
+                assert np.all(np.diag(got) == 0.0)
+            for kern, z, left in zip(kset.kernels, warped, left_slopes):
+                full = kernel_value_slope(kern, cdist(z[r0:r1], z[:r0]))[1]
+                assert_bits_equal(left, full)
+        value_only, none = gp._blocked_cov(kset, warped, sigma2, blocks,
+                                           False, None)
+        assert_bits_equal(value_only, k)
+        assert none == [([], [])] * len(blocks)
 
 
 def workspace_batch(kind, seed, kset, n_v):

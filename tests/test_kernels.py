@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from dgcn import linalg
 from dgcn.errors import DimensionMismatch
-from scipy.spatial.distance import cdist, squareform
-
 from dgcn.kernels import (
     ALL_KERNELS,
     KernelId,
@@ -15,8 +13,6 @@ from dgcn.kernels import (
     kernel_deriv,
     kernel_value,
     kernel_value_slope,
-    one_set_cov,
-    theta_block,
 )
 
 from oracles import scalar_kernel_deriv, warped_cov
@@ -299,64 +295,6 @@ class TestCovMatrix:
             cov_matrix(kset, np.ones(3), np.ones(3), np.ones(3), np.ones(3))
         with pytest.raises(TypeError):  # the one-set form (kset, x, theta)
             cov_matrix(kset, np.ones((2, 2)), np.ones((2, 2)))
-
-
-@st.composite
-def symmetric_cases(draw):
-    """A kernel set and a point set of 0 to 30 rows with its field; some rows
-    may be duplicated."""
-    names = [k.value for k in ALL_KERNELS]
-    kernels = draw(st.one_of(
-        st.sampled_from([[name] for name in names]),
-        st.just(names),
-    ))
-    kset = KernelSet.from_names(kernels)
-    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 30)))
-    n_v = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((n, n_v))
-    theta = rng.uniform(-3.0, 3.0, (n, n_v * kset.n_k))
-    if n > 2 and draw(st.booleans()):
-        src = rng.integers(0, n, n // 3 + 1)
-        dst = rng.integers(0, n, src.size)
-        x[dst], theta[dst] = x[src], theta[src]  # exact zero distances
-    return kset, x, theta
-
-
-class TestSymmetricCovMatrix:
-    @given(symmetric_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_one_set_equals_two_set_bit_for_bit(self, case):
-        kset, x, theta = case
-        n_v = x.shape[1]
-        got = one_set_cov(
-            kset, [x * theta_block(theta, n_v, i) for i in range(kset.n_k)])[0]
-        np.testing.assert_array_equal(got, cov_matrix(kset, x, x, theta, theta))
-        np.testing.assert_array_equal(np.diag(got), float(kset.n_k))
-
-    @given(symmetric_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_shared_helper_equals_two_set_forms(self, case):
-        # one_set_cov serves prediction and the training step's diagonal
-        # blocks: its K and the squares of its condensed slopes must be the
-        # full-square ones.
-        kset, x, theta = case
-        n_v = x.shape[1]
-        warped = [x * theta_block(theta, n_v, i) for i in range(kset.n_k)]
-        k, slopes = one_set_cov(kset, warped, slopes=True)
-        want = cov_matrix(kset, x, x, theta, theta)
-        np.testing.assert_array_equal(k.view(np.uint64), want.view(np.uint64))
-        assert len(slopes) == kset.n_k
-        for kern, z, pairs in zip(kset.kernels, warped, slopes):
-            # squareform reads no pairs as one point: trim to n for n = 0.
-            got = squareform(pairs, checks=False)[: len(x), : len(x)]
-            full = kernel_value_slope(kern, cdist(z, z))[1]
-            np.testing.assert_array_equal(got.view(np.uint64),
-                                          full.view(np.uint64))
-            assert np.all(np.diag(got) == 0.0)
-        value_only, none = one_set_cov(kset, warped)
-        np.testing.assert_array_equal(value_only, k)
-        assert none == []
 
 
 class TestKernelSet:

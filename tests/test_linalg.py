@@ -339,12 +339,6 @@ class TestWorkspace:
         assert ws.array("r", (4, 5)).base is larger.base
         assert not np.shares_memory(ws.array("other", (4, 5)), larger)
 
-    def test_scope_is_kept_and_separate(self):
-        ws = linalg.Workspace()
-        inner = ws.scope(0)
-        assert ws.scope(0) is inner and ws.scope(1) is not inner
-        assert not np.shares_memory(inner.array("r", (3,)), ws.array("r", (3,)))
-
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("copies", [0, 4])
     def test_factor_is_the_same_with_and_without_a_workspace(self, order,

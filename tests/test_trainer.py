@@ -85,6 +85,16 @@ class TestDatasetAndScaler:
         with pytest.raises(EmptyDataset):
             Dataset(np.zeros((0, 2)), np.zeros(0))
 
+    def test_zero_input_columns_are_empty_dataset_errors(self):
+        # fit, update and crossval take a Dataset: none trains on such data.
+        y = np.sin(np.arange(30.0))
+        with pytest.raises(EmptyDataset, match=r"at least 1 point and 1 "
+                           r"input column, got x of shape \(30, 0\)$") as info:
+            Dataset(np.empty((30, 0)), y)
+        assert info.value.exit_code == 3
+        with pytest.raises(EmptyDataset):
+            Dataset(np.empty((0, 0)), np.empty(0))
+
     @pytest.mark.parametrize("n, batch_size", [(407, 200), (805, 400)])
     def test_step_workspace_changes_no_model_byte(self, n, batch_size,
                                                   monkeypatch, tmp_path):
@@ -882,6 +892,24 @@ class TestPersistence:
 
         rewrite_manifest(path, apply)
         with pytest.raises(FormatVersionMismatch):
+            trainer.load(path)
+
+    def test_zero_input_model_rejected(self, tmp_path):
+        # A well-formed file with a valid CRC whose networks take no input,
+        # as a fit on a zero-column dataset once wrote.
+        model = self.make_model()
+        theta_net, sigma_net = trainer.build_networks(
+            0, model.config, np.random.default_rng(0))
+        x = np.empty((model.n, 0))
+        scaler = dataclasses.replace(model.scaler, x_mean=np.zeros(0),
+                                     x_std=np.ones(0))
+        zero = dataclasses.replace(
+            model, theta_net=theta_net, sigma_net=sigma_net, x=x, columns=[],
+            scaler=scaler, hyper=trainer.hyper_for(theta_net, sigma_net, x,
+                                    model.config.sigma2_floor))
+        path = tmp_path / "model.dgcn"
+        trainer.save(zero, path)
+        with pytest.raises(FormatVersionMismatch, match="take 0 inputs"):
             trainer.load(path)
 
     def test_declared_shapes_must_cover_payload(self, tmp_path):
