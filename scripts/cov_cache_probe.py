@@ -38,6 +38,7 @@ import sys
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -46,7 +47,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import dgcn  # noqa: E402
-from dgcn import trainer  # noqa: E402
+from dgcn import gp, trainer  # noqa: E402
 
 N_V = 5
 K = 200
@@ -90,15 +91,16 @@ def built(model) -> bool:
 def group_ms(model, sets: int = 200) -> float:
     """Median time of one group's system from the cache, ms.
 
-    Times trainer._CovCache.solve, where a cached group gathers its block,
-    factors it in place and solves for alpha, on the sorted neighbour sets
-    of fresh queries.
+    Times gp.solve_built on the cache's gather, as a cached group gathers
+    its block, factors it in place and solves for alpha, on the sorted
+    neighbour sets of fresh queries.
     """
     xs = model.scaler.transform_x(queries(2 * 10**6, sets))
     nearest = model.index.query(xs, K)
     cache = model._cache
-    return float(np.median([timed(cache.solve, sel, model.y[sel])[1]
-                            for sel in nearest])) * 1e3
+    return float(np.median([
+        timed(gp.solve_built, partial(cache.block, sel), model.y[sel])[1]
+        for sel in nearest])) * 1e3
 
 
 def knn_calls(model, label: str) -> None:

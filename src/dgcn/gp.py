@@ -254,9 +254,11 @@ def cross_cov(kset: KernelSet, train, star, rows=None) -> np.ndarray:
     return out
 
 
-def solve_train(k, y, *, workspace: linalg.Workspace | None = None) -> tuple:
-    """The factor of a noise-added covariance k and alpha = k^-1 y."""
-    factor = linalg.cholesky_jittered(k, workspace=workspace)
+def solve_built(build, y) -> tuple:
+    """The factor of a noise-added covariance K and alpha = K^-1 y: build()
+    returns a new, exactly symmetric K, factored in its own memory and built
+    again for each jitter rung past 0 (linalg.cholesky_in_place)."""
+    factor = linalg.cholesky_in_place(build(), build)
     return factor, linalg.solve_spd(factor, y)
 
 
@@ -314,7 +316,8 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
     warped = warped_rows(x, theta, kset.n_k)
     k, slopes = _blocked_cov(kset, warped, batch.hyper.sigma2, blocks, True,
                              workspace)
-    factor, alpha = solve_train(k, batch.y, workspace=workspace)
+    factor = linalg.cholesky_jittered(k, workspace=workspace)
+    alpha = linalg.solve_spd(factor, batch.y)
     value = float(
         0.5 * batch.y @ alpha + 0.5 * linalg.logdet(factor) + 0.5 * n * LOG_2PI
     )
@@ -410,8 +413,8 @@ def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
         raise DimensionMismatch("test points and their hyperparameters disagree")
     star = warped_rows(x_star, hyper_star.theta, kset.n_k)
     warped = warped_rows(train.x, train.hyper.theta, kset.n_k)
-    factor, alpha = solve_train(train_cov(kset, warped, train.hyper.sigma2),
-                                train.y)
+    factor, alpha = solve_built(
+        functools.partial(train_cov, kset, warped, train.hyper.sigma2), train.y)
     k_star = np.ascontiguousarray(cross_cov(kset, warped, star).T)
     mean, variance = posterior(factor, alpha, k_star, kset.n_k)
     return predictive(mean, variance,
@@ -421,7 +424,7 @@ def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
 
 def posterior(factor, alpha, k_star, n_k: int) -> tuple:
     """Mean and unclamped latent variance at test points: factor and alpha
-    are solve_train's for the training set, k_star the C-ordered
+    are solve_built's for the training set, k_star the C-ordered
     cross_cov(...).T, and n_k kernels give each test point prior n_k."""
     half = linalg.solve_lower(factor, k_star)
     return k_star.T @ alpha, float(n_k) - np.einsum("ij,ij->j", half, half)
@@ -445,6 +448,17 @@ def predictive(mean, variance, noise, n_train: int, alpha_level: float,
         raise InvalidSetting("interval must be 't' or 'z'")
     return Prediction(mean, variance, low, high, alpha_level, clamped,
                       sum(j > 0.0 for j in jitters), max(jitters))
+
+
+def join_predictions(preds, alpha_level: float) -> Prediction:
+    """One Prediction of ``preds``' rows in order, all at alpha_level: the
+    fields concatenated, clamped and jitter_events summed, jitter_max the
+    highest (0.0 for an empty list)."""
+    rows = (np.concatenate([np.empty(0)] + [getattr(p, name) for p in preds])
+            for name in ("mean", "variance", "ci_low", "ci_high"))
+    return Prediction(*rows, alpha_level, sum(p.clamped for p in preds),
+                      sum(p.jitter_events for p in preds),
+                      max((p.jitter_max for p in preds), default=0.0))
 
 
 # Prediction asks for the same few quantiles on every call; scipy's ppf

@@ -4,15 +4,15 @@ Matrices are plain float64 numpy arrays; factors come out of LAPACK in
 Fortran order and are handed back to it without a copy.  The only
 non-trivial piece is the jitter ladder: covariance matrices built from
 strongly correlated kernels are routinely singular to machine precision,
-so the factorization retries with growing diagonal inflation and reports
-how much was needed instead of crashing.
+so one ladder, cholesky_in_place, retries with growing diagonal inflation
+on a fresh copy and reports how much was needed instead of crashing.
 
 LAPACK is called directly (dpotrf, dtrtrs, dpotri): the same routines
 scipy.linalg's cholesky and solve_triangular call for a Fortran-ordered
 factor, so the results are the same bit for bit, without scipy's
 finiteness scan of every operand.  No matrix is scanned either: a NaN
 or inf that dpotrf reads fails a pivot or leaves a non-finite factor
-diagonal, which both factor entry points test.
+diagonal, which the ladder tests.
 
 A Workspace holds float64 buffers that a sequence of calls can reuse
 instead of allocating their large arrays afresh, such as the factor and
@@ -85,15 +85,11 @@ class CholeskyFactor:
 def cholesky_jittered(a, *, workspace: Workspace | None = None) -> CholeskyFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
 
-    Only the lower triangle of ``a`` is read.  Tries each rung of the
-    module's DEFAULT_JITTER_LADDER in order and returns the factor for the
-    first one that succeeds, together with the jitter that was actually
-    added.  Each rung copies ``a`` into the factor's array (Fortran order,
-    the workspace's buffer if one is given), adds its jitter to the
-    diagonal and factors it there in place; with a workspace, the returned
-    factor is valid until the workspace factors again.  Without a
-    workspace, rung 0 (no jitter) lets the LAPACK wrapper make that copy, a
-    new array, and later rungs copy over it.
+    Only the lower triangle of ``a`` is read, and ``a`` is left intact: each
+    rung copies it into the factor's array (Fortran order, the workspace's
+    buffer if one is given, else a new array), where cholesky_in_place's
+    ladder factors it; with a workspace, the returned factor is valid until
+    the workspace factors again.
 
     Raises
     ------
@@ -104,30 +100,28 @@ def cholesky_jittered(a, *, workspace: Workspace | None = None) -> CholeskyFacto
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    lower = None if workspace is None else workspace.array("factor", a.shape, "F")
-    for jitter in DEFAULT_JITTER_LADDER:
-        if lower is None:
-            lower, info = _dpotrf(a, lower=1, clean=1)
-        else:
-            lower[...] = a
-            if jitter:
-                lower[np.diag_indices_from(lower)] += jitter
-            lower, info = _dpotrf(lower, lower=1, clean=1, overwrite_a=1)
-        if info <= 0:  # else a leading minor is not positive definite
-            return _checked_factor(lower, info, jitter)
-    raise NotPositiveDefinite(
-        f"factorization failed with jitter up to {DEFAULT_JITTER_LADDER[-1]:g}"
-    )
+    lower = work_array(workspace, "factor", a.shape, "F")
+    lower[...] = a
+    return cholesky_in_place(lower.T, lambda: np.copyto(lower, a) or lower.T)
 
 
 def cholesky_in_place(a, regather) -> CholeskyFactor:
     """cholesky_jittered(a.T), a C-ordered a's factor if it is exactly
     symmetric: a.T is a in Fortran order, factored there with no copy.
-    Past rung 0 the ladder runs on regather().T; regather() copies a."""
-    lower, info = _dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
-    if info > 0:
-        return cholesky_jittered(regather().T)
-    return _checked_factor(lower, info, 0.0)
+    Tries each rung of DEFAULT_JITTER_LADDER in order and returns the first
+    factor that succeeds: rung 0 factors a itself, each later rung adds its
+    jitter to the diagonal of regather(), a fresh copy of a, and factors it.
+    """
+    for jitter in DEFAULT_JITTER_LADDER:
+        if jitter:
+            a = regather()
+            a[np.diag_indices_from(a)] += jitter
+        lower, info = _dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
+        if info <= 0:  # else a leading minor is not positive definite
+            return _checked_factor(lower, info, jitter)
+    raise NotPositiveDefinite(
+        f"factorization failed with jitter up to {DEFAULT_JITTER_LADDER[-1]:g}"
+    )
 
 
 def _checked_factor(lower, info: int, jitter) -> CholeskyFactor:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import trainer
 from .errors import InvalidSetting, ParseError, SeriesTooShort, ShapeMismatch
-from .gp import Prediction
+from .gp import join_predictions
 from .mlp import check_integer
 from .trainer import Dataset, TrainConfig, TrainedModel
 
@@ -120,37 +120,22 @@ def forecast_recursive(model: TrainedModel, history, steps: int,
     """Multi-step forecast feeding each predicted mean back as a lag.
 
     Returns the vector of predicted means, or the full Prediction
-    (mean/variance/interval per step) when ``detailed`` is true; its
-    ``clamped`` and ``jitter_events`` are summed over the steps and
-    ``jitter_max`` is the highest level any step used.
+    (mean/variance/interval per step) when ``detailed`` is true: the
+    steps' one-row Predictions joined by gp.join_predictions, which sums
+    ``clamped`` and ``jitter_events`` and keeps the highest ``jitter_max``.
     """
     steps = check_integer("steps", steps, 0)
     window = trailing_window(history, model.n_v)
-    means = np.empty(steps)
-    variances = np.empty(steps)
-    lows = np.empty(steps)
-    highs = np.empty(steps)
-    clamped = jitter_events = 0
-    jitter_max = 0.0
-    for step in range(steps):
-        pred = trainer.predict_batched(
+    preds = []
+    for _ in range(steps):
+        preds.append(trainer.predict_batched(
             model, window[None, :], k=k, alpha_level=alpha_level,
             include_noise=include_noise,
-        )
-        means[step] = pred.mean[0]
-        variances[step] = pred.variance[0]
-        lows[step] = pred.ci_low[0]
-        highs[step] = pred.ci_high[0]
-        clamped += pred.clamped
-        jitter_events += pred.jitter_events
-        jitter_max = max(jitter_max, pred.jitter_max)
+        ))
         window[:-1] = window[1:]
-        window[-1] = means[step]
-    if detailed:
-        return Prediction(means, variances, lows, highs, alpha_level,
-                          clamped=clamped, jitter_events=jitter_events,
-                          jitter_max=jitter_max)
-    return means
+        window[-1] = preds[-1].mean[0]
+    pred = join_predictions(preds, alpha_level)
+    return pred if detailed else pred.mean
 
 
 def forecast_direct(history, n_lags: int, steps: int, config: TrainConfig,

@@ -39,19 +39,20 @@ k < N count the training pairs their groups build, k (k - 1) / 2 per
 group, and build K when the count reaches N (N - 1) / 2, the cost of one
 full build: a call whose groups build fewer pairs than that leaves K
 unbuilt, and one whose groups build at least that many builds it within
-the call.  K is built exactly symmetric, not scanned; a group gathers its
-block, a principal block of K, and factors it in place
-(linalg.cholesky_in_place, whose factor check finds a NaN or inf the block
-reads), gathering it again for the jitter ladder if it needs one.  K is
+the call.  K is built exactly symmetric, not scanned; every system (the
+whole set's, a group's block of K or, without K, its own train_cov) is
+factored where it was built and built again for each jitter rung past 0
+(gp.solve_built), whose factor check finds a NaN or inf it reads.  K is
 stored in the leaf order of a kd-tree over the stored inputs (scipy's
 default leaf size, whatever the neighbour strategy), built from the
 reordered points, so each entry is the row-order K's bit for bit; a
 neighbour set's block is one flat take of its positions, in the set's own
 order.  A neighbour set is a ball in input space and a leaf holds nearby
 points, so its block spans few cache lines of the memory-bound gather.  K
-and the factor take 8 N^2 bytes each; models with N^2 above _CACHE_ENTRIES
-(N > 4096) cache nothing: each call factors the whole set or each group's
-block for itself.  The cache is filled before the groups are solved, in
+and the factor take 8 N^2 bytes each, the factor made in its own K's
+memory with no copy; models with N^2 above _CACHE_ENTRIES (N > 4096) cache
+nothing: each call factors the whole set or each group's block for
+itself.  The cache is filled before the groups are solved, in
 one serial loop (worker threads measured slower: the Python work around
 each group's LAPACK calls holds the GIL).  It is never saved, and update()
 and load() return models with an empty one.  Cached or not, every
@@ -69,6 +70,7 @@ import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -209,11 +211,14 @@ class Scaler:
                 f"{y_mean}, standard deviation {y_std}")
         return cls(x_mean, x_std, y_mean, y_std, standardize_y)
 
+    # Overflow gives +-inf quietly: a query predicts on it, update() rejects it.
     def transform_x(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.x_mean) / self.x_std
+        with np.errstate(over="ignore"):
+            return (np.asarray(x, dtype=np.float64) - self.x_mean) / self.x_std
 
     def transform_y(self, y) -> np.ndarray:
-        return (np.asarray(y, dtype=np.float64) - self.y_mean) / self.y_std
+        with np.errstate(over="ignore"):
+            return (np.asarray(y, dtype=np.float64) - self.y_mean) / self.y_std
 
     def inverse_y(self, ys) -> np.ndarray:
         return np.asarray(ys, dtype=np.float64) * self.y_std + self.y_mean
@@ -353,11 +358,6 @@ class _CovCache:
         # Every index is below n^2, so clipping never changes one.
         return self.k.ravel().take(q[:, None] * self.k.shape[0] + q,
                                    mode="clip")
-
-    def solve(self, sel, y) -> tuple:
-        """Factor and alpha of sel's block, factored where it was gathered."""
-        factor = linalg.cholesky_in_place(self.block(sel), lambda: self.block(sel))
-        return factor, linalg.solve_spd(factor, y)
 
 
 @dataclass
@@ -562,9 +562,13 @@ def update(model: TrainedModel, new_data: Dataset, epochs: int) -> TrainedModel:
     The scalers are reused (not refit); the neighbor index is rebuilt over
     the enlarged training set.  With epochs=0 the networks are untouched
     and only the stored data and index grow.  Raises InvalidSetting unless
-    epochs is an integer >= 0.
+    epochs is an integer >= 0, DimensionMismatch unless the response is a
+    vector, and InvalidTarget for a new value that standardizes to inf.
     """
     epochs = check_integer("epochs", epochs, 0)
+    if new_data.y.ndim != 1:
+        raise DimensionMismatch("update needs a single response vector; "
+                                "select one target column")
     if new_data.n_v != model.n_v:
         raise SchemaMismatch(
             f"model expects {model.n_v} inputs, new data has {new_data.n_v}"
@@ -577,6 +581,12 @@ def update(model: TrainedModel, new_data: Dataset, epochs: int) -> TrainedModel:
         raise SchemaMismatch("new data columns differ from the training columns")
     xs = np.vstack([model.x, model.scaler.transform_x(new_data.x)])
     ys = np.concatenate([model.y, model.scaler.transform_y(new_data.y)])
+    for name, a in (("input", xs[model.n:]), ("response", ys[model.n:])):
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:  # "row r" of y, "row r, column c" of x
+            raise InvalidTarget(
+                f"new {name} row {', column '.join(map(str, bad[0]))} "
+                "overflows float64 when standardized with the model's scaler")
     theta_net = model.theta_net.copy()
     sigma_net = model.sigma_net.copy()
     config = model.config
@@ -589,11 +599,6 @@ def update(model: TrainedModel, new_data: Dataset, epochs: int) -> TrainedModel:
                     config, rng, epochs, False, log)
     return _assemble(theta_net, sigma_net, model.scaler, config, xs, ys,
                      model.columns, log)
-
-
-def _empty_prediction(alpha_level: float) -> gp.Prediction:
-    z = np.empty(0)
-    return gp.Prediction(z, z.copy(), z.copy(), z.copy(), alpha_level)
 
 
 def _check_query(model: TrainedModel, x_star_raw) -> np.ndarray:
@@ -648,7 +653,7 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     k = min(check_k(k, alpha_level, interval, model.config), model.n)
     x_raw = _check_query(model, x_star_raw)
     if x_raw.shape[0] == 0:
-        return _empty_prediction(alpha_level)
+        return gp.join_predictions([], alpha_level)
     xs = model.scaler.transform_x(x_raw)
     try:
         hyper_star = hyper_for(model.theta_net, model.sigma_net, xs,
@@ -684,12 +689,11 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     for sel, ids in groups:
         if isinstance(sel, slice):
             factor, alpha = cache.full
-        elif cache.k is not None:
-            factor, alpha = cache.solve(sel, model.y[sel])
         else:
-            k_sel = gp.train_cov(kset, model.warped[:, sel],
-                                 model.hyper.sigma2[sel])
-            factor, alpha = gp.solve_train(k_sel, model.y[sel])
+            build = (partial(cache.block, sel) if cache.k is not None else
+                     partial(gp.train_cov, kset, model.warped[:, sel],
+                             model.hyper.sigma2[sel]))
+            factor, alpha = gp.solve_built(build, model.y[sel])
         mean[ids], variance[ids] = gp.posterior(
             factor, alpha, np.ascontiguousarray(cross[ids].T), kset.n_k)
         jitters.append(factor.jitter_used)
@@ -720,8 +724,9 @@ def _fill_cache(model: TrainedModel, k: int, n_groups: int) -> _CovCache:
     cache = _CovCache() if capped else model._cache
     if k == n:
         if cache.full is None:
-            cache.full = gp.solve_train(gp.train_cov(
-                model.kernel_set, model.warped, model.hyper.sigma2), model.y)
+            cache.full = gp.solve_built(partial(
+                gp.train_cov, model.kernel_set, model.warped,
+                model.hyper.sigma2), model.y)
     elif cache.k is None and not capped:
         cache.pairs += n_groups * (k * (k - 1) // 2)
         if cache.pairs >= n * (n - 1) // 2:

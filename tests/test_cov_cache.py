@@ -12,8 +12,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +150,7 @@ class TestWhenBuilt:
 
     def test_k_at_least_n_builds_at_once_and_reuses_the_factor(self, monkeypatch):
         model = make_model(n=50)
-        calls = {"train_cov": 0, "solve_train": 0}
+        calls = {"train_cov": 0, "solve_built": 0}
         for name in calls:
             real = getattr(gp, name)
 
@@ -160,10 +162,26 @@ class TestWhenBuilt:
         x = np.random.default_rng(2).uniform(-2, 2, (30, 2))
         first = trainer.predict_batched(model, x, k=50)
         assert model._cache.full is not None and model._cache.k is None
-        assert calls == {"train_cov": 1, "solve_train": 1}
+        assert calls == {"train_cov": 1, "solve_built": 1}
         second = trainer.predict_batched(model, x, k=57)
-        assert calls == {"train_cov": 1, "solve_train": 1}
+        assert calls == {"train_cov": 1, "solve_built": 1}
         assert_same_prediction(first, second)
+
+    def test_first_k_at_least_n_call_holds_one_n_square(self):
+        # The whole set's factor is made in the memory its K was built in,
+        # so the call's peak stays well below K and a copy (2 x 8 N^2).
+        n = 1500
+        model = trainer.fit(make_data(n, 2, 0), quiet_config(
+            batch_size=150, max_epochs=1))
+        x = np.random.default_rng(3).uniform(-2, 2, (10, 2))
+        tracemalloc.start()
+        try:
+            trainer.predict_batched(model, x, k=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model._cache.full is not None
+        assert peak < 1.5 * 8 * n * n
 
     def test_k_at_least_n_keeps_only_the_factor(self):
         model = make_model(n=50)
@@ -491,11 +509,11 @@ class TestBadKSurfacesAtTheFactor:
         read = np.unique(cache.order[list(where)])  # the entry's points
         unread = np.setdiff1d(np.arange(model.n), read)
         for sel in (unread, unread[::2]):
-            factor, _ = cache.solve(sel, model.y[sel])
+            factor, _ = gp.solve_built(partial(cache.block, sel), model.y[sel])
             assert np.isfinite(factor.lower).all()
         with pytest.raises(NotPositiveDefinite):
             sel = np.r_[unread[:4], read]
-            cache.solve(sel, model.y[sel])
+            gp.solve_built(partial(cache.block, sel), model.y[sel])
 
 
 class TestProbeScript:

@@ -705,6 +705,30 @@ class TestPredict:
                        kset)
 
 
+class TestJoinPredictions:
+    def test_rows_concatenate_counts_sum_and_jitter_takes_the_max(self):
+        parts = [gp.Prediction(np.array([float(i), i + 0.5]), np.full(2, i),
+                               np.full(2, -i), np.full(2, 2 * i), 0.1,
+                               clamped=i, jitter_events=i % 2,
+                               jitter_max=[0.0, 1e-6, 1e-8][i])
+                 for i in range(3)]
+        got = gp.join_predictions(parts, 0.1)
+        for name in ("mean", "variance", "ci_low", "ci_high"):
+            np.testing.assert_array_equal(
+                getattr(got, name),
+                np.concatenate([getattr(p, name) for p in parts]))
+        assert (got.alpha_level, got.clamped, got.jitter_events,
+                got.jitter_max) == (0.1, 3, 1, 1e-6)
+
+    def test_no_parts_give_zero_rows(self):
+        got = gp.join_predictions([], 0.05)
+        fields = (got.mean, got.variance, got.ci_low, got.ci_high)
+        assert all(a.shape == (0,) and a.dtype == np.float64 for a in fields)
+        assert len({id(a) for a in fields}) == 4
+        assert (got.alpha_level, got.clamped, got.jitter_events,
+                got.jitter_max) == (0.05, 0, 0, 0.0)
+
+
 class TestConfidenceInterval:
     def test_zero_variance_degenerates(self):
         low, high = gp.confidence_interval(np.array([2.0]), np.array([0.0]),

@@ -206,20 +206,27 @@ class TestCholeskyInPlace:
         assert np.shares_memory(got.lower, buf) and got.lower.flags.f_contiguous
         np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
 
-    def test_a_failed_first_rung_climbs_the_ladder_on_a_fresh_copy(self):
+    @pytest.mark.parametrize("shift", [0.0, 5e-8, 5e-6])
+    def test_each_rung_past_0_factors_one_fresh_copy(self, shift,
+                                                      monkeypatch):
         rng = np.random.default_rng(3)
         b = rng.standard_normal((6, 6))
         idx = np.r_[np.arange(6), 0, 2]  # two repeated rows: singular
-        a = exactly_symmetric((b @ b.T)[np.ix_(idx, idx)])
+        a = exactly_symmetric((b @ b.T)[np.ix_(idx, idx)]) - shift * np.eye(8)
         want = linalg.cholesky_jittered(a)
-        copies = []
+        rungs = linalg.DEFAULT_JITTER_LADDER.index(want.jitter_used)
+        assert rungs > 0
+        copies, factored = [], []
 
         def regather():
             copies.append(a.copy())
             return copies[-1]
 
+        real = linalg._dpotrf
+        monkeypatch.setattr(linalg, "_dpotrf", lambda *args, **kwargs:
+                            factored.append(args) or real(*args, **kwargs))
         got = linalg.cholesky_in_place(a.copy(), regather)
-        assert len(copies) == 1
+        assert len(copies) == rungs and len(factored) == rungs + 1
         assert got.jitter_used == want.jitter_used > 0.0
         np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
 
@@ -343,10 +350,9 @@ class TestWorkspace:
     @pytest.mark.parametrize("copies", [0, 4])
     def test_factor_is_the_same_with_and_without_a_workspace(self, order,
                                                              copies):
-        # Without a workspace rung 0 (no jitter) lets the LAPACK wrapper
-        # copy the matrix and later rungs copy over that array; a
-        # workspace copies every rung into its buffer.  Neither may touch
-        # the input, whatever its memory order.
+        # Every rung copies the matrix into the factor's array: a new one
+        # without a workspace, the workspace's buffer with one.  Neither
+        # may touch the input, whatever its memory order.
         rng = np.random.default_rng([copies, len(linalg.DEFAULT_JITTER_LADDER)])
         n = 30
         b = rng.standard_normal((n - copies, n - copies))

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import re
@@ -494,6 +495,19 @@ class TestPredictBatched:
             np.testing.assert_array_equal(
                 pred.variance, [model.kernel_set.n_k * s.y_std**2] * 2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_query_that_overflows_when_standardized_warns_nothing(self):
+        # Unit-box inputs have standard deviations below 1, so 1e308
+        # standardizes to inf, which warps to inf and gets the prior.
+        x = np.random.default_rng(4).uniform(size=(40, 2))
+        model = trainer.fit(Dataset(x, np.sin(3 * x.sum(axis=1))),
+                            quiet_config(batch_size=20, max_epochs=2))
+        probe = np.array([[1e308, 0.5]])
+        assert np.isinf(model.scaler.transform_x(probe)[0, 0])
+        for k in (5, model.n):
+            pred = trainer.predict_batched(model, probe, k=k)
+            np.testing.assert_array_equal(pred.mean, [model.scaler.y_mean])
+
     @pytest.mark.parametrize("extra, calls", [(-1, 1), (0, 0), (7, 0)])
     def test_neighbour_search_only_below_n(self, monkeypatch, extra, calls):
         model, probe = self.sine_model()
@@ -635,22 +649,42 @@ class TestPredictBatched:
 
     def test_cached_jitter_groups_equal_uncached(self, monkeypatch):
         # A cached group factors its gathered block in place; a block that
-        # needs jitter is gathered again for the whole ladder.
+        # needs jitter is gathered again for each rung past 0.
         model, probe = self.jitter_model()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trainer, "_CACHE_ENTRIES", 0)
             want = trainer.predict_batched(model, probe, k=6)
         model._cache.build(model)
-        ladders = []
-        real = linalg.cholesky_jittered
-        monkeypatch.setattr(linalg, "cholesky_jittered",
-                            lambda a: ladders.append(a) or real(a))
+        gathers = collections.Counter()
+        real = trainer._CovCache.block
+        monkeypatch.setattr(trainer._CovCache, "block", lambda cache, sel:
+                            gathers.update([tuple(sel)]) or real(cache, sel))
         got = trainer.predict_batched(model, probe, k=6)
         assert want.jitter_events > 0
-        assert len(ladders) == got.jitter_events
+        regathers = {sel: n - 1 for sel, n in gathers.items() if n > 1}
+        assert len(regathers) == got.jitter_events
+        ladder = linalg.DEFAULT_JITTER_LADDER
+        for sel, n in regathers.items():
+            assert n == ladder.index(self.group_jitter(model, list(sel)))
         for f in dataclasses.fields(want):
             np.testing.assert_array_equal(getattr(got, f.name),
                                           getattr(want, f.name))
+
+    def test_a_jittered_cached_block_factors_rung_0_once(self, monkeypatch):
+        # Rung 0 fails in the gathered block itself; rung 1 factors one
+        # fresh gather, and no rung is factored twice.
+        model, probe = self.jitter_model()
+        model._cache.build(model)
+        nearest = model.index.query(model.scaler.transform_x(probe), 6)
+        row = next(i for i, sel in enumerate(nearest)
+                   if self.group_jitter(model, sel) == 1e-8)
+        calls = []
+        real = linalg._dpotrf
+        monkeypatch.setattr(linalg, "_dpotrf", lambda *args, **kwargs:
+                            calls.append(args) or real(*args, **kwargs))
+        pred = trainer.predict_batched(model, probe[row:row + 1], k=6)
+        assert (pred.jitter_events, pred.jitter_max) == (1, 1e-8)
+        assert len(calls) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_query_the_networks_cannot_map_is_a_numeric_failure(self):
@@ -672,6 +706,38 @@ class TestUpdate:
             np.testing.assert_array_equal(a, b)
         assert updated.n == model.n + 2
         assert updated.index.n == model.n + 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("epochs", [0, 1])
+    @pytest.mark.parametrize("x, y, error, match", [
+        ([[0.2, 0.4]] * 3, np.ones((3, 2)), DimensionMismatch,
+         "update needs a single response vector"),
+        ([[0.2, 0.4], [1e308, 0.5]], [0.1, 0.2], InvalidTarget,
+         "new input row 1, column 0 overflows"),
+        ([[0.2, 0.4], [0.3, 1e308]], [0.1, 0.2], InvalidTarget,
+         "new input row 1, column 1 overflows"),
+        ([[0.2, 0.4], [0.3, 0.5]], [0.1, 1.7e308], InvalidTarget,
+         "new response row 1 overflows"),
+    ])
+    def test_new_data_is_checked_before_training(self, monkeypatch, tmp_path,
+                                                 epochs, x, y, error, match):
+        # Unit-box inputs have standard deviations below 1, so 1e308
+        # standardizes past float64, and so does 1.7e308 in the response,
+        # whose standard deviation is below 0.9.
+        x0 = np.random.default_rng(4).uniform(size=(40, 2))
+        model = trainer.fit(Dataset(x0, np.sin(3 * x0.sum(axis=1))),
+                            quiet_config(batch_size=20, max_epochs=2))
+        trainer.save(model, tmp_path / "before")
+
+        def train(*args):
+            raise AssertionError("update trained on unchecked data")
+
+        monkeypatch.setattr(trainer, "_run_epochs", train)
+        with pytest.raises(error, match=match):
+            trainer.update(model, Dataset(np.array(x), np.array(y)), epochs)
+        trainer.save(model, tmp_path / "after")
+        assert ((tmp_path / "after").read_bytes()
+                == (tmp_path / "before").read_bytes())
 
     @pytest.mark.parametrize("epochs", [-1, True, 2.5, "1", None])
     def test_epoch_count_must_be_a_non_negative_integer(self, epochs):
