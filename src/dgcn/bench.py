@@ -333,13 +333,15 @@ def timing_benchmark(sizes, batch_sizes, epochs: int = 100,
     ``batch_sizes`` entries are ints, or None for full batch (N_b = N);
     full-batch rows (N_b >= N) whose covariance storage would exceed the
     memory cap are skipped with a recorded reason.  Early stopping is
-    disabled so every row runs the same number of epochs.  Every row's config is built
-    first, so a bad size, batch size or epoch count raises InvalidSetting
-    before any training; then one small warm-up fit runs, not timed.
+    disabled so every row runs the same number of epochs.  Every row's
+    config is built first, so a bad size, batch size, epoch count or input
+    count raises InvalidSetting before any training; then one small
+    warm-up fit runs, not timed.
     """
     base = replace(train_config or TrainConfig(), max_epochs=epochs,
                    early_stop_patience=epochs + 1, early_stop_tol=0.0, seed=seed)
     sizes = [check_integer("N", n, 2) for n in sizes]
+    check_integer("synthetic_dims", synthetic_dims, 1)
     configs = [[replace(base, batch_size=n if nb is None else nb)
                 for nb in batch_sizes] for n in sizes]
     report = TimingReport()
@@ -348,8 +350,9 @@ def timing_benchmark(sizes, batch_sizes, epochs: int = 100,
     for n, row_configs in zip(sizes, configs):
         data = synthetic_dataset(n, synthetic_dims, seed)
         for nb, cfg in zip(batch_sizes, row_configs):
-            # ~6 dense N x N float64 intermediates live at peak.
-            needed = 6 * 8 * n**2
+            # At peak a full-batch step holds K, N^2 / 2 slopes per kernel
+            # and under 1024 floats per point besides (measured to N = 3200).
+            needed = 8 * n * ((2 + cfg.kernels.n_k) * n // 2 + 1024)
             if cfg.batch_size >= n and needed > memory_cap_bytes:
                 report.skipped.append((
                     n, cfg.batch_size, f"full batch at N={n} needs ~{needed >> 20} MiB"))

@@ -3,10 +3,10 @@
 Subcommands: train, predict, crossval, forecast, cats, bench-time.
 Every command honors --seed for full determinism and exits with a stable
 code: 0 success, 2 usage/config problems, 3 data problems, 4 numeric
-failures.  A failure prints one stderr line, ``<kind>: <message>``; each
-class in ``dgcn.errors`` declares its ``exit_code`` and ``kind`` (tabled in
-the README), and any OSError is a data problem.  All outputs are plain
-CSV/JSON files.
+failures, 5 out of memory.  A failure prints one stderr line,
+``<kind>: <message>``; each class in ``dgcn.errors`` declares its
+``exit_code`` and ``kind`` (tabled in the README), any OSError is a data
+problem and a MemoryError is exit 5.  All outputs are plain CSV/JSON files.
 """
 
 from __future__ import annotations
@@ -289,6 +289,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

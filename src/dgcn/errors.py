@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Each class declares how the CLI reports it: ``exit_code`` is the process
-exit status and ``kind`` the prefix of its one stderr line.
+exit status and ``kind`` the prefix of its one stderr line.  The CLI
+reports a MemoryError, Python's own, as exit 5 with kind "out of memory".
 """
 
 

@@ -283,8 +283,9 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
       the slopes kept condensed), then the part left of it, K[R, :r0]
       from cdist(z_R, z_<r0), mirrored into K[:r0, R], its slopes S kept
       (empty when r0 = 0);
-    - the factorization, alpha, the log-determinant and G = K^-1 - alpha
-      alpha^T, written over K, on the whole matrix;
+    - on the whole matrix, in K's own memory: the factorization (each
+      jitter rung past 0 rebuilds K's values, not its slopes), alpha, the
+      log-determinant, and G = K^-1 - alpha alpha^T over the factor;
     - pass 2, per block and kernel: W = S * G, in a square rebuilt from the
       condensed slopes for the diagonal block (one at a time) and in each
       slope's array for the left part.  The row sums of W and W @ z give
@@ -292,20 +293,19 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
       left of it; the column sums of the left part and its W^T @ z_R add
       the mirrored half to rows below r0.
 
-    Besides K, its factor and G, memory goes to the slopes: about n^2 / 2
-    entries per kernel; each kernel is evaluated on the n (n - 1) / 2
-    pairs once.  K, the NLL and the sigma2 gradient are the same bit for
-    bit whatever the block size; the theta gradient sums in block order,
-    and with a single block (n <= 362) it is the full-square sum.
+    Besides K (later its factor, then G), memory goes to the slopes: about
+    n^2 / 2 entries per kernel; each kernel is evaluated on the n (n - 1)
+    / 2 pairs once.  K, the NLL and the sigma2 gradient are the same bit
+    for bit whatever the block size; the theta gradient sums in block
+    order, and with a single block (n <= 362) it is the full-square sum.
 
     ``workspace`` keeps the step's large arrays for the next call (a fit
     passes one to all its steps; with None the arrays are new, and the
-    result is the same bit for bit): the factor and the inverse (n^2
-    entries each), each block b's slopes per kernel i, in roles
-    ("pair_slopes", b, i) and ("slopes", b, i) (about n^2 / 2 entries per
-    kernel), and with more than one block K (later G) and the left parts'
-    distances.  On a call with a used workspace the large new arrays are
-    K with one block (later G), the diagonal blocks' slope squares, one
+    result is the same bit for bit): each block b's slopes per kernel i,
+    in roles ("pair_slopes", b, i) and ("slopes", b, i) (about n^2 / 2
+    entries per kernel), and with more than one block K and the left
+    parts' distances.  On a call with a used workspace the large new
+    arrays are K with one block, the diagonal blocks' slope squares, one
     at a time, and the condensed distances and kernel values; no array of
     the result lives in the workspace.
     """
@@ -314,18 +314,18 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
     n, n_v = x.shape
     blocks = linalg.row_blocks(n, _BLOCK_ENTRIES)
     warped = warped_rows(x, theta, kset.n_k)
-    k, slopes = _blocked_cov(kset, warped, batch.hyper.sigma2, blocks, True,
-                             workspace)
-    factor = linalg.cholesky_jittered(k, workspace=workspace)
+    sigma2 = batch.hyper.sigma2
+    k, slopes = _blocked_cov(kset, warped, sigma2, blocks, True, workspace)
+    factor = linalg.cholesky_in_place(k, lambda: _blocked_cov(
+        kset, warped, sigma2, blocks, False, workspace)[0])
     alpha = linalg.solve_spd(factor, batch.y)
     value = float(
         0.5 * batch.y @ alpha + 0.5 * linalg.logdet(factor) + 0.5 * n * LOG_2PI
     )
-    # The factor holds its own copy of K, so the inverse is written over K
-    # (k.T is K's memory in Fortran order), and dger subtracts alpha alpha^T
-    # from it in place.  G is symmetric, so its transpose is G in C order,
-    # like the slope arrays.
-    inv = linalg.inverse_spd(factor, workspace=workspace, out=k.T)
+    # The inverse is written over the factor, in K's memory in Fortran
+    # order, and dger subtracts alpha alpha^T from it in place.  G is
+    # symmetric, so its transpose is G in C order, like the slope arrays.
+    inv = linalg.inverse_spd(factor)
     g = _dger(-1.0, alpha, alpha, a=inv, overwrite_a=True).T
 
     # Per kernel, w_sum[p] = sum_q W_pq and wz_sum[p] = sum_q W_pq z_q.  Rows

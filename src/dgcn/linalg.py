@@ -15,8 +15,8 @@ or inf that dpotrf reads fails a pivot or leaves a non-finite factor
 diagonal, which the ladder tests.
 
 A Workspace holds float64 buffers that a sequence of calls can reuse
-instead of allocating their large arrays afresh, such as the factor and
-the inverse at n^2 entries each.  Every function that takes one accepts
+instead of allocating their large arrays afresh, such as a training
+step's covariance and slopes.  Every function that takes one accepts
 ``workspace=None`` and then allocates new arrays, as without workspaces;
 a call gives the same result bit for bit with or without one.
 """
@@ -34,6 +34,7 @@ from scipy.linalg.lapack import dtrtrs as _dtrtrs
 from .errors import DimensionMismatch, NotPositiveDefinite
 
 DEFAULT_JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+_MIRROR_ENTRIES = 1 << 17  # inverse_spd's temporaries stay at about 1 MiB
 
 
 class Workspace:
@@ -82,14 +83,12 @@ class CholeskyFactor:
         return self.lower.shape[0]
 
 
-def cholesky_jittered(a, *, workspace: Workspace | None = None) -> CholeskyFactor:
+def cholesky_jittered(a) -> CholeskyFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
 
     Only the lower triangle of ``a`` is read, and ``a`` is left intact: each
-    rung copies it into the factor's array (Fortran order, the workspace's
-    buffer if one is given, else a new array), where cholesky_in_place's
-    ladder factors it; with a workspace, the returned factor is valid until
-    the workspace factors again.
+    rung copies it into a new Fortran-ordered array, where
+    cholesky_in_place's ladder factors it.
 
     Raises
     ------
@@ -100,8 +99,7 @@ def cholesky_jittered(a, *, workspace: Workspace | None = None) -> CholeskyFacto
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    lower = work_array(workspace, "factor", a.shape, "F")
-    lower[...] = a
+    lower = np.array(a, order="F")
     return cholesky_in_place(lower.T, lambda: np.copyto(lower, a) or lower.T)
 
 
@@ -181,26 +179,19 @@ def solve_lower(factor: CholeskyFactor, b) -> np.ndarray:
     return _triangular(factor, _checked_rhs(factor, b), 0, 0)
 
 
-def inverse_spd(factor: CholeskyFactor, *, workspace: Workspace | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Dense inverse of the factored matrix (symmetrized), in Fortran order.
+def inverse_spd(factor: CholeskyFactor) -> np.ndarray:
+    """Dense inverse of the factored matrix, written over factor.lower.
 
-    The factor is copied into the inverse's array (the workspace's buffer
-    if one is given) and dpotri runs in place there, so the factor itself
-    is left intact.  The symmetrized result is written into ``out`` (an
-    n x n Fortran-ordered float64 array) or, if None, a new array.
+    dpotri fills the lower triangle in place; the upper one, zero in every
+    factor dpotrf returns, gets the lower one's transpose added in blocks
+    of about _MIRROR_ENTRIES entries.  The result is that exactly
+    symmetric, Fortran-ordered array; the factor is spent.
     """
-    n = factor.n
-    inv = work_array(workspace, "inverse", (n, n), "F")
-    inv[...] = factor.lower
-    inv, info = _dpotri(inv, lower=1, overwrite_c=1)
+    inv, info = _dpotri(factor.lower, lower=1, overwrite_c=1)
     _check_info("dpotri", info)
-    # dpotri fills the lower triangle and leaves the upper one as the
-    # factor's, zero, so one add of the transpose mirrors it and doubles
-    # only the diagonal, which halving restores exactly.
-    out = np.add(inv, inv.T, out=out, order="F")
-    out[np.diag_indices_from(out)] *= 0.5
-    return out
+    for r0, r1 in row_blocks(factor.n, _MIRROR_ENTRIES):
+        inv[:r1, r0:r1] += np.tril(inv[r0:r1, :r1], r0 - 1).T
+    return inv
 
 
 def logdet(factor: CholeskyFactor) -> float:

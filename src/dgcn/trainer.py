@@ -7,9 +7,9 @@ applies one optimizer step per network.  Early stopping watches the
 relative improvement of the per-point epoch NLL.
 
 The steps of one fit or update share a linalg.Workspace: each step writes
-its large arrays (the factor and the inverse at n^2 entries each, the
-condensed slopes, and for batches above 362 points K and the slope
-blocks) into the buffers the previous step used.  Allocating them afresh
+its large arrays (the condensed slopes, and for batches above 362 points
+K, which it factors and inverts in place, and the slope blocks) into the
+buffers the previous step used.  Allocating them afresh
 on every step, as K, the factor, the inverse and its symmetrized copy plus
 the slopes once were, let the allocator hand the memory back to the
 system after a step and the next step fault it in again.  The workspace

@@ -377,11 +377,17 @@ class TestStationaryBaseline:
         assert model.log.epochs_run == 5
 
 
+def full_batch_bytes(n, n_k=5):
+    """timing_benchmark's estimate of a full-batch fit's peak: K, n^2 / 2
+    slopes per kernel and 1024 floats per point."""
+    return 8 * n * ((2 + n_k) * n // 2 + 1024)
+
+
 class TestTimingBenchmark:
     def test_smoke_rows_and_memory_cap(self, tmp_path):
         report = bench.timing_benchmark(
             sizes=[128, 256], batch_sizes=[64, None], epochs=2,
-            synthetic_dims=3, memory_cap_bytes=6 * 8 * 200**2)
+            synthetic_dims=3, memory_cap_bytes=full_batch_bytes(200))
         # 128 full-batch fits under the cap, 256 does not.
         combos = {(r.n, r.batch_size) for r in report.rows}
         assert (128, 64) in combos and (256, 64) in combos
@@ -404,10 +410,23 @@ class TestTimingBenchmark:
                             or fit(data, cfg))
         report = bench.timing_benchmark(
             sizes=[256], batch_sizes=[300], epochs=2, synthetic_dims=3,
-            memory_cap_bytes=6 * 8 * 256**2 - 1)
+            memory_cap_bytes=full_batch_bytes(256) - 1)
         assert report.rows == []
         assert [s[:2] for s in report.skipped] == [(256, 300)]
         assert fitted == [64]
+
+    def test_memory_cap_counts_the_kernels(self):
+        # Each kernel keeps its own slopes: a cap that one kernel's full
+        # batch fits under skips the five kernels' one.
+        cap = full_batch_bytes(128, n_k=1)
+        assert full_batch_bytes(128) > cap
+        for kernels, fits in ((KernelSet((KernelId.MATERN52,)), 1),
+                              (KernelSet(), 0)):
+            report = bench.timing_benchmark(
+                sizes=[128], batch_sizes=[None], epochs=1, synthetic_dims=2,
+                memory_cap_bytes=cap,
+                train_config=TrainConfig(kernels=kernels))
+            assert len(report.rows) == fits and len(report.skipped) == 1 - fits
 
     def test_time_grows_with_n_at_fixed_batch(self):
         report = bench.timing_benchmark(

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -42,14 +43,16 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
-def run_subprocess(args, **env):
+def run_subprocess(args, preexec_fn=None, **env):
     """``python -m dgcn.cli`` with ``args`` in a new process, the package's
-    source on its path and ``env`` added to its environment."""
+    source on its path and ``env`` added to its environment; ``preexec_fn``
+    runs in the child before it starts."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "dgcn.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=preexec_fn)
 
 
 def assert_usage_error(capsys, args):
@@ -673,6 +676,23 @@ def no_fit(monkeypatch):
     return calls
 
 
+def test_out_of_memory_is_one_line_and_its_own_exit_code(tmp_path):
+    # The child may map 1 GiB of address space: the imports and the
+    # warm-up fit take about a third of it, and the first 16000 x 16000
+    # array of a full batch (2 GB) cannot be had.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = tmp_path / "t.csv"
+    done = run_subprocess(["bench-time", "--sizes", 16000, "--batch", "full",
+                           "--epochs", 1, "--dims", 2, "--out", out],
+                          preexec_fn=cap_address_space,
+                          OPENBLAS_NUM_THREADS="1")
+    assert done.returncode == 5, done.stderr
+    assert done.stderr.startswith("out of memory: "), done.stderr
+    assert done.stderr.count("\n") == 1 and not out.exists()
+
+
 class TestRejectedSettings:
     """Each of these once ended in a Python traceback with exit 1."""
 
@@ -697,6 +717,8 @@ class TestRejectedSettings:
         ("bench-time", ["--epochs", 0]),
         ("bench-time", ["--sizes", 0]),
         ("bench-time", ["--batch", 0]),
+        ("bench-time", ["--dims", 0]),
+        ("bench-time", ["--dims", -2]),
         ("crossval", ["--folds", 1]),
         ("crossval", ["--repeats", 0]),
         ("crossval", ["--folds", 100]),  # 40 rows

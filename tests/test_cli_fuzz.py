@@ -136,7 +136,7 @@ def test_numeric_flags(work, data, command):
     elif command == "bench-time":
         args = ["--sizes", pick(INTEGERS + ["16", "16,a"]),
                 "--batch", pick(INTEGERS + ["full", "full,x", "8,FULL"]),
-                "--epochs", pick(INTEGERS), "--dims", 2,
+                "--epochs", pick(INTEGERS), "--dims", pick(INTEGERS),
                 "--out", work / "t.csv"]
     else:
         args = ["--data", work / "train.csv", "--out-dir", work,

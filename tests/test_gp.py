@@ -350,9 +350,10 @@ class TestBlockedHyperGrad:
         kset = KernelSet()
         batch = duplicated_batch(np.random.default_rng(n), n, 3, kset, 1e-2)
         seen = []
-        factor = linalg.cholesky_jittered
-        monkeypatch.setattr(linalg, "cholesky_jittered",
-                            lambda a, **kw: seen.append(a.copy()) or factor(a, **kw))
+        factor = linalg.cholesky_in_place
+        monkeypatch.setattr(linalg, "cholesky_in_place",
+                            lambda a, regather: seen.append(a.copy())
+                            or factor(a, regather))
         monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
         gp.nll_hyper_grad(batch, kset)
         want = cov_matrix(kset, batch.x, batch.x, batch.hyper.theta,
@@ -401,6 +402,36 @@ class TestCondensedDiagonalBlocks:
         assert_bits_equal(got.theta, theta)
         assert_bits_equal(got.sigma2, sigma2)
         assert got.jitter_used == jitter
+
+    @pytest.mark.parametrize("rows", [None, 20])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_each_rung_rebuilds_values_only(self, rows, shared, monkeypatch):
+        # A stiff batch climbs the ladder: K is built once with its slopes
+        # and once more, values only, per rung past 0, in one block or in
+        # four.  The rebuilds leave the slopes intact, so the result is the
+        # full-square reference's (its theta up to block-order sums).
+        kset = KernelSet()
+        n = 64
+        batch = duplicated_batch(np.random.default_rng(5), n, 2, kset, 1e-20)
+        if rows:
+            monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
+        assert len(linalg.row_blocks(n, gp._BLOCK_ENTRIES)) == (4 if rows else 1)
+        calls = []
+        build = gp._blocked_cov
+        monkeypatch.setattr(gp, "_blocked_cov", lambda *args: calls.append(
+            args[4]) or build(*args))
+        got = gp.nll_hyper_grad(batch, kset,
+                                workspace=linalg.Workspace() if shared else None)
+        value, theta, sigma2, jitter = reference(batch, kset)
+        rung = linalg.DEFAULT_JITTER_LADDER.index(got.jitter_used)
+        assert got.jitter_used == jitter and rung > 0
+        assert calls == [True] + [False] * rung
+        assert_bits_equal(got.value, value)
+        assert_bits_equal(got.sigma2, sigma2)
+        if rows:
+            assert np.abs(got.theta - theta).max() <= 1e-12 * np.abs(theta).max()
+        else:
+            assert_bits_equal(got.theta, theta)
 
     def test_reference_sees_jitter(self):
         # Duplicated rows whose noise vanishes next to n_k need the ladder.
@@ -591,14 +622,26 @@ class TestWorkspace:
             if kind == "jitter":
                 assert got.jitter_used > 0.0
 
-    def test_warm_call_peaks_at_half_a_cold_call(self):
+    def test_warm_call_peaks_below_three_squares(self):
+        # A warm one-block call allocates K, one slope square at a time and
+        # the condensed temporaries: 2.71 n^2 floats at n = 200.
         kset = KernelSet()
-        batch = duplicated_batch(np.random.default_rng(0), 200, 8, kset, 1e-3)
+        n = 200
+        batch = duplicated_batch(np.random.default_rng(0), n, 8, kset, 1e-3)
         ws = linalg.Workspace()
         gp.nll_hyper_grad(batch, kset, workspace=ws)
-        cold = traced_peak(lambda: gp.nll_hyper_grad(batch, kset))
         warm = traced_peak(lambda: gp.nll_hyper_grad(batch, kset, workspace=ws))
-        assert warm <= 0.5 * cold
+        assert warm <= 2.9 * 8 * n**2
+
+    def test_cold_call_factors_and_inverts_in_place(self):
+        # Three row blocks, no workspace: K, about n^2 / 2 slopes per kernel
+        # and block-sized temporaries, no factor or inverse beside K
+        # (4.26 n^2 floats at n = 600; 5.59 when the step copied K twice).
+        kset = KernelSet()
+        n = 600
+        batch = duplicated_batch(np.random.default_rng(0), n, 8, kset, 1e-3)
+        assert len(linalg.row_blocks(n, gp._BLOCK_ENTRIES)) == 3
+        assert traced_peak(lambda: gp.nll_hyper_grad(batch, kset)) <= 4.5 * 8 * n**2
 
 
 class TestHyperFieldChecks:

@@ -36,6 +36,27 @@ class TestCholeskyJittered:
         off[np.diag_indices(2)] = 0.0
         assert np.abs(off).max() < 1e-12
 
+    @pytest.mark.parametrize("copies", [0, 4])
+    def test_input_in_either_order_is_left_intact(self, copies):
+        # Every rung copies the matrix into a new Fortran-ordered factor
+        # array, so the input is never written, whatever its memory order,
+        # and both orders give the same factor.
+        rng = np.random.default_rng([copies, len(linalg.DEFAULT_JITTER_LADDER)])
+        n = 30
+        b = rng.standard_normal((n - copies, n - copies))
+        idx = np.r_[np.arange(n - copies), rng.integers(0, n - copies, copies)]
+        factors = []
+        for order in "CF":
+            a = np.array((b @ b.T)[np.ix_(idx, idx)], order=order)
+            before = a.copy()
+            factors.append(linalg.cholesky_jittered(a))
+            assert factors[-1].lower.flags.f_contiguous
+            np.testing.assert_array_equal(bits(a), bits(before))
+        c, f = factors
+        assert c.jitter_used == f.jitter_used
+        assert (c.jitter_used > 0.0) == (copies > 0)
+        np.testing.assert_array_equal(bits(c.lower), bits(f.lower))
+
     def test_jitter_leaves_input_untouched(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         f = linalg.cholesky_jittered(a)
@@ -325,12 +346,23 @@ class TestInverseSpd:
             a = random_spd(rng, n)
         f = linalg.cholesky_jittered(a)
         assert (f.jitter_used > 0.0) == jitter
-        lower, info = dpotri(f.lower, lower=1)
+        lower, info = dpotri(f.lower.copy(order="F"), lower=1)
         assert info == 0
         want = lower + np.tril(lower, -1).T
         got = linalg.inverse_spd(f)
-        assert got.flags.f_contiguous
+        assert got.flags.f_contiguous and np.shares_memory(got, f.lower)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_mirrors_the_lower_triangle_block_by_block(self, n, monkeypatch):
+        # Blocks of 1, 2 and 7 rows (and the last block's remainder) give
+        # the one-block result bit for bit.
+        a = random_spd(np.random.default_rng(n), n)
+        want = linalg.inverse_spd(linalg.cholesky_jittered(a))
+        for rows in (1, 2, 7):
+            monkeypatch.setattr(linalg, "_MIRROR_ENTRIES", rows * n)
+            got = linalg.inverse_spd(linalg.cholesky_jittered(a))
+            np.testing.assert_array_equal(bits(got), bits(want))
 
 
 class TestWorkspace:
@@ -345,47 +377,3 @@ class TestWorkspace:
         assert not np.shares_memory(larger, a)
         assert ws.array("r", (4, 5)).base is larger.base
         assert not np.shares_memory(ws.array("other", (4, 5)), larger)
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("copies", [0, 4])
-    def test_factor_is_the_same_with_and_without_a_workspace(self, order,
-                                                             copies):
-        # Every rung copies the matrix into the factor's array: a new one
-        # without a workspace, the workspace's buffer with one.  Neither
-        # may touch the input, whatever its memory order.
-        rng = np.random.default_rng([copies, len(linalg.DEFAULT_JITTER_LADDER)])
-        n = 30
-        b = rng.standard_normal((n - copies, n - copies))
-        idx = np.r_[np.arange(n - copies), rng.integers(0, n - copies, copies)]
-        a = np.array((b @ b.T)[np.ix_(idx, idx)], order=order)
-        before = a.copy()
-        want = linalg.cholesky_jittered(a)
-        got = linalg.cholesky_jittered(a, workspace=linalg.Workspace())
-        assert got.jitter_used == want.jitter_used
-        assert want.jitter_used > 0.0 or copies == 0
-        assert want.lower.flags.f_contiguous and got.lower.flags.f_contiguous
-        np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
-        np.testing.assert_array_equal(bits(a), bits(before))
-
-    @pytest.mark.parametrize("singular", [False, True])
-    def test_results_equal_fresh_calls_and_the_factor_survives(self, singular):
-        # Each ladder rung re-copies the matrix over whatever the buffer
-        # held (here an earlier, larger factor), and inverting copies the
-        # factor instead of overwriting it.
-        rng = np.random.default_rng(8)
-        ws = linalg.Workspace()
-        linalg.inverse_spd(linalg.cholesky_jittered(random_spd(rng, 12),
-                                                    workspace=ws), workspace=ws)
-        if singular:
-            b = rng.standard_normal((9, 4))
-            a = b @ b.T
-        else:
-            a = random_spd(rng, 9)
-        want = linalg.cholesky_jittered(a)
-        got = linalg.cholesky_jittered(a, workspace=ws)
-        assert got.jitter_used == want.jitter_used and (want.jitter_used > 0) == singular
-        np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
-        inv = linalg.inverse_spd(got, workspace=ws)
-        np.testing.assert_array_equal(bits(got.lower), bits(want.lower))
-        np.testing.assert_array_equal(bits(inv), bits(linalg.inverse_spd(want)))
-
