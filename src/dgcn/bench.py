@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -324,20 +325,30 @@ def synthetic_dataset(n: int, n_v: int = 5, seed: int = 0,
     return Dataset(x, y, columns=[f"x{v}" for v in range(n_v)])
 
 
+def _physical_memory() -> int:
+    """Physical memory in bytes (os.sysconf), or 8 GiB where it is unknown."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf or no name
+        return 8 << 30
+    return size if size > 0 else 8 << 30
+
+
 def timing_benchmark(sizes, batch_sizes, epochs: int = 100,
                      synthetic_dims: int = 5, seed: int = 0,
-                     memory_cap_bytes: int = 8 << 30,
+                     memory_cap_bytes: int | None = None,
                      train_config: TrainConfig | None = None) -> TimingReport:
     """Wall-clock training time per (N, N_b) configuration, fixed epochs.
 
     ``batch_sizes`` entries are ints, or None for full batch (N_b = N);
     full-batch rows (N_b >= N) whose covariance storage would exceed the
-    memory cap are skipped with a recorded reason.  Early stopping is
-    disabled so every row runs the same number of epochs.  Every row's
-    config is built first, so a bad size, batch size, epoch count or input
-    count raises InvalidSetting before any training; then one small
-    warm-up fit runs, not timed.
+    memory cap (by default the physical memory) are skipped with a recorded
+    reason.  Early stopping is disabled so every row runs the same number
+    of epochs.  Every row's config is built first, so a bad size, batch
+    size, epoch count or input count raises InvalidSetting before any
+    training; then one small warm-up fit runs, not timed.
     """
+    cap = _physical_memory() if memory_cap_bytes is None else memory_cap_bytes
     base = replace(train_config or TrainConfig(), max_epochs=epochs,
                    early_stop_patience=epochs + 1, early_stop_tol=0.0, seed=seed)
     sizes = [check_integer("N", n, 2) for n in sizes]
@@ -353,7 +364,7 @@ def timing_benchmark(sizes, batch_sizes, epochs: int = 100,
             # At peak a full-batch step holds K, N^2 / 2 slopes per kernel
             # and under 1024 floats per point besides (measured to N = 3200).
             needed = 8 * n * ((2 + cfg.kernels.n_k) * n // 2 + 1024)
-            if cfg.batch_size >= n and needed > memory_cap_bytes:
+            if cfg.batch_size >= n and needed > cap:
                 report.skipped.append((
                     n, cfg.batch_size, f"full batch at N={n} needs ~{needed >> 20} MiB"))
                 continue

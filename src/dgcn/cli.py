@@ -98,6 +98,9 @@ def cmd_predict(args) -> int:
     )
     bench.write_prediction_csv(args.out, pred)
     print(f"wrote {pred.mean.size} predictions to {args.out}")
+    print(f"groups: {pred.whole_groups} whole-set, {pred.cached_groups} "
+          f"cached, {pred.built_groups} built; clamped {pred.clamped}, "
+          f"jitter events {pred.jitter_events} (max {pred.jitter_max:g})")
     return 0
 
 

@@ -7,7 +7,8 @@ The working covariance of a batch is
 where the length-scale field and the noise-variance vector come from the
 two hypernetworks.  This module provides the negative marginal
 log-likelihood, its exact gradient chained back into both networks, and
-the predictive distribution with confidence intervals.
+the predictive distribution with confidence intervals: predict solves one
+group's system, and predictive turns a call's solves into a Prediction.
 
 The interval rule is intentionally literal: half-width is the Student-t
 quantile times sqrt(variance) / sqrt(N), with N the number of training
@@ -92,6 +93,9 @@ class Prediction:
     clamped: int = 0  # variances clipped to 0 by round-off
     jitter_events: int = 0  # factorizations that needed diagonal jitter
     jitter_max: float = 0.0  # highest jitter level any of them used
+    whole_groups: int = 0  # systems over the whole set (k >= N)
+    cached_groups: int = 0  # systems over a block of the cached K
+    built_groups: int = 0  # systems over a covariance built for them
 
 
 @dataclass
@@ -394,40 +398,14 @@ def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net, *,
     )
 
 
-# No package caller, but kept: benchmarks/spans.py traces gp.predict.
-def predict(train: GpBatch, x_star, hyper_star: HyperField, kset: KernelSet,
-            alpha_level: float = 0.05, include_noise: bool = False,
-            interval: str = "t") -> Prediction:
-    """Predictive mean/variance at new points, with confidence bounds.
-
-    The latent variance is the diagonal of the posterior covariance,
-    clamped at 0; ``include_noise`` adds the predicted per-point noise
-    variance on top.
-    """
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if x_star.ndim != 2 or x_star.shape[1] != train.x.shape[1]:
-        raise DimensionMismatch(
-            f"test points must be (*, {train.x.shape[1]}), got {x_star.shape}"
-        )
-    if x_star.shape[0] != hyper_star.theta.shape[0]:
-        raise DimensionMismatch("test points and their hyperparameters disagree")
-    star = warped_rows(x_star, hyper_star.theta, kset.n_k)
-    warped = warped_rows(train.x, train.hyper.theta, kset.n_k)
-    factor, alpha = solve_built(
-        functools.partial(train_cov, kset, warped, train.hyper.sigma2), train.y)
-    k_star = np.ascontiguousarray(cross_cov(kset, warped, star).T)
-    mean, variance = posterior(factor, alpha, k_star, kset.n_k)
-    return predictive(mean, variance,
-                      hyper_star.sigma2 if include_noise else None, factor.n,
-                      alpha_level, interval, [factor.jitter_used])
-
-
-def posterior(factor, alpha, k_star, n_k: int) -> tuple:
-    """Mean and unclamped latent variance at test points: factor and alpha
-    are solve_built's for the training set, k_star the C-ordered
-    cross_cov(...).T, and n_k kernels give each test point prior n_k."""
-    half = linalg.solve_lower(factor, k_star)
-    return k_star.T @ alpha, float(n_k) - np.einsum("ij,ij->j", half, half)
+def predict(factor, alpha, rows, n_k: int) -> tuple:
+    """Mean and unclamped latent variance at one group's test points, from
+    solve_built's factor and alpha and the group's C-ordered (n_q, m)
+    cross_cov rows, which it overwrites: the mean reads them in Fortran
+    order, then rows.T is solved in place; n_k kernels give the prior n_k."""
+    mean = np.asfortranarray(rows) @ alpha
+    half = linalg.solve_lower(factor, rows.T)
+    return mean, float(n_k) - np.einsum("ij,ij->j", half, half)
 
 
 def predictive(mean, variance, noise, n_train: int, alpha_level: float,
@@ -452,13 +430,15 @@ def predictive(mean, variance, noise, n_train: int, alpha_level: float,
 
 def join_predictions(preds, alpha_level: float) -> Prediction:
     """One Prediction of ``preds``' rows in order, all at alpha_level: the
-    fields concatenated, clamped and jitter_events summed, jitter_max the
-    highest (0.0 for an empty list)."""
+    fields concatenated, clamped, jitter_events and the group counts
+    summed, jitter_max the highest (0.0 for an empty list)."""
     rows = (np.concatenate([np.empty(0)] + [getattr(p, name) for p in preds])
             for name in ("mean", "variance", "ci_low", "ci_high"))
-    return Prediction(*rows, alpha_level, sum(p.clamped for p in preds),
-                      sum(p.jitter_events for p in preds),
-                      max((p.jitter_max for p in preds), default=0.0))
+    sums = {name: sum(getattr(p, name) for p in preds) for name in (
+        "clamped", "jitter_events", "whole_groups", "cached_groups",
+        "built_groups")}
+    return Prediction(*rows, alpha_level, **sums,
+                      jitter_max=max((p.jitter_max for p in preds), default=0.0))
 
 
 # Prediction asks for the same few quantiles on every call; scipy's ppf

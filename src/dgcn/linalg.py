@@ -175,8 +175,9 @@ def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:
 
 
 def solve_lower(factor: CholeskyFactor, b) -> np.ndarray:
-    """Forward solve L y = b (half of solve_spd; used for variance terms)."""
-    return _triangular(factor, _checked_rhs(factor, b), 0, 0)
+    """Forward solve L y = b (half of solve_spd; used for variance terms),
+    in place over a Fortran-ordered float64 b, else in dtrtrs's copy."""
+    return _triangular(factor, _checked_rhs(factor, b), 0, 1)
 
 
 def inverse_spd(factor: CholeskyFactor) -> np.ndarray:

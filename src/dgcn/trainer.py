@@ -22,9 +22,9 @@ same nearest-neighbor set (neighbour sets come back in index order, so
 equal sets are equal rows).  With k at least the training size all test
 points form one group over the whole training set, which is the full,
 unbatched prediction.  Every query's cross-covariance with its neighbours
-is built in one pass per call (gp.cross_cov); each group takes its rows,
-and pays only for its system's factor and solves (gp.posterior).  The
-clamp, noise, interval, units and finite check run once per call.
+is built in one pass per call (gp.cross_cov); each group pays only for
+its system's factor and the solves over its rows, in place (gp.predict).
+The clamp, noise, interval, units, finite check and group counts run once.
 
 A model warps its stored training set once, when it is built (fit, update,
 load): gp.warped_rows gives the C-ordered (n_k, N, n_v) array of the
@@ -663,8 +663,7 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
 
     # Each group is (training rows, query rows).
     if k == model.n:
-        everything = slice(None)
-        groups = [(everything, everything)]
+        groups = [(slice(None), slice(None))]
     else:
         # One neighbour query for the whole block, each set in index order;
         # queries with equal sets share one factorization.
@@ -675,10 +674,7 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
         groups = [(nearest[ids[0]], np.asarray(ids, dtype=np.intp))
                   for ids in by_set.values()]
 
-    n_star = xs.shape[0]
-    mean = np.empty(n_star)
-    variance = np.empty(n_star)
-
+    mean, variance = np.empty((2, xs.shape[0]))
     cache = _fill_cache(model, k, len(groups))
     kset = model.kernel_set
     cross = gp.cross_cov(kset, model.warped,
@@ -694,14 +690,21 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
                      partial(gp.train_cov, kset, model.warped[:, sel],
                              model.hyper.sigma2[sel]))
             factor, alpha = gp.solve_built(build, model.y[sel])
-        mean[ids], variance[ids] = gp.posterior(
-            factor, alpha, np.ascontiguousarray(cross[ids].T), kset.n_k)
+        # Overwritten: a copy at k < N, cross itself (read no more) at N.
+        mean[ids], variance[ids] = gp.predict(factor, alpha, cross[ids],
+                                              kset.n_k)
         jitters.append(factor.jitter_used)
     # The clamp, noise, interval and the response's units are applied to
     # the whole call at once.
     pred = gp.predictive(mean, variance,
                          hyper_star.sigma2 if include_noise else None,
                          k, alpha_level, interval, jitters)
+    if k == model.n:
+        pred.whole_groups = 1
+    elif cache.k is not None:
+        pred.cached_groups = len(groups)
+    else:
+        pred.built_groups = len(groups)
     s = model.scaler
     pred.mean = s.inverse_y(pred.mean)
     pred.variance = pred.variance * s.y_std**2

@@ -8,11 +8,13 @@ takes the package's kernel forms, :func:`stationary_fit`, a training loop
 over the package's likelihood gradient, :func:`full_prediction` and
 :func:`neighbour_prediction`, which build each system's covariances with
 ``kernels.cov_matrix`` (not the prediction path's ``gp.train_cov`` and
-``gp.cross_cov``) and solve it with the package's ``linalg``,
-``gp.posterior`` and ``gp.predictive``, and the network helpers
+``gp.cross_cov``), factor it with the package's ``linalg``, solve it with
+scipy's ``solve_triangular`` and finish with ``gp.predictive``, and the
+network helpers
 :func:`param_arrays` and :func:`loss_sq` (see their docstrings).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -249,9 +251,12 @@ def _one_system(model, sel, xs, theta_star, noise, alpha_level, interval):
 
     K + diag(sigma2) of the stored points ``sel`` and their covariances with
     the queries come from kernels.cov_matrix, never from the product's
-    builders; the system is solved by linalg.cholesky_jittered and
-    solve_spd, and gp.posterior and gp.predictive give the Prediction
-    (``noise`` is added to the variances unless None).
+    builders; the system is factored by linalg.cholesky_jittered and
+    alpha taken by solve_spd.  The mean and variance are computed here,
+    in the (m, n_q) layout of the cross-covariances, not by gp.predict:
+    the mean first, as k_star.T @ alpha, then the forward solve by scipy's
+    solve_triangular, which leaves k_star intact.  gp.predictive gives the
+    Prediction (``noise`` is added to the variances unless None).
     """
     from dgcn import gp, linalg
     from dgcn.kernels import cov_matrix
@@ -264,7 +269,10 @@ def _one_system(model, sel, xs, theta_star, noise, alpha_level, interval):
     k[np.diag_indices_from(k)] = kset.n_k + model.hyper.sigma2[sel]
     factor = linalg.cholesky_jittered(k)
     alpha = linalg.solve_spd(factor, model.y[sel])
-    mean, variance = gp.posterior(factor, alpha, k_star, kset.n_k)
+    mean = k_star.T @ alpha
+    half = solve_triangular(factor.lower, k_star, lower=True,
+                            check_finite=False)
+    variance = float(kset.n_k) - np.einsum("ij,ij->j", half, half)
     return gp.predictive(mean, variance, noise, factor.n, alpha_level,
                          interval, [factor.jitter_used])
 
@@ -289,7 +297,7 @@ def full_prediction(model, x_star, alpha_level=0.05, include_noise=False,
     return replace(pred, mean=pred.mean * std + mean,
                    variance=pred.variance * std**2,
                    ci_low=pred.ci_low * std + mean,
-                   ci_high=pred.ci_high * std + mean)
+                   ci_high=pred.ci_high * std + mean, whole_groups=1)
 
 
 def neighbour_prediction(model, x_star, k, alpha_level=0.05,
@@ -300,8 +308,9 @@ def neighbour_prediction(model, x_star, k, alpha_level=0.05,
     over cdist of the standardized inputs and put in ascending index
     order, as predict_batched orders them.  Queries with the same set
     share one _one_system over those stored points; the diagnostics are
-    summed (maximum for jitter_max) over the sets, and the result is taken
-    back to the response's units by hand.  It is the reference that
+    summed (maximum for jitter_max) over the sets, each set counts as a
+    built group, and the result is taken back to the response's units by
+    hand.  It is the reference that
     neighbour-batched prediction at k < N must equal bit for bit.
     """
     from dgcn import gp
@@ -327,7 +336,24 @@ def neighbour_prediction(model, x_star, k, alpha_level=0.05,
     return gp.Prediction(out[0] * std + mean, out[1] * std**2,
                          out[2] * std + mean, out[3] * std + mean,
                          alpha_level, clamped=clamped,
-                         jitter_events=jitter_events, jitter_max=jitter_max)
+                         jitter_events=jitter_events, jitter_max=jitter_max,
+                         built_groups=len(groups))
+
+
+GROUP_COUNTS = ("whole_groups", "cached_groups", "built_groups")
+
+
+def assert_same_prediction(got, want):
+    """Every field of ``got`` equals ``want``'s bit for bit, except the
+    group counts, whose totals must be equal: the same systems are solved
+    whether a group's factor comes from a cache or a new build."""
+    for f in dataclasses.fields(want):
+        if f.name not in GROUP_COUNTS:
+            np.testing.assert_array_equal(getattr(got, f.name),
+                                          getattr(want, f.name),
+                                          err_msg=f.name)
+    assert (sum(getattr(got, name) for name in GROUP_COUNTS)
+            == sum(getattr(want, name) for name in GROUP_COUNTS))
 
 
 def param_arrays(p):

@@ -428,6 +428,34 @@ class TestTimingBenchmark:
                 train_config=TrainConfig(kernels=kernels))
             assert len(report.rows) == fits and len(report.skipped) == 1 - fits
 
+    @pytest.mark.parametrize("sysconf, cap", [
+        ({"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 25_000}, 4096 * 25_000),
+        ({"SC_PAGE_SIZE": 4096}, 8 << 30),  # a name sysconf does not know
+        ({"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": -1}, 8 << 30),
+        (None, 8 << 30)])  # no os.sysconf at all
+    def test_default_memory_cap_is_the_physical_memory(self, monkeypatch,
+                                                       sysconf, cap):
+        def fake_sysconf(name):
+            if name not in sysconf:
+                raise ValueError(f"unrecognized configuration name {name}")
+            return sysconf[name]
+
+        if sysconf is None:
+            monkeypatch.delattr(bench.os, "sysconf")
+        else:
+            monkeypatch.setattr(bench.os, "sysconf", fake_sysconf)
+        assert bench._physical_memory() == cap
+        # A full batch of 256 (about 4 MiB) fits the 102 MB cap and 8 GiB;
+        # with the cap lowered below its estimate, the default skips it.
+        report = bench.timing_benchmark(sizes=[256], batch_sizes=[None],
+                                        epochs=1, synthetic_dims=2)
+        assert [(r.n, r.batch_size) for r in report.rows] == [(256, 256)]
+        monkeypatch.setattr(bench, "_physical_memory",
+                            lambda: full_batch_bytes(256) - 1)
+        report = bench.timing_benchmark(sizes=[256], batch_sizes=[None],
+                                        epochs=1, synthetic_dims=2)
+        assert [s[:2] for s in report.skipped] == [(256, 256)]
+
     def test_time_grows_with_n_at_fixed_batch(self):
         report = bench.timing_benchmark(
             sizes=[200, 1600], batch_sizes=[100], epochs=3, synthetic_dims=3)

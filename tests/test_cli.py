@@ -261,6 +261,27 @@ class TestPredict:
         got = np.array([float(r["mean"]) for r in rows])
         assert np.abs(got - np.sin(3 * x)).max() < 0.05
 
+    @pytest.mark.parametrize("k, kind", [(None, "whole-set"), (5, "built")])
+    def test_prints_the_group_counts_and_diagnostics(self, tmp_path, capsys,
+                                                     sine_csv,
+                                                     fast_config_json, k,
+                                                     kind):
+        # batch_size 40 is the whole set; 40 queries at k = 5 make fewer
+        # than the 780 pairs of one K, so every group builds its own.
+        model = self.fit_model(tmp_path, sine_csv, fast_config_json)
+        capsys.readouterr()
+        flags = [] if k is None else ["--k", k]
+        assert run(["predict", "--model", model, "--data", sine_csv,
+                    "--out", tmp_path / "pred.csv", *flags]) == 0
+        x = np.linspace(0.0, 2 * np.pi, 40)
+        pred = trainer.predict_batched(trainer.load(model), x, k=k)
+        groups = {"whole-set": pred.whole_groups, "built": pred.built_groups}
+        assert groups[kind] > 0 and pred.cached_groups == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f"groups: {pred.whole_groups} whole-set, 0 cached, "
+            f"{pred.built_groups} built; clamped {pred.clamped}, jitter "
+            f"events {pred.jitter_events} (max {pred.jitter_max:g})")
+
     def test_interval_width_monotone_in_alpha(self, tmp_path, sine_csv,
                                               fast_config_json):
         model = self.fit_model(tmp_path, sine_csv, fast_config_json)

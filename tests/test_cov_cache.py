@@ -28,6 +28,7 @@ from dgcn.errors import NotPositiveDefinite
 from dgcn.kernels import ALL_KERNELS, KernelSet, cov_matrix
 from dgcn.trainer import Dataset
 
+from oracles import GROUP_COUNTS, assert_same_prediction
 from test_trainer import quiet_config
 
 
@@ -65,12 +66,6 @@ def model_bytes(model) -> bytes:
         trainer.save(model, f"{tmp}/m.dgcn")
         with open(f"{tmp}/m.dgcn", "rb") as fh:
             return fh.read()
-
-
-def assert_same_prediction(a, b):
-    for f in dataclasses.fields(a):
-        np.testing.assert_array_equal(getattr(b, f.name), getattr(a, f.name),
-                                      err_msg=f.name)
 
 
 class TestCachedEqualsUncached:
@@ -244,6 +239,56 @@ class TestWhenBuilt:
         trainer.predict_batched(model, np.zeros((2, 2)), k=30)
         assert "_cache" not in repr(model)
         assert model == fresh
+
+
+class TestOneSolvePerGroup:
+    """Each group's system is solved by one gp.predict call (the benchmark
+    tracer's queries per call), and the Prediction counts the groups by
+    where their factor came from."""
+
+    @pytest.mark.parametrize("k, kind", [(12, "built_groups"),
+                                         (12, "cached_groups"),
+                                         (80, "whole_groups")])
+    def test_one_gp_predict_call_per_group(self, monkeypatch, k, kind):
+        model = make_model(n=80)
+        if kind == "cached_groups":
+            model._cache.build(model)
+        rows = []
+        real = gp.predict
+        monkeypatch.setattr(gp, "predict", lambda factor, alpha, r, n_k:
+                            rows.append(r.shape[0])
+                            or real(factor, alpha, r, n_k))
+        x = np.random.default_rng(7).uniform(-2, 2, (30, 2))
+        x[20:] = x[:10]  # repeated queries share their group
+        nearest = model.index.query(model.scaler.transform_x(x), k)
+        groups = len(np.unique(nearest, axis=0)) if k < model.n else 1
+        for _ in range(2):  # the second k = N call reads the cached factor
+            rows.clear()
+            pred = trainer.predict_batched(model, x, k=k)
+            assert len(rows) == groups and sum(rows) == 30
+            assert max(rows) > 1
+            counts = {name: getattr(pred, name) for name in GROUP_COUNTS}
+            assert counts == {name: len(rows) if name == kind else 0
+                              for name in GROUP_COUNTS}
+        # 20 fresh 12-point groups build fewer pairs than one K of 80.
+        assert (model._cache.k is None) == (kind != "cached_groups")
+
+    def test_repeat_k_at_least_n_call_holds_two_query_by_n_arrays(self):
+        # The call's cross-covariance is solved in place, so besides it the
+        # call holds only gp.predict's Fortran-ordered copy for the mean.
+        n, q = 1500, 500
+        model = trainer.fit(make_data(n, 2, 0), quiet_config(
+            batch_size=150, max_epochs=1))
+        x = np.random.default_rng(8).uniform(-2, 2, (q, 2))
+        first = trainer.predict_batched(model, x, k=n)
+        tracemalloc.start()
+        try:
+            second = trainer.predict_batched(model, x, k=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_prediction(second, first)
+        assert peak <= 2.3 * 8 * q * n
 
 
 class TestWarpedOncePerModel:

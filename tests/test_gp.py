@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import zlib
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist, squareform
 from scipy.stats import norm
 from scipy.stats import t as student_t
@@ -660,13 +662,33 @@ class TestHyperFieldChecks:
             gp.HyperField(np.ones(3), np.ones(3))
 
 
+def predict_one_system(train, x_star, hyper_star, kset, alpha_level=0.05,
+                       include_noise=False, interval="t"):
+    """One GP system over all of ``train`` at x_star, composed from the
+    parts predict_batched runs: warped_rows, solve_built over train_cov,
+    cross_cov, gp.predict and gp.predictive."""
+    warped = gp.warped_rows(train.x, train.hyper.theta, kset.n_k)
+    star = gp.warped_rows(np.asarray(x_star, dtype=np.float64),
+                          hyper_star.theta, kset.n_k)
+    factor, alpha = gp.solve_built(
+        functools.partial(gp.train_cov, kset, warped, train.hyper.sigma2),
+        train.y)
+    mean, variance = gp.predict(factor, alpha,
+                                gp.cross_cov(kset, warped, star), kset.n_k)
+    return gp.predictive(mean, variance,
+                         hyper_star.sigma2 if include_noise else None,
+                         factor.n, alpha_level, interval,
+                         [factor.jitter_used])
+
+
 class TestPredict:
     def test_hand_evaluated_single_point(self):
         kset = KernelSet((KernelId.SQUARED_EXP,))
         train = gp.GpBatch(np.zeros((1, 1)), np.full(1, 2.0),
                            constant_field([1.0], 1e-9, 1))
-        pred = gp.predict(train, np.array([[1.0]]), constant_field([1.0], 1e-9, 1),
-                          kset, interval="z")
+        pred = predict_one_system(train, np.array([[1.0]]),
+                                  constant_field([1.0], 1e-9, 1), kset,
+                                  interval="z")
         assert pred.mean[0] == pytest.approx(2 * np.exp(-0.5), abs=1e-6)
         assert pred.variance[0] == pytest.approx(1 - np.exp(-1.0), abs=1e-6)
 
@@ -676,8 +698,9 @@ class TestPredict:
         x = rng.standard_normal((10, 2))
         y = rng.standard_normal(10)
         hyper = constant_field(np.ones(10), 1e-9, 10)
-        pred = gp.predict(gp.GpBatch(x, y, hyper), x[3:4],
-                          gp.HyperField(hyper.theta[3:4], hyper.sigma2[3:4]), kset)
+        pred = predict_one_system(
+            gp.GpBatch(x, y, hyper), x[3:4],
+            gp.HyperField(hyper.theta[3:4], hyper.sigma2[3:4]), kset)
         assert pred.mean[0] == pytest.approx(y[3], abs=1e-5)
         assert pred.variance[0] < 1e-5
 
@@ -688,8 +711,9 @@ class TestPredict:
         y = np.array([1.0, 2.0, 1.5, 0.5])
         hyper = constant_field(np.ones(5 * 1), 1e-4, 4)
         far = np.array([[1e6]])
-        pred = gp.predict(gp.GpBatch(x, y, hyper), far,
-                          gp.HyperField(np.ones((1, 5)), np.array([1e-4])), kset)
+        pred = predict_one_system(
+            gp.GpBatch(x, y, hyper), far,
+            gp.HyperField(np.ones((1, 5)), np.array([1e-4])), kset)
         assert pred.mean[0] == pytest.approx(0.0, abs=1e-8)
         assert pred.variance[0] == pytest.approx(5.0, abs=1e-8)
 
@@ -699,8 +723,8 @@ class TestPredict:
                            constant_field([1.0], 0.3, 2))
         xs = np.array([[0.5]])
         hs = constant_field([1.0], 0.3, 1)
-        without = gp.predict(train, xs, hs, kset, include_noise=False)
-        with_noise = gp.predict(train, xs, hs, kset, include_noise=True)
+        without = predict_one_system(train, xs, hs, kset, include_noise=False)
+        with_noise = predict_one_system(train, xs, hs, kset, include_noise=True)
         assert with_noise.variance[0] == pytest.approx(
             without.variance[0] + 0.3, abs=1e-12
         )
@@ -715,7 +739,7 @@ class TestPredict:
         xs = rng.standard_normal((30, 3))
         hs = gp.HyperField(rng.uniform(-1.5, 1.5, (30, 15)),
                            rng.uniform(1e-4, 0.5, 30))
-        pred = gp.predict(gp.GpBatch(x, y, hyper), xs, hs, kset)
+        pred = predict_one_system(gp.GpBatch(x, y, hyper), xs, hs, kset)
         assert np.all(pred.variance >= 0.0)
         assert np.all(pred.variance <= kset.n_k + 1e-12)
 
@@ -729,9 +753,9 @@ class TestPredict:
         xs = rng.standard_normal((4, 2))
         hs = gp.HyperField(rng.uniform(0.5, 1.5, (4, 10)),
                            rng.uniform(0.01, 0.2, 4))
-        base = gp.predict(gp.GpBatch(x, y, hyper), xs, hs, kset)
+        base = predict_one_system(gp.GpBatch(x, y, hyper), xs, hs, kset)
         perm = rng.permutation(12)
-        shuffled = gp.predict(
+        shuffled = predict_one_system(
             gp.GpBatch(x[perm], y[perm],
                        gp.HyperField(hyper.theta[perm], hyper.sigma2[perm])),
             xs, hs, kset
@@ -739,13 +763,37 @@ class TestPredict:
         np.testing.assert_allclose(shuffled.mean, base.mean, atol=1e-12)
         np.testing.assert_allclose(shuffled.variance, base.variance, atol=1e-12)
 
-    def test_dimension_checks(self):
-        kset = KernelSet((KernelId.SQUARED_EXP,))
-        train = gp.GpBatch(np.zeros((2, 2)), np.zeros(2),
-                           constant_field([1.0, 1.0], 0.1, 2))
+    @pytest.mark.parametrize("n_q", [1, 6])
+    def test_solves_the_rows_in_place(self, n_q):
+        # The mean comes from the rows before the forward solve overwrites
+        # them; the variance from the solved rows, as solve_triangular's.
+        rng = np.random.default_rng([20, n_q])
+        kset = KernelSet()
+        x = rng.standard_normal((9, 2))
+        y = rng.standard_normal(9)
+        hyper = gp.HyperField(rng.uniform(0.5, 1.5, (9, 10)),
+                              rng.uniform(0.01, 0.2, 9))
+        warped = gp.warped_rows(x, hyper.theta, kset.n_k)
+        factor, alpha = gp.solve_built(
+            functools.partial(gp.train_cov, kset, warped, hyper.sigma2), y)
+        rows = gp.cross_cov(kset, warped, gp.warped_rows(
+            rng.standard_normal((n_q, 2)), rng.uniform(0.5, 1.5, (n_q, 10)),
+            kset.n_k))
+        want_mean = rows @ alpha
+        half = solve_triangular(factor.lower, rows.T, lower=True)
+        mean, variance = gp.predict(factor, alpha, rows, kset.n_k)
+        np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(rows.T, half)
+        np.testing.assert_array_equal(
+            variance, kset.n_k - np.einsum("ij,ij->j", half, half))
+
+
+class TestWarpedRows:
+    def test_length_scales_must_match_the_points(self):
         with pytest.raises(DimensionMismatch):
-            gp.predict(train, np.zeros((1, 3)), constant_field([1.0, 1.0], 0.1, 1),
-                       kset)
+            gp.warped_rows(np.zeros((1, 3)), np.ones((1, 2)), 1)
+        with pytest.raises(DimensionMismatch):
+            gp.warped_rows(np.zeros((2, 2)), np.ones((1, 2)), 1)
 
 
 class TestJoinPredictions:
@@ -753,7 +801,9 @@ class TestJoinPredictions:
         parts = [gp.Prediction(np.array([float(i), i + 0.5]), np.full(2, i),
                                np.full(2, -i), np.full(2, 2 * i), 0.1,
                                clamped=i, jitter_events=i % 2,
-                               jitter_max=[0.0, 1e-6, 1e-8][i])
+                               jitter_max=[0.0, 1e-6, 1e-8][i],
+                               whole_groups=i // 2, cached_groups=i,
+                               built_groups=2 * i)
                  for i in range(3)]
         got = gp.join_predictions(parts, 0.1)
         for name in ("mean", "variance", "ci_low", "ci_high"):
@@ -762,6 +812,8 @@ class TestJoinPredictions:
                 np.concatenate([getattr(p, name) for p in parts]))
         assert (got.alpha_level, got.clamped, got.jitter_events,
                 got.jitter_max) == (0.1, 3, 1, 1e-6)
+        assert (got.whole_groups, got.cached_groups,
+                got.built_groups) == (1, 3, 6)
 
     def test_no_parts_give_zero_rows(self):
         got = gp.join_predictions([], 0.05)
@@ -770,6 +822,7 @@ class TestJoinPredictions:
         assert len({id(a) for a in fields}) == 4
         assert (got.alpha_level, got.clamped, got.jitter_events,
                 got.jitter_max) == (0.05, 0, 0, 0.0)
+        assert (got.whole_groups, got.cached_groups, got.built_groups) == (0, 0, 0)
 
 
 class TestConfidenceInterval:

@@ -195,12 +195,30 @@ class TestDirectLapack:
         before = b.copy()
         half = solve_triangular(f.lower, b, lower=True)
         full = solve_triangular(f.lower, half, lower=True, trans="T")
-        got_half = linalg.solve_lower(f, b)
+        # solve_lower may overwrite its b (a 1-D or one-column b is in
+        # Fortran order), so it gets a copy; solve_spd leaves b intact.
+        got_half = linalg.solve_lower(f, b.copy())
         got_full = linalg.solve_spd(f, b)
         assert got_half.shape == got_full.shape == b.shape
         np.testing.assert_array_equal(bits(got_half), bits(half))
         np.testing.assert_array_equal(bits(got_full), bits(full))
         np.testing.assert_array_equal(b, before)
+
+    @pytest.mark.parametrize("n, cols", [(2, 3), (5, 3), (64, 40)])
+    def test_solve_lower_overwrites_only_a_fortran_ordered_b(self, n, cols):
+        rng = np.random.default_rng([n, cols, 1])
+        f = linalg.cholesky_jittered(random_spd(rng, n))
+        b = rng.standard_normal((n, cols))
+        half = solve_triangular(f.lower, b, lower=True)
+        in_c = b.copy()
+        got = linalg.solve_lower(f, in_c)
+        np.testing.assert_array_equal(bits(got), bits(half))
+        assert not np.shares_memory(got, in_c)
+        np.testing.assert_array_equal(in_c, b)
+        in_f = np.asfortranarray(b)
+        got = linalg.solve_lower(f, in_f)
+        assert np.shares_memory(got, in_f)
+        np.testing.assert_array_equal(bits(in_f), bits(half))
 
     def test_empty_right_hand_side(self):
         f = linalg.cholesky_jittered(2.0 * np.eye(3))

@@ -210,6 +210,8 @@ class TestForecastRecursive:
         assert got.jitter_events == sum(p.jitter_events for p in steps)
         assert got.jitter_max == max(p.jitter_max for p in steps)
         assert getattr(got, seen) > 0
+        # Each one-row step solves one group.
+        assert got.whole_groups + got.cached_groups + got.built_groups == 9
 
     @pytest.mark.parametrize("extra", [-30, 0, 5])
     def test_detailed_equals_hand_loop_over_shifted_windows(self, extra):

@@ -30,7 +30,12 @@ from dgcn.mlp import OptimizerConfig
 from dgcn.neighbors import STRATEGIES, NeighborIndex
 from dgcn.trainer import Dataset, Scaler, TrainConfig
 
-from oracles import full_prediction, neighbour_prediction, param_arrays
+from oracles import (
+    assert_same_prediction,
+    full_prediction,
+    neighbour_prediction,
+    param_arrays,
+)
 
 
 def sine_dataset(n=30, seed=0, noise=0.0):
@@ -382,9 +387,7 @@ class TestPredictBatched:
             batched = trainer.predict_batched(model, block, k=model.n + extra,
                                               include_noise=include_noise,
                                               interval=interval)
-            for f in dataclasses.fields(full):
-                np.testing.assert_array_equal(getattr(batched, f.name),
-                                              getattr(full, f.name))
+            assert_same_prediction(batched, full)
             jitter_events += full.jitter_events
         if which == "jitter":
             assert jitter_events == len(self.query_blocks(calls, probe))
@@ -416,9 +419,7 @@ class TestPredictBatched:
                 got = trainer.predict_batched(model, block, k=k,
                                               include_noise=include_noise,
                                               interval=interval)
-                for f in dataclasses.fields(want):
-                    np.testing.assert_array_equal(getattr(got, f.name),
-                                                  getattr(want, f.name))
+                assert_same_prediction(got, want)
                 diagnostics += want.clamped + want.jitter_events
         assert (model._cache.k is not None) == cached
         assert (diagnostics > 0) == (which not in ("sine", "wide"))
@@ -453,9 +454,7 @@ class TestPredictBatched:
             for block in self.query_blocks(calls, probe):
                 want = neighbour_prediction(model, block, k)
                 got = trainer.predict_batched(model, block, k=k)
-                for f in dataclasses.fields(want):
-                    np.testing.assert_array_equal(getattr(got, f.name),
-                                                  getattr(want, f.name))
+                assert_same_prediction(got, want)
         assert (model._cache.k is not None) == cached
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -469,9 +468,7 @@ class TestPredictBatched:
         with np.errstate(over="ignore"):
             want = neighbour_prediction(model, probe, 5)
             got = trainer.predict_batched(model, probe, k=5)
-        for f in dataclasses.fields(want):
-            np.testing.assert_array_equal(getattr(got, f.name),
-                                          getattr(want, f.name))
+        assert_same_prediction(got, want)
         assert np.isfinite(got.mean).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -666,9 +663,7 @@ class TestPredictBatched:
         ladder = linalg.DEFAULT_JITTER_LADDER
         for sel, n in regathers.items():
             assert n == ladder.index(self.group_jitter(model, list(sel)))
-        for f in dataclasses.fields(want):
-            np.testing.assert_array_equal(getattr(got, f.name),
-                                          getattr(want, f.name))
+        assert_same_prediction(got, want)
 
     def test_a_jittered_cached_block_factors_rung_0_once(self, monkeypatch):
         # Rung 0 fails in the gathered block itself; rung 1 factors one
@@ -860,9 +855,7 @@ class TestPersistence:
         for predict in (lambda m: trainer.predict_batched(m, probe, k=k),
                         lambda m: trainer.predict_batched(m, probe, k=m.n)):
             a, b = predict(model), predict(loaded)
-            for f in dataclasses.fields(a):
-                np.testing.assert_array_equal(getattr(b, f.name),
-                                              getattr(a, f.name))
+            assert_same_prediction(b, a)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = self.make_model()
