@@ -16,16 +16,13 @@ whole ``fit`` calls: 5 epochs on 2000 points at batch 200 (n_v = 8), the
 same on 2005 points (the 5-point tail merges into a batch of 205), and one
 full-batch epoch on 1600 points (n_v = 5).
 
-On a tree whose ``gp.nll_grad`` takes no workspace, the warm rows repeat
-the cold ones and say so.  Only numpy, scipy and dgcn are used.  Run from
-the repository root:
+Only numpy, scipy and dgcn are used.  Run from the repository root:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/step_alloc_probe.py
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 import resource
 import sys
@@ -38,8 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import dgcn  # noqa: E402
 from dgcn import gp, linalg, trainer  # noqa: E402
+from dgcn.mlp import OptimizerState  # noqa: E402
 
-HAS_WORKSPACE = "workspace" in inspect.signature(gp.nll_grad).parameters
 CASES = ((200, 8, 50), (1600, 5, 4))  # (n, n_v, measured steps)
 
 
@@ -58,15 +55,16 @@ def stepper(n: int, n_v: int, warm: bool):
     xs, ys = scaler.transform_x(data.x), scaler.transform_y(data.y)
     rng = np.random.default_rng(0)
     theta_net, sigma_net = trainer.build_networks(n_v, config, rng)
-    opt_theta, opt_sigma = trainer._optimizers(theta_net, sigma_net, config)
-    extra = {"workspace": linalg.Workspace()} if warm and HAS_WORKSPACE else {}
+    opt_theta = OptimizerState(theta_net.params.flat, config.optimizer)
+    opt_sigma = OptimizerState(sigma_net.params.flat, config.optimizer)
+    workspace = linalg.Workspace() if warm else None
 
     def step():
         theta = theta_net.forward(xs, training=True, rng=rng)
         raw = sigma_net.forward(xs, training=True, rng=rng)
         hyper = gp.HyperField(theta, raw[:, 0] + config.sigma2_floor)
-        res = gp.nll_grad(gp.GpBatch(xs, ys, hyper), config.kernels,
-                          theta_net, sigma_net, **extra)
+        res = gp.nll_grad(hyper, config.kernels, xs, ys, theta_net, sigma_net,
+                          workspace=workspace)
         opt_theta.step(theta_net.params.flat, res.theta_net.flat)
         opt_sigma.step(sigma_net.params.flat, res.sigma_net.flat)
 
@@ -95,7 +93,6 @@ def peak_bytes(fn) -> int:
 
 
 def main() -> None:
-    note = "" if HAS_WORKSPACE else "  (no workspace in this tree: as cold)"
     print(f"{'n':>5} {'n_v':>4} {'mode':>5} {'faults/step':>12} {'peak MiB':>9}")
     for n, n_v, steps in CASES:
         for warm in (False, True):
@@ -103,8 +100,7 @@ def main() -> None:
             faults = faults_per_step(step, steps)
             peak = peak_bytes(step) / 2**20
             mode = "warm" if warm else "cold"
-            print(f"{n:>5} {n_v:>4} {mode:>5} {faults:>12.1f} {peak:>9.2f}"
-                  + (note if warm else ""))
+            print(f"{n:>5} {n_v:>4} {mode:>5} {faults:>12.1f} {peak:>9.2f}")
     print()
     print(f"{'fit':>28} {'peak MiB':>9}")
     for n, n_v, batch, epochs in ((2000, 8, 200, 5), (2005, 8, 200, 5),

@@ -9,6 +9,8 @@ two hypernetworks.  This module provides the negative marginal
 log-likelihood, its exact gradient chained back into both networks, and
 the predictive distribution with confidence intervals: predict solves one
 group's system, and predictive turns a call's solves into a Prediction.
+The training step takes plain arrays: the field being differentiated
+first, then the kernel set and the batch's inputs x and responses y.
 
 The interval rule is intentionally literal: half-width is the Student-t
 quantile times sqrt(variance) / sqrt(N), with N the number of training
@@ -61,26 +63,9 @@ class HyperField:
         if not np.all(self.sigma2 > 0.0):
             raise ValueError("noise variances must be strictly positive")
 
-
-@dataclass
-class GpBatch:
-    """Training points with their responses and hyperparameter field."""
-
-    x: np.ndarray  # (N, n_v)
-    y: np.ndarray  # (N,)
-    hyper: HyperField
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        if self.x.ndim != 2 or self.y.ndim != 1:
-            raise DimensionMismatch("x must be (N, n_v) and y (N,)")
-        if not (self.x.shape[0] == self.y.shape[0] == self.hyper.theta.shape[0]):
-            raise DimensionMismatch("x, y and hyperparameters disagree on N")
-
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.sigma2.shape[0]
 
 
 @dataclass
@@ -219,9 +204,9 @@ def train_cov(kset: KernelSet, warped, sigma2) -> np.ndarray:
 def warped_rows(x, theta, n_k: int) -> np.ndarray:
     """x warped by each kernel, C-ordered (n_k, N, n_v): [i, p] is
     x_p * theta_i,p, so [i] is the (N, n_v) point set kernel i sees."""
-    n, n_v = x.shape
-    if theta.shape != (n, n_v * n_k):
+    if x.ndim != 2 or theta.shape != (len(x), x.shape[1] * n_k):
         raise DimensionMismatch(f"length-scales {theta.shape} for points {x.shape}")
+    n, n_v = x.shape
     with np.errstate(over="ignore"):  # an overflowed query warps to inf
         warped = np.tile(x, n_k) * theta
     return np.ascontiguousarray(warped.reshape(n, n_k, n_v).transpose(1, 0, 2))
@@ -266,9 +251,10 @@ def solve_built(build, y) -> tuple:
     return factor, linalg.solve_spd(factor, y)
 
 
-def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
+def nll_hyper_grad(hyper: HyperField, kset: KernelSet, x, y, *,
                    workspace: linalg.Workspace | None = None) -> HyperGradients:
-    """Exact dNLL/dtheta and dNLL/dsigma2 for every point of the batch.
+    """Exact dNLL/dtheta and dNLL/dsigma2 at every point of the batch (x, y),
+    (N, n_v) and (N,) float64 arrays, under the field ``hyper``.
 
     Uses dNLL/dK = 0.5 G with G = K^-1 - alpha alpha^T and alpha = K^-1 y.
     Per kernel, the warped distances give the value k(d) and the slope over
@@ -313,18 +299,15 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
     at a time, and the condensed distances and kernel values; no array of
     the result lives in the workspace.
     """
-    x = batch.x
-    theta = batch.hyper.theta
+    warped = warped_rows(x, hyper.theta, kset.n_k)
     n, n_v = x.shape
     blocks = linalg.row_blocks(n, _BLOCK_ENTRIES)
-    warped = warped_rows(x, theta, kset.n_k)
-    sigma2 = batch.hyper.sigma2
-    k, slopes = _blocked_cov(kset, warped, sigma2, blocks, True, workspace)
+    k, slopes = _blocked_cov(kset, warped, hyper.sigma2, blocks, True, workspace)
     factor = linalg.cholesky_in_place(k, lambda: _blocked_cov(
-        kset, warped, sigma2, blocks, False, workspace)[0])
-    alpha = linalg.solve_spd(factor, batch.y)
+        kset, warped, hyper.sigma2, blocks, False, workspace)[0])
+    alpha = linalg.solve_spd(factor, y)
     value = float(
-        0.5 * batch.y @ alpha + 0.5 * linalg.logdet(factor) + 0.5 * n * LOG_2PI
+        0.5 * y @ alpha + 0.5 * linalg.logdet(factor) + 0.5 * n * LOG_2PI
     )
     # The inverse is written over the factor, in K's memory in Fortran
     # order, and dger subtracts alpha alpha^T from it in place.  G is
@@ -352,7 +335,7 @@ def nll_hyper_grad(batch: GpBatch, kset: KernelSet, *,
             wz_sum[i, r0:r1] += w @ z[:r0]
             w_sum[i, :r0] += w.sum(axis=0)
             wz_sum[i, :r0] += w.T @ z[r0:r1]
-    grad_theta = np.empty_like(theta)
+    grad_theta = np.empty_like(hyper.theta)
     for i, z in enumerate(warped):
         grad_theta[:, i * n_v : (i + 1) * n_v] = x * (
             z * w_sum[i, :, None] - wz_sum[i]
@@ -375,21 +358,20 @@ class NetworkGradients:
     jitter_used: float
 
 
-def nll_grad(batch: GpBatch, kset: KernelSet, theta_net, sigma_net, *,
-             workspace: linalg.Workspace | None = None) -> NetworkGradients:
-    """Backpropagate the batch NLL into both hypernetworks' weights.
+def nll_grad(hyper: HyperField, kset: KernelSet, x, y, theta_net, sigma_net,
+             *, workspace: linalg.Workspace | None = None) -> NetworkGradients:
+    """Backpropagate the NLL of the batch (x, y) into both hypernetworks'
+    weights; ``hyper`` is their training-mode field over x.
 
-    Both networks must have just run a training-mode forward on the batch
-    inputs (their caches are replayed); otherwise StaleMask is raised by
-    the networks themselves.  ``workspace`` is passed to nll_hyper_grad.
+    Both networks must have just run a training-mode forward on x (their
+    caches are replayed); otherwise StaleMask is raised by the networks
+    themselves.  ``workspace`` is passed to nll_hyper_grad.
     """
     for net in (theta_net, sigma_net):
         cached = net.cached_input()
-        if cached is not None and not (
-            cached is batch.x or np.array_equal(cached, batch.x)
-        ):
+        if cached is not None and not (cached is x or np.array_equal(cached, x)):
             raise StaleMask("cached forward does not correspond to this batch")
-    hg = nll_hyper_grad(batch, kset, workspace=workspace)
+    hg = nll_hyper_grad(hyper, kset, x, y, workspace=workspace)
     return NetworkGradients(
         value=hg.value,
         theta_net=theta_net.backward(hg.theta),

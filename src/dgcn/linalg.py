@@ -40,7 +40,7 @@ _MIRROR_ENTRIES = 1 << 17  # inverse_spd's temporaries stay at about 1 MiB
 class Workspace:
     """Reusable float64 buffers, one per role, for calls of varying size.
 
-    ``array(role, shape, order)`` returns a contiguous array of that shape
+    ``array(role, shape)`` returns a C-contiguous array of that shape
     whose contents are arbitrary: a view of the first entries of the
     role's buffer, which grows to the largest size asked for and never
     shrinks.  A smaller call after a larger one (a full batch after a
@@ -55,20 +55,19 @@ class Workspace:
     def __init__(self):
         self._buffers = {}
 
-    def array(self, role, shape, order: str = "C") -> np.ndarray:
+    def array(self, role, shape) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(role)
         if buf is None or buf.size < size:
             buf = self._buffers[role] = np.empty(size)
-        return buf[:size].reshape(shape, order=order)
+        return buf[:size].reshape(shape)
 
 
-def work_array(workspace: Workspace | None, role, shape,
-               order: str = "C") -> np.ndarray:
-    """workspace.array(role, shape, order), or a new array without one."""
+def work_array(workspace: Workspace | None, role, shape) -> np.ndarray:
+    """workspace.array(role, shape), or a new array without one."""
     if workspace is None:
-        return np.empty(shape, order=order)
-    return workspace.array(role, shape, order)
+        return np.empty(shape)
+    return workspace.array(role, shape)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """End-to-end training, batched prediction and model persistence.
 
-Training runs epochs of shuffled batches; each batch forwards both
+Training runs epochs of shuffled batches; each batch (x, y) forwards both
 hypernetworks in training mode, evaluates the GP negative marginal
-log-likelihood, backpropagates its exact gradient into both networks and
-applies one optimizer step per network.  Early stopping watches the
-relative improvement of the per-point epoch NLL.
+log-likelihood under their field, backpropagates its exact gradient into
+both networks (gp.nll_grad) and steps each network's optimizer once.
+Early stopping watches the relative improvement of the per-point epoch NLL.
 
 The steps of one fit or update share a linalg.Workspace: each step writes
 its large arrays (the condensed slopes, and for batches above 362 points
@@ -283,6 +283,10 @@ class TrainConfig:
         RegularizerSpec(self.dropout_rate, self.input_noise_std)
         if not 0.0 < self.sigma2_floor < self.sigma2_init:
             raise InvalidSetting("need sigma2_init > sigma2_floor > 0")
+        with np.errstate(over="ignore"):  # the noise network's output bias
+            if not math.isfinite(softplus_inv(self.sigma2_init - self.sigma2_floor)):
+                raise InvalidSetting("sigma2_init must exceed sigma2_floor by at "
+                                     f"most about 709, got {self.sigma2_init!r}")
         for name, kind in (("kernels", KernelSet), ("optimizer", OptimizerConfig),
                            ("standardize_y", bool)):
             if not isinstance(getattr(self, name), kind):
@@ -447,26 +451,29 @@ def make_batches(n: int, batch_size: int, n_v: int, rng) -> list:
     return parts
 
 
-def hyper_for(theta_net: Mlp, sigma_net: Mlp, xs, sigma2_floor: float) -> gp.HyperField:
-    """Inference-mode hyperparameter field for a standardized point set."""
-    theta = theta_net.forward(xs)
-    sigma2 = sigma_net.forward(xs)[:, 0] + sigma2_floor
-    return gp.HyperField(theta, sigma2)
+def hyper_for(theta_net: Mlp, sigma_net: Mlp, xs, sigma2_floor: float,
+              context: str, rng=None) -> gp.HyperField:
+    """Hyperparameter field of both networks over a standardized point set,
+    from their inference-mode forward or, given ``rng``, their training-mode
+    one.  Where the networks overflow, NonFiniteLoss ends with ``context``
+    ("for the query points", "in epoch 3")."""
+    training = rng is not None
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        theta = theta_net.forward(xs, training, rng)
+        sigma2 = sigma_net.forward(xs, training, rng)[:, 0] + sigma2_floor
+    try:
+        return gp.HyperField(theta, sigma2)
+    except ValueError as exc:
+        raise NonFiniteLoss(f"{exc} {context}") from exc
 
 
-def _optimizers(theta_net: Mlp, sigma_net: Mlp, config: TrainConfig) -> tuple:
-    """One optimizer per network, each stepping the flat parameter vector."""
-    return (
-        OptimizerState(theta_net.params.flat, config.optimizer),
-        OptimizerState(sigma_net.params.flat,
-                       config.sigma_optimizer or config.optimizer),
-    )
-
-
-def _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
-                rng, max_epochs, early_stop, log: TrainingLog) -> None:
+def _run_epochs(xs, ys, theta_net, sigma_net, config, rng, max_epochs,
+                early_stop, log: TrainingLog) -> None:
     n, n_v = xs.shape
     kset = config.kernels
+    opt_theta = OptimizerState(theta_net.params.flat, config.optimizer)
+    opt_sigma = OptimizerState(sigma_net.params.flat,
+                               config.sigma_optimizer or config.optimizer)
     workspace = linalg.Workspace()  # the steps' buffers, freed on return
     streak = 0
     for _ in range(max_epochs):
@@ -474,16 +481,10 @@ def _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
         jitter = 0
         for idx in make_batches(n, config.batch_size, n_v, rng):
             xb, yb = xs[idx], ys[idx]
-            theta = theta_net.forward(xb, training=True, rng=rng)
-            raw = sigma_net.forward(xb, training=True, rng=rng)
+            hyper = hyper_for(theta_net, sigma_net, xb, config.sigma2_floor,
+                              f"in epoch {log.epochs_run + 1}", rng)
             try:
-                hyper = gp.HyperField(theta, raw[:, 0] + config.sigma2_floor)
-            except ValueError as exc:  # the networks overflowed
-                raise NonFiniteLoss(
-                    f"{exc} in epoch {log.epochs_run + 1}") from exc
-            batch = gp.GpBatch(xb, yb, hyper)
-            try:
-                res = gp.nll_grad(batch, kset, theta_net, sigma_net,
+                res = gp.nll_grad(hyper, kset, xb, yb, theta_net, sigma_net,
                                   workspace=workspace)
             except NotPositiveDefinite as exc:
                 raise NotPositiveDefinite(
@@ -531,16 +532,16 @@ def fit(data: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:
     xs = scaler.transform_x(data.x)
     ys = scaler.transform_y(data.y)
     theta_net, sigma_net = build_networks(data.n_v, config, rng)
-    opt_theta, opt_sigma = _optimizers(theta_net, sigma_net, config)
     log = TrainingLog()
-    _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma, config,
-                rng, config.max_epochs, True, log)
+    _run_epochs(xs, ys, theta_net, sigma_net, config, rng, config.max_epochs,
+                True, log)
     return _assemble(theta_net, sigma_net, scaler, config, xs, ys,
                      data.columns, log)
 
 
 def _assemble(theta_net, sigma_net, scaler, config, xs, ys, columns, log):
-    hyper = hyper_for(theta_net, sigma_net, xs, config.sigma2_floor)
+    hyper = hyper_for(theta_net, sigma_net, xs, config.sigma2_floor,
+                      "for the training points")
     index = NeighborIndex(xs, strategy=config.neighbor_strategy)
     return TrainedModel(
         theta_net=theta_net,
@@ -594,9 +595,7 @@ def update(model: TrainedModel, new_data: Dataset, epochs: int) -> TrainedModel:
                   stopped_early=False)
     if epochs > 0:
         rng = np.random.default_rng([config.seed, xs.shape[0], epochs])
-        opt_theta, opt_sigma = _optimizers(theta_net, sigma_net, config)
-        _run_epochs(xs, ys, theta_net, sigma_net, opt_theta, opt_sigma,
-                    config, rng, epochs, False, log)
+        _run_epochs(xs, ys, theta_net, sigma_net, config, rng, epochs, False, log)
     return _assemble(theta_net, sigma_net, model.scaler, config, xs, ys,
                      model.columns, log)
 
@@ -655,11 +654,8 @@ def predict_batched(model: TrainedModel, x_star_raw, k: int | None = None,
     if x_raw.shape[0] == 0:
         return gp.join_predictions([], alpha_level)
     xs = model.scaler.transform_x(x_raw)
-    try:
-        hyper_star = hyper_for(model.theta_net, model.sigma_net, xs,
-                               model.config.sigma2_floor)
-    except ValueError as exc:  # the networks overflowed on the queries
-        raise NonFiniteLoss(f"{exc} for the query points") from exc
+    hyper_star = hyper_for(model.theta_net, model.sigma_net, xs,
+                           model.config.sigma2_floor, "for the query points")
 
     # Each group is (training rows, query rows).
     if k == model.n:
@@ -793,7 +789,8 @@ def load(path) -> TrainedModel:
     not decode into a consistent model (bad JSON, missing keys, wrong
     types, array shapes that do not fit the networks, fewer than 2 stored
     training points, networks of 0 inputs), and ChecksumMismatch when the
-    declared arrays do not cover the payload.
+    declared arrays do not cover the payload; NonFiniteLoss when the
+    stored networks overflow on the stored training points.
     """
     with open(path, "rb") as fh:
         data = fh.read()

@@ -229,8 +229,7 @@ def stationary_fit(data, config):
         for idx in trainer.make_batches(n, config.batch_size, n_v, rng):
             hyper = gp.HyperField(np.tile(theta, (len(idx), 1)),
                                   np.full(len(idx), sigma2()))
-            grads = gp.nll_hyper_grad(gp.GpBatch(x[idx], y[idx], hyper),
-                                      config.kernels)
+            grads = gp.nll_hyper_grad(hyper, config.kernels, x[idx], y[idx])
             grad_raw = np.array([grads.sigma2.sum() * expit(raw[0])])
             opt_theta.step(theta, grads.theta.sum(axis=0))
             opt_raw.step(raw, grad_raw)
@@ -243,7 +242,8 @@ def _queries(model, x_star):
 
     xs = model.scaler.transform_x(np.asarray(x_star, dtype=np.float64))
     return xs, trainer.hyper_for(model.theta_net, model.sigma_net, xs,
-                                 model.config.sigma2_floor)
+                                 model.config.sigma2_floor,
+                                 "for the query points")
 
 
 def _one_system(model, sel, xs, theta_star, noise, alpha_level, interval):

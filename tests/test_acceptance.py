@@ -87,8 +87,7 @@ class TestCriterion01StationaryOracle:
                     theta_net, sigma_net, identity, TrainConfig(kernels=kset),
                     x, y, None, trainer.TrainingLog())
                 pred = trainer.predict_batched(model, x_star, k=n)
-                batch = gp.GpBatch(x, y, model.hyper)
-                value = gp.nll_hyper_grad(batch, kset).value
+                value = gp.nll_hyper_grad(model.hyper, kset, x, y).value
                 o_mean, o_var, o_nll = stationary_gp(
                     kern.value, x, y, theta, model.hyper.sigma2[0], x_star)
                 worst = max(
@@ -124,13 +123,13 @@ class TestCriterion02GradientFidelity:
                 def nll_value():
                     th = theta_net.forward(x, training=True)
                     s2 = sigma_net.forward(x, training=True)[:, 0] + 1e-6
-                    batch = gp.GpBatch(x, y, gp.HyperField(th, s2))
-                    return gp.nll_hyper_grad(batch, kset).value
+                    return gp.nll_hyper_grad(gp.HyperField(th, s2), kset, x,
+                                             y).value
 
                 th = theta_net.forward(x, training=True)
                 s2 = sigma_net.forward(x, training=True)[:, 0] + 1e-6
-                res = gp.nll_grad(gp.GpBatch(x, y, gp.HyperField(th, s2)),
-                                  kset, theta_net, sigma_net)
+                res = gp.nll_grad(gp.HyperField(th, s2), kset, x, y,
+                                  theta_net, sigma_net)
                 for net, grads in ((theta_net, res.theta_net),
                                    (sigma_net, res.sigma_net)):
                     for arr, g in zip(param_arrays(net.params), param_arrays(grads)):

@@ -161,12 +161,14 @@ class TestTrain:
 
 
 class TestBadInputs:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("key, value", [
         ("theta_hidden", "x"), ("theta_hidden", [-1]), ("sigma_hidden", [1.5]),
         ("dropout_rate", 1.5), ("input_noise_std", -0.1), ("seed", 1.5),
         ("seed", -2), ("batch_size", "abc"), ("max_epochs", 0),
         ("prediction_k", 0), ("standardize_y", "yes"),
         ("neighbor_strategy", "ball"), ("kernels", ["no_such_kernel"]),
+        ("sigma2_init", 1e300),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, sine_csv, capsys,
                                              key, value):
@@ -796,6 +798,25 @@ class TestRejectedSettings:
                     "--out", tmp_path / "m.dgcn"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("epochs, where", [(1, "for the training points"),
+                                               (2, "in epoch 2")])
+    def test_weights_that_overflow_the_networks_are_a_numeric_failure(
+            self, tmp_path, sine_csv, capsys, epochs, where):
+        # One huge SGD step leaves finite weights under which the networks
+        # overflow: on the training points when the model is assembled, or
+        # in the next step's forward.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "optimizer": {"algorithm": "sgd", "learning_rate": 1e300},
+            "max_epochs": epochs, "batch_size": 40}))
+        capsys.readouterr()
+        assert run(["train", "--data", sine_csv, "--config", config,
+                    "--out", tmp_path / "m.dgcn"]) == 4
+        assert capsys.readouterr().err == (
+            f"numeric failure: length-scales contain non-finite values {where}\n")
+        assert not (tmp_path / "m.dgcn").exists()
 
     def test_zero_steps_still_forecasts(self, tmp_path, series_csv,
                                         fast_config_json):

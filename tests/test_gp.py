@@ -52,28 +52,28 @@ def make_nets(rng, n_v, n_k, hidden=(7, 6, 5)):
     return theta_net, sigma_net
 
 
-def nll(batch, kset):
-    return gp.nll_hyper_grad(batch, kset).value
+def nll(hyper, kset, x, y):
+    return gp.nll_hyper_grad(hyper, kset, x, y).value
 
 
 def net_nll(theta_net, sigma_net, x, y, kset, floor=1e-6):
     theta = theta_net.forward(x, training=True)
     sigma2 = sigma_net.forward(x, training=True)[:, 0] + floor
-    return nll(gp.GpBatch(x, y, gp.HyperField(theta, sigma2)), kset)
+    return nll(gp.HyperField(theta, sigma2), kset, x, y)
 
 
 class TestNll:
     def test_single_point_zero_response(self):
         kset = KernelSet((KernelId.SQUARED_EXP,))
-        batch = gp.GpBatch(np.zeros((1, 1)), np.zeros(1),
-                           constant_field([1.0], 1e-6, 1))
-        assert nll(batch, kset) == pytest.approx(0.9189385, abs=1e-4)
+        hyper = constant_field([1.0], 1e-6, 1)
+        assert nll(hyper, kset, np.zeros((1, 1)), np.zeros(1)) == pytest.approx(
+            0.9189385, abs=1e-4)
 
     def test_single_point_response_two(self):
         kset = KernelSet((KernelId.SQUARED_EXP,))
-        batch = gp.GpBatch(np.zeros((1, 1)), np.full(1, 2.0),
-                           constant_field([1.0], 1e-6, 1))
-        assert nll(batch, kset) == pytest.approx(2.9189385, abs=1e-4)
+        hyper = constant_field([1.0], 1e-6, 1)
+        assert nll(hyper, kset, np.zeros((1, 1)), np.full(1, 2.0)) == (
+            pytest.approx(2.9189385, abs=1e-4))
 
     def test_explicit_inverse_oracle(self):
         rng = np.random.default_rng(12)
@@ -83,10 +83,17 @@ class TestNll:
         sigma2 = 0.05
         for kern in ALL_KERNELS:
             kset = KernelSet((kern,))
-            batch = gp.GpBatch(x, y, constant_field(np.tile(theta, 1), sigma2, 8))
+            hyper = constant_field(np.tile(theta, 1), sigma2, 8)
             want = stationary_gp(kern.value, x, y, theta, sigma2, x[:1])[2]
-            assert nll(batch, kset) == pytest.approx(want, abs=1e-8)
+            assert nll(hyper, kset, x, y) == pytest.approx(want, abs=1e-8)
 
+    def test_shape_errors_are_typed(self):
+        # A field of 4 points: x of 3 rows, then y of 3 entries, disagree.
+        hyper, kset = constant_field(np.ones(5), 0.1, 4), KernelSet()
+        with pytest.raises(DimensionMismatch, match="length-scales"):
+            gp.nll_hyper_grad(hyper, kset, np.zeros((3, 1)), np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="rhs"):
+            gp.nll_hyper_grad(hyper, kset, np.zeros((4, 1)), np.zeros(3))
 
     @pytest.mark.parametrize("n", [1, 17, 200, 400])
     def test_value_is_the_direct_formula_bit_for_bit(self, n):
@@ -94,16 +101,16 @@ class TestNll:
         # covariance, its factor and alpha, also when the step assembles K
         # in two row blocks (n = 400).
         kset = KernelSet()
-        batch = duplicated_batch(np.random.default_rng(n), n, 3, kset, 1e-2)
-        k = cov_matrix(kset, batch.x, batch.x, batch.hyper.theta,
-                       batch.hyper.theta)
-        k[np.diag_indices_from(k)] += batch.hyper.sigma2
+        hyper, x, y = duplicated_batch(np.random.default_rng(n), n, 3, kset,
+                                       1e-2)
+        k = cov_matrix(kset, x, x, hyper.theta, hyper.theta)
+        k[np.diag_indices_from(k)] += hyper.sigma2
         factor = linalg.cholesky_jittered(k)
-        alpha = linalg.solve_spd(factor, batch.y)
-        want = float(0.5 * batch.y @ alpha + 0.5 * linalg.logdet(factor)
+        alpha = linalg.solve_spd(factor, y)
+        want = float(0.5 * y @ alpha + 0.5 * linalg.logdet(factor)
                      + 0.5 * n * gp.LOG_2PI)
         assert len(linalg.row_blocks(n, gp._BLOCK_ENTRIES)) == 1 + (n == 400)
-        assert nll(batch, kset) == want
+        assert nll(hyper, kset, x, y) == want
 
 
 class TestNllHyperGrad:
@@ -114,12 +121,10 @@ class TestNllHyperGrad:
         y = np.zeros(6)
         hyper = gp.HyperField(rng.uniform(0.5, 1.5, (6, 10)),
                               rng.uniform(0.01, 0.1, 6))
-        res = gp.nll_hyper_grad(gp.GpBatch(x, y, hyper), kset)
+        res = gp.nll_hyper_grad(hyper, kset, x, y)
         # With y = 0 the quadratic term is identically zero, so the value
         # and the gradient are those of the log-determinant term alone.
-        assert res.value == pytest.approx(
-            nll(gp.GpBatch(x, y, hyper), kset), abs=1e-12
-        )
+        assert res.value == pytest.approx(nll(hyper, kset, x, y), abs=1e-12)
         for i in range(hyper.theta.shape[1]):
             h = 1e-6
             up = hyper.theta.copy()
@@ -127,8 +132,8 @@ class TestNllHyperGrad:
             down = hyper.theta.copy()
             down[:, i] -= h
             fd = (
-                nll(gp.GpBatch(x, y, gp.HyperField(up, hyper.sigma2)), kset)
-                - nll(gp.GpBatch(x, y, gp.HyperField(down, hyper.sigma2)), kset)
+                nll(gp.HyperField(up, hyper.sigma2), kset, x, y)
+                - nll(gp.HyperField(down, hyper.sigma2), kset, x, y)
             ) / (2 * h)
             got = res.theta[:, i].sum()
             assert got == pytest.approx(fd, abs=1e-6)
@@ -140,7 +145,7 @@ class TestNllHyperGrad:
         y = rng.standard_normal(7)
         hyper = gp.HyperField(rng.uniform(0.5, 1.5, (7, 10)),
                               rng.uniform(0.05, 0.2, 7))
-        res = gp.nll_hyper_grad(gp.GpBatch(x, y, hyper), kset)
+        res = gp.nll_hyper_grad(hyper, kset, x, y)
         for i in range(7):
             h = 1e-7
             up = hyper.sigma2.copy()
@@ -148,8 +153,8 @@ class TestNllHyperGrad:
             down = hyper.sigma2.copy()
             down[i] -= h
             fd = (
-                nll(gp.GpBatch(x, y, gp.HyperField(hyper.theta, up)), kset)
-                - nll(gp.GpBatch(x, y, gp.HyperField(hyper.theta, down)), kset)
+                nll(gp.HyperField(hyper.theta, up), kset, x, y)
+                - nll(gp.HyperField(hyper.theta, down), kset, x, y)
             ) / (2 * h)
             assert res.sigma2[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
@@ -172,8 +177,8 @@ class TestNllHyperGrad:
         theta = theta_net.forward(x, training=True)
         sigma_net.forward(x, training=True)
         np.testing.assert_array_equal(theta, np.tile(theta0, (n, 1)))
-        batch = gp.GpBatch(x, y, gp.HyperField(theta, np.full(n, sigma2)))
-        res = gp.nll_grad(batch, kset, theta_net, sigma_net)
+        res = gp.nll_grad(gp.HyperField(theta, np.full(n, sigma2)), kset, x, y,
+                          theta_net, sigma_net)
         bias_grad = res.theta_net.biases[-1]
         h = 1e-6
         from oracles import stationary_nll
@@ -200,8 +205,8 @@ class TestNllHyperGrad:
         theta_net, sigma_net = make_nets(rng, n_v, kset.n_k, hidden=(5, 4))
         theta = theta_net.forward(x, training=True)
         sigma2 = sigma_net.forward(x, training=True)[:, 0] + 1e-6
-        batch = gp.GpBatch(x, y, gp.HyperField(theta, sigma2))
-        res = gp.nll_grad(batch, kset, theta_net, sigma_net)
+        res = gp.nll_grad(gp.HyperField(theta, sigma2), kset, x, y, theta_net,
+                          sigma_net)
         for net, grads in ((theta_net, res.theta_net), (sigma_net, res.sigma_net)):
             for arr, g in zip(param_arrays(net.params), param_arrays(grads)):
                 flat = arr.ravel()
@@ -232,8 +237,7 @@ class TestNllHyperGrad:
         x = x0[rows]
         y = np.sin(2.0 * x0[:, 0] + x0[:, 1])[rows]
         sigma2 = np.full(rows.size, 1e-6)
-        res = gp.nll_hyper_grad(
-            gp.GpBatch(x, y, gp.HyperField(theta0[rows], sigma2)), kset)
+        res = gp.nll_hyper_grad(gp.HyperField(theta0[rows], sigma2), kset, x, y)
 
         want_theta, want_sigma2 = masked_divide_hyper_grad(
             kset.names(), x, y, theta0[rows], sigma2)
@@ -250,8 +254,7 @@ class TestNllHyperGrad:
         np.add.at(tied, rows, res.theta)
 
         def nll_at(theta):
-            return nll(gp.GpBatch(x, y, gp.HyperField(theta[rows], sigma2)),
-                       kset)
+            return nll(gp.HyperField(theta[rows], sigma2), kset, x, y)
 
         h = 1e-5
         fd = np.empty_like(theta0)
@@ -272,21 +275,22 @@ class TestNllHyperGrad:
         other = rng.standard_normal((5, 2))
         theta = theta_net.forward(other, training=True)
         sigma2 = sigma_net.forward(other, training=True)[:, 0] + 1e-6
-        batch = gp.GpBatch(x, y, gp.HyperField(theta, sigma2))
         with pytest.raises(StaleMask):
-            gp.nll_grad(batch, kset, theta_net, sigma_net)
+            gp.nll_grad(gp.HyperField(theta, sigma2), kset, x, y, theta_net,
+                        sigma_net)
 
 
-def one_block(batch, kset, monkeypatch):
+def one_block(monkeypatch, hyper, kset, x, y):
     """nll_hyper_grad with every row in a single block."""
     with monkeypatch.context() as m:
-        m.setattr(gp, "_BLOCK_ENTRIES", batch.n * batch.n)
-        assert len(linalg.row_blocks(batch.n, gp._BLOCK_ENTRIES)) == 1
-        return gp.nll_hyper_grad(batch, kset)
+        m.setattr(gp, "_BLOCK_ENTRIES", hyper.n * hyper.n)
+        assert len(linalg.row_blocks(hyper.n, gp._BLOCK_ENTRIES)) == 1
+        return gp.nll_hyper_grad(hyper, kset, x, y)
 
 
 def duplicated_batch(rng, n, n_v, kset, sigma2):
-    """n points whose copies of a row share its inputs and length-scales.
+    """The field, inputs and responses of n points whose copies of a row
+    share its inputs and length-scales.
 
     Copies sit at positions spread over the whole batch, so with small row
     blocks they fall on both sides of block boundaries.
@@ -297,8 +301,7 @@ def duplicated_batch(rng, n, n_v, kset, sigma2):
     x0 = rng.uniform(-1.0, 1.0, (n0, n_v))
     theta0 = rng.uniform(0.5, 1.5, (n0, n_v * kset.n_k))
     y = np.sin(2.0 * x0[:, 0] + x0[:, -1])[rows]
-    return gp.GpBatch(x0[rows], y, gp.HyperField(theta0[rows],
-                                                 np.full(n, sigma2)))
+    return gp.HyperField(theta0[rows], np.full(n, sigma2)), x0[rows], y
 
 
 class TestBlockedHyperGrad:
@@ -310,13 +313,13 @@ class TestBlockedHyperGrad:
     def test_blocks_match_one_block(self, n, rows, kernels, monkeypatch):
         kset = KernelSet(kernels)
         rng = np.random.default_rng([n, rows, kset.n_k])
-        batch = duplicated_batch(rng, n, 2, kset, sigma2=1e-3)
-        want = one_block(batch, kset, monkeypatch)
+        hyper, x, y = duplicated_batch(rng, n, 2, kset, sigma2=1e-3)
+        want = one_block(monkeypatch, hyper, kset, x, y)
         monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
         blocks = linalg.row_blocks(n, gp._BLOCK_ENTRIES)
         assert len(blocks) == -(-n // rows)
         assert blocks[0][0] == 0 and blocks[-1][1] == n
-        got = gp.nll_hyper_grad(batch, kset)
+        got = gp.nll_hyper_grad(hyper, kset, x, y)
         assert got.value == want.value
         np.testing.assert_array_equal(got.sigma2, want.sigma2)
         assert got.jitter_used == want.jitter_used
@@ -324,8 +327,7 @@ class TestBlockedHyperGrad:
         assert np.abs(got.theta - want.theta).max() <= 1e-12 * scale
         if n > 1:
             oracle, oracle_sigma2 = masked_divide_hyper_grad(
-                kset.names(), batch.x, batch.y, batch.hyper.theta,
-                batch.hyper.sigma2)
+                kset.names(), x, y, hyper.theta, hyper.sigma2)
             # n = 2 holds one point twice: every distance is 0, so is theta.
             assert (np.abs(got.theta - oracle).max()
                     <= 1e-8 * np.abs(oracle).max())
@@ -338,9 +340,10 @@ class TestBlockedHyperGrad:
         # full-square sum bit for bit, or training trajectories drift.
         kset = KernelSet()
         assert len(linalg.row_blocks(n, gp._BLOCK_ENTRIES)) == 1
-        batch = duplicated_batch(np.random.default_rng(n), n, 3, kset, 1e-2)
-        got = gp.nll_hyper_grad(batch, kset)
-        want = reference(batch, kset)[1]
+        hyper, x, y = duplicated_batch(np.random.default_rng(n), n, 3, kset,
+                                       1e-2)
+        got = gp.nll_hyper_grad(hyper, kset, x, y)
+        want = reference(hyper, kset, x, y)[1]
         np.testing.assert_array_equal(got.theta.view(np.uint64),
                                       want.view(np.uint64))
 
@@ -350,17 +353,17 @@ class TestBlockedHyperGrad:
         # The factored matrix equals cov_matrix plus the noise diagonal bit
         # for bit, mirrored halves and duplicated rows included.
         kset = KernelSet()
-        batch = duplicated_batch(np.random.default_rng(n), n, 3, kset, 1e-2)
+        hyper, x, y = duplicated_batch(np.random.default_rng(n), n, 3, kset,
+                                       1e-2)
         seen = []
         factor = linalg.cholesky_in_place
         monkeypatch.setattr(linalg, "cholesky_in_place",
                             lambda a, regather: seen.append(a.copy())
                             or factor(a, regather))
         monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
-        gp.nll_hyper_grad(batch, kset)
-        want = cov_matrix(kset, batch.x, batch.x, batch.hyper.theta,
-                          batch.hyper.theta)
-        want[np.diag_indices_from(want)] += batch.hyper.sigma2
+        gp.nll_hyper_grad(hyper, kset, x, y)
+        want = cov_matrix(kset, x, x, hyper.theta, hyper.theta)
+        want[np.diag_indices_from(want)] += hyper.sigma2
         np.testing.assert_array_equal(seen[0], want)
 
 
@@ -370,9 +373,8 @@ def assert_bits_equal(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def reference(batch, kset):
-    return full_square_hyper_grad(kset, batch.x, batch.y, batch.hyper.theta,
-                                  batch.hyper.sigma2,
+def reference(hyper, kset, x, y):
+    return full_square_hyper_grad(kset, x, y, hyper.theta, hyper.sigma2,
                                   linalg.DEFAULT_JITTER_LADDER)
 
 
@@ -387,7 +389,7 @@ def one_block_cases(draw):
     # the factorization climbs the jitter ladder.
     sigma2 = draw(st.sampled_from([1e-20, 1e-6, 1e-3, 1e-1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return kset, duplicated_batch(rng, n, n_v, kset, sigma2)
+    return (kset, *duplicated_batch(rng, n, n_v, kset, sigma2))
 
 
 class TestCondensedDiagonalBlocks:
@@ -396,10 +398,10 @@ class TestCondensedDiagonalBlocks:
     @given(one_block_cases())
     @settings(max_examples=80, deadline=None)
     def test_one_block_equals_full_square_reference(self, case):
-        kset, batch = case
-        assert len(linalg.row_blocks(batch.n, gp._BLOCK_ENTRIES)) == 1
-        got = gp.nll_hyper_grad(batch, kset)
-        value, theta, sigma2, jitter = reference(batch, kset)
+        kset, hyper, x, y = case
+        assert len(linalg.row_blocks(hyper.n, gp._BLOCK_ENTRIES)) == 1
+        got = gp.nll_hyper_grad(hyper, kset, x, y)
+        value, theta, sigma2, jitter = reference(hyper, kset, x, y)
         assert_bits_equal(got.value, value)
         assert_bits_equal(got.theta, theta)
         assert_bits_equal(got.sigma2, sigma2)
@@ -414,7 +416,8 @@ class TestCondensedDiagonalBlocks:
         # full-square reference's (its theta up to block-order sums).
         kset = KernelSet()
         n = 64
-        batch = duplicated_batch(np.random.default_rng(5), n, 2, kset, 1e-20)
+        hyper, x, y = duplicated_batch(np.random.default_rng(5), n, 2, kset,
+                                       1e-20)
         if rows:
             monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
         assert len(linalg.row_blocks(n, gp._BLOCK_ENTRIES)) == (4 if rows else 1)
@@ -422,9 +425,9 @@ class TestCondensedDiagonalBlocks:
         build = gp._blocked_cov
         monkeypatch.setattr(gp, "_blocked_cov", lambda *args: calls.append(
             args[4]) or build(*args))
-        got = gp.nll_hyper_grad(batch, kset,
+        got = gp.nll_hyper_grad(hyper, kset, x, y,
                                 workspace=linalg.Workspace() if shared else None)
-        value, theta, sigma2, jitter = reference(batch, kset)
+        value, theta, sigma2, jitter = reference(hyper, kset, x, y)
         rung = linalg.DEFAULT_JITTER_LADDER.index(got.jitter_used)
         assert got.jitter_used == jitter and rung > 0
         assert calls == [True] + [False] * rung
@@ -438,10 +441,11 @@ class TestCondensedDiagonalBlocks:
     def test_reference_sees_jitter(self):
         # Duplicated rows whose noise vanishes next to n_k need the ladder.
         kset = KernelSet()
-        batch = duplicated_batch(np.random.default_rng(5), 64, 2, kset, 1e-20)
-        got = gp.nll_hyper_grad(batch, kset)
+        hyper, x, y = duplicated_batch(np.random.default_rng(5), 64, 2, kset,
+                                       1e-20)
+        got = gp.nll_hyper_grad(hyper, kset, x, y)
         assert got.jitter_used > 0.0
-        assert got.jitter_used == reference(batch, kset)[3]
+        assert got.jitter_used == reference(hyper, kset, x, y)[3]
 
     @pytest.mark.parametrize("rows", [2, 3, 5])
     @pytest.mark.parametrize("kernels", [(k,) for k in ALL_KERNELS] + [ALL_KERNELS])
@@ -456,10 +460,10 @@ class TestCondensedDiagonalBlocks:
         idx[1] = 0  # rows 0 and 1 share a diagonal block
         idx[rows + 1] = rows  # so do rows and rows + 1, one block further
         idx[n - 1] = 2  # and row n - 1 copies a row several blocks back
-        batch = gp.GpBatch(x0[idx], np.sin(3.0 * x0[idx, 0]),
-                           gp.HyperField(theta0[idx], np.full(n, 1e-4)))
-        want = one_block(batch, kset, monkeypatch)
-        value, theta, sigma2, jitter = reference(batch, kset)
+        hyper = gp.HyperField(theta0[idx], np.full(n, 1e-4))
+        x, y = x0[idx], np.sin(3.0 * x0[idx, 0])
+        want = one_block(monkeypatch, hyper, kset, x, y)
+        value, theta, sigma2, jitter = reference(hyper, kset, x, y)
         assert_bits_equal(want.value, value)
         assert_bits_equal(want.theta, theta)
         monkeypatch.setattr(gp, "_BLOCK_ENTRIES", rows * n)
@@ -468,14 +472,14 @@ class TestCondensedDiagonalBlocks:
                                    side="right")
         assert block_of[0] == block_of[1] and block_of[rows] == block_of[rows + 1]
         assert block_of[rows] > block_of[0] and block_of[n - 1] > block_of[2] + 1
-        got = gp.nll_hyper_grad(batch, kset)
+        got = gp.nll_hyper_grad(hyper, kset, x, y)
         assert_bits_equal(got.value, want.value)
         assert_bits_equal(got.sigma2, want.sigma2)
         assert got.jitter_used == want.jitter_used
         assert (np.abs(got.theta - want.theta).max()
                 <= 1e-12 * np.abs(want.theta).max())
-        oracle, _ = masked_divide_hyper_grad(kset.names(), batch.x, batch.y,
-                                             batch.hyper.theta, batch.hyper.sigma2)
+        oracle, _ = masked_divide_hyper_grad(kset.names(), x, y, hyper.theta,
+                                             hyper.sigma2)
         assert np.abs(got.theta - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
 
@@ -553,14 +557,15 @@ class TestBlockedCovariance:
 
 
 def workspace_batch(kind, seed, kset, n_v):
-    """A batch of n = kind points, or of a named kind (workspace_sequences)."""
+    """duplicated_batch of n = kind points, or of a named kind
+    (workspace_sequences)."""
     rng = np.random.default_rng(seed)
     if kind == "jitter":
         return duplicated_batch(rng, 64, n_v, kset, 1e-20)
     if kind == "not_pd":  # a NaN input makes K non-finite
-        batch = duplicated_batch(rng, 30, n_v, kset, 1e-3)
-        batch.x[3, 0] = np.nan
-        return batch
+        hyper, x, y = duplicated_batch(rng, 30, n_v, kset, 1e-3)
+        x[3, 0] = np.nan
+        return hyper, x, y
     return duplicated_batch(rng, kind, n_v, kset, 1e-3)
 
 
@@ -606,17 +611,17 @@ class TestWorkspace:
         ws = linalg.Workspace()
         results = []
         for kind, seed in steps:
-            batch = workspace_batch(kind, seed, kset, n_v)
+            hyper, x, y = workspace_batch(kind, seed, kset, n_v)
             if kind == "not_pd":
                 with pytest.raises(NotPositiveDefinite):
-                    gp.nll_hyper_grad(batch, kset, workspace=ws)
+                    gp.nll_hyper_grad(hyper, kset, x, y, workspace=ws)
                 continue
-            results.append((kind, batch,
-                            gp.nll_hyper_grad(batch, kset, workspace=ws)))
+            results.append((kind, (hyper, x, y), gp.nll_hyper_grad(
+                hyper, kset, x, y, workspace=ws)))
         # Compared only after the whole sequence: a result that lived in
         # the workspace would have been overwritten by the later calls.
-        for kind, batch, got in results:
-            want = gp.nll_hyper_grad(batch, kset)
+        for kind, (hyper, x, y), got in results:
+            want = gp.nll_hyper_grad(hyper, kset, x, y)
             assert_bits_equal(got.value, want.value)
             assert_bits_equal(got.theta, want.theta)
             assert_bits_equal(got.sigma2, want.sigma2)
@@ -629,10 +634,12 @@ class TestWorkspace:
         # the condensed temporaries: 2.71 n^2 floats at n = 200.
         kset = KernelSet()
         n = 200
-        batch = duplicated_batch(np.random.default_rng(0), n, 8, kset, 1e-3)
+        hyper, x, y = duplicated_batch(np.random.default_rng(0), n, 8, kset,
+                                       1e-3)
         ws = linalg.Workspace()
-        gp.nll_hyper_grad(batch, kset, workspace=ws)
-        warm = traced_peak(lambda: gp.nll_hyper_grad(batch, kset, workspace=ws))
+        gp.nll_hyper_grad(hyper, kset, x, y, workspace=ws)
+        warm = traced_peak(lambda: gp.nll_hyper_grad(hyper, kset, x, y,
+                                                     workspace=ws))
         assert warm <= 2.9 * 8 * n**2
 
     def test_cold_call_factors_and_inverts_in_place(self):
@@ -641,9 +648,11 @@ class TestWorkspace:
         # (4.26 n^2 floats at n = 600; 5.59 when the step copied K twice).
         kset = KernelSet()
         n = 600
-        batch = duplicated_batch(np.random.default_rng(0), n, 8, kset, 1e-3)
+        hyper, x, y = duplicated_batch(np.random.default_rng(0), n, 8, kset,
+                                       1e-3)
         assert len(linalg.row_blocks(n, gp._BLOCK_ENTRIES)) == 3
-        assert traced_peak(lambda: gp.nll_hyper_grad(batch, kset)) <= 4.5 * 8 * n**2
+        assert (traced_peak(lambda: gp.nll_hyper_grad(hyper, kset, x, y))
+                <= 4.5 * 8 * n**2)
 
 
 class TestHyperFieldChecks:
@@ -662,17 +671,17 @@ class TestHyperFieldChecks:
             gp.HyperField(np.ones(3), np.ones(3))
 
 
-def predict_one_system(train, x_star, hyper_star, kset, alpha_level=0.05,
-                       include_noise=False, interval="t"):
-    """One GP system over all of ``train`` at x_star, composed from the
-    parts predict_batched runs: warped_rows, solve_built over train_cov,
-    cross_cov, gp.predict and gp.predictive."""
-    warped = gp.warped_rows(train.x, train.hyper.theta, kset.n_k)
+def predict_one_system(hyper, kset, x, y, x_star, hyper_star,
+                       alpha_level=0.05, include_noise=False, interval="t"):
+    """One GP system over all of the training points (x, y) with field
+    ``hyper`` at x_star, composed from the parts predict_batched runs:
+    warped_rows, solve_built over train_cov, cross_cov, gp.predict and
+    gp.predictive."""
+    warped = gp.warped_rows(x, hyper.theta, kset.n_k)
     star = gp.warped_rows(np.asarray(x_star, dtype=np.float64),
                           hyper_star.theta, kset.n_k)
     factor, alpha = gp.solve_built(
-        functools.partial(gp.train_cov, kset, warped, train.hyper.sigma2),
-        train.y)
+        functools.partial(gp.train_cov, kset, warped, hyper.sigma2), y)
     mean, variance = gp.predict(factor, alpha,
                                 gp.cross_cov(kset, warped, star), kset.n_k)
     return gp.predictive(mean, variance,
@@ -684,11 +693,10 @@ def predict_one_system(train, x_star, hyper_star, kset, alpha_level=0.05,
 class TestPredict:
     def test_hand_evaluated_single_point(self):
         kset = KernelSet((KernelId.SQUARED_EXP,))
-        train = gp.GpBatch(np.zeros((1, 1)), np.full(1, 2.0),
-                           constant_field([1.0], 1e-9, 1))
-        pred = predict_one_system(train, np.array([[1.0]]),
-                                  constant_field([1.0], 1e-9, 1), kset,
-                                  interval="z")
+        pred = predict_one_system(constant_field([1.0], 1e-9, 1), kset,
+                                  np.zeros((1, 1)), np.full(1, 2.0),
+                                  np.array([[1.0]]),
+                                  constant_field([1.0], 1e-9, 1), interval="z")
         assert pred.mean[0] == pytest.approx(2 * np.exp(-0.5), abs=1e-6)
         assert pred.variance[0] == pytest.approx(1 - np.exp(-1.0), abs=1e-6)
 
@@ -699,8 +707,8 @@ class TestPredict:
         y = rng.standard_normal(10)
         hyper = constant_field(np.ones(10), 1e-9, 10)
         pred = predict_one_system(
-            gp.GpBatch(x, y, hyper), x[3:4],
-            gp.HyperField(hyper.theta[3:4], hyper.sigma2[3:4]), kset)
+            hyper, kset, x, y, x[3:4],
+            gp.HyperField(hyper.theta[3:4], hyper.sigma2[3:4]))
         assert pred.mean[0] == pytest.approx(y[3], abs=1e-5)
         assert pred.variance[0] < 1e-5
 
@@ -712,19 +720,19 @@ class TestPredict:
         hyper = constant_field(np.ones(5 * 1), 1e-4, 4)
         far = np.array([[1e6]])
         pred = predict_one_system(
-            gp.GpBatch(x, y, hyper), far,
-            gp.HyperField(np.ones((1, 5)), np.array([1e-4])), kset)
+            hyper, kset, x, y, far,
+            gp.HyperField(np.ones((1, 5)), np.array([1e-4])))
         assert pred.mean[0] == pytest.approx(0.0, abs=1e-8)
         assert pred.variance[0] == pytest.approx(5.0, abs=1e-8)
 
     def test_include_noise_adds_predicted_variance(self):
         kset = KernelSet((KernelId.SQUARED_EXP,))
-        train = gp.GpBatch(np.zeros((2, 1)), np.zeros(2),
-                           constant_field([1.0], 0.3, 2))
+        train = (constant_field([1.0], 0.3, 2), kset, np.zeros((2, 1)),
+                 np.zeros(2))
         xs = np.array([[0.5]])
         hs = constant_field([1.0], 0.3, 1)
-        without = predict_one_system(train, xs, hs, kset, include_noise=False)
-        with_noise = predict_one_system(train, xs, hs, kset, include_noise=True)
+        without = predict_one_system(*train, xs, hs, include_noise=False)
+        with_noise = predict_one_system(*train, xs, hs, include_noise=True)
         assert with_noise.variance[0] == pytest.approx(
             without.variance[0] + 0.3, abs=1e-12
         )
@@ -739,7 +747,7 @@ class TestPredict:
         xs = rng.standard_normal((30, 3))
         hs = gp.HyperField(rng.uniform(-1.5, 1.5, (30, 15)),
                            rng.uniform(1e-4, 0.5, 30))
-        pred = predict_one_system(gp.GpBatch(x, y, hyper), xs, hs, kset)
+        pred = predict_one_system(hyper, kset, x, y, xs, hs)
         assert np.all(pred.variance >= 0.0)
         assert np.all(pred.variance <= kset.n_k + 1e-12)
 
@@ -753,13 +761,11 @@ class TestPredict:
         xs = rng.standard_normal((4, 2))
         hs = gp.HyperField(rng.uniform(0.5, 1.5, (4, 10)),
                            rng.uniform(0.01, 0.2, 4))
-        base = predict_one_system(gp.GpBatch(x, y, hyper), xs, hs, kset)
+        base = predict_one_system(hyper, kset, x, y, xs, hs)
         perm = rng.permutation(12)
         shuffled = predict_one_system(
-            gp.GpBatch(x[perm], y[perm],
-                       gp.HyperField(hyper.theta[perm], hyper.sigma2[perm])),
-            xs, hs, kset
-        )
+            gp.HyperField(hyper.theta[perm], hyper.sigma2[perm]), kset,
+            x[perm], y[perm], xs, hs)
         np.testing.assert_allclose(shuffled.mean, base.mean, atol=1e-12)
         np.testing.assert_allclose(shuffled.variance, base.variance, atol=1e-12)
 
@@ -794,6 +800,8 @@ class TestWarpedRows:
             gp.warped_rows(np.zeros((1, 3)), np.ones((1, 2)), 1)
         with pytest.raises(DimensionMismatch):
             gp.warped_rows(np.zeros((2, 2)), np.ones((1, 2)), 1)
+        with pytest.raises(DimensionMismatch):  # points must be rows
+            gp.warped_rows(np.zeros(2), np.ones((2, 1)), 1)
 
 
 class TestJoinPredictions:
@@ -894,8 +902,8 @@ class TestTrainingSanity:
             theta_net, sigma_net = make_nets(rng, n_v, kset.n_k, hidden=(6, 5))
             theta = theta_net.forward(x, training=True)
             sigma2 = sigma_net.forward(x, training=True)[:, 0] + 1e-6
-            batch = gp.GpBatch(x, y, gp.HyperField(theta, sigma2))
-            res = gp.nll_grad(batch, kset, theta_net, sigma_net)
+            res = gp.nll_grad(gp.HyperField(theta, sigma2), kset, x, y,
+                              theta_net, sigma_net)
             cfg = OptimizerConfig("adam", learning_rate=1e-3)
             for net, grads in ((theta_net, res.theta_net),
                                (sigma_net, res.sigma_net)):

@@ -388,8 +388,8 @@ class TestWorkspace:
         ws = linalg.Workspace()
         a = ws.array("r", (4, 5))
         assert ws.array("r", (4, 5)).base is a.base
-        smaller = ws.array("r", (3, 3), "F")
-        assert smaller.flags.f_contiguous and smaller.base is a.base
+        smaller = ws.array("r", (3, 3))
+        assert smaller.flags.c_contiguous and smaller.base is a.base
         larger = ws.array("r", (6, 6))
         assert larger.shape == (6, 6) and larger.flags.c_contiguous
         assert not np.shares_memory(larger, a)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import importlib.util
 import json
 import re
 import struct
@@ -213,7 +214,8 @@ def train_configs(draw):
         dropout_rate=draw(st.floats(0.0, 1.0, exclude_max=True)),
         input_noise_std=draw(st.floats(0.0, 1e6)),
         sigma2_floor=floor,
-        sigma2_init=draw(st.floats(floor, 1e6, exclude_min=True)),
+        # Above sigma2_floor + 709 the noise network's output bias overflows.
+        sigma2_init=draw(st.floats(floor, floor + 709.0, exclude_min=True)),
         theta_output_bias=draw(st.floats(**finite)),
         prediction_k=draw(st.none() | st.integers(1, 10**9)),
         neighbor_strategy=draw(st.sampled_from(STRATEGIES)),
@@ -254,6 +256,18 @@ class TestTrainConfig:
     def test_from_dict_rejects_by_name(self, d, message):
         with pytest.raises(InvalidSetting, match=re.escape(message)):
             TrainConfig.from_dict(d)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sigma2_init_whose_output_bias_overflows_is_rejected(self):
+        # The noise network's output bias is log(expm1(sigma2_init -
+        # sigma2_floor)), which overflows above about 709.78.
+        for init in (710.0, 1e300):
+            with pytest.raises(InvalidSetting, match="^sigma2_init .* got "):
+                TrainConfig(sigma2_init=init)
+        cfg = TrainConfig(sigma2_init=709.0)
+        bias = trainer.build_networks(1, cfg, np.random.default_rng(0))[
+            1].params.biases[-1]
+        assert bias[0] == float(np.log(np.expm1(709.0 - cfg.sigma2_floor)))
 
     def test_from_dict_fills_defaults(self):
         cfg = TrainConfig.from_dict({"batch_size": 60,
@@ -304,7 +318,8 @@ class TestTrainConfig:
         theta_net, sigma_net = trainer.build_networks(
             3, cfg, np.random.default_rng(1))
         x = np.random.default_rng(2).normal(size=(6, 3))
-        field = trainer.hyper_for(theta_net, sigma_net, x, cfg.sigma2_floor)
+        field = trainer.hyper_for(theta_net, sigma_net, x, cfg.sigma2_floor,
+                                  "for the query points")
         np.testing.assert_array_equal(field.theta, np.ones((6, 15)))
         np.testing.assert_allclose(field.sigma2, 0.05, rtol=1e-15)
 
@@ -350,6 +365,24 @@ class TestFit:
         model = trainer.fit(data, cfg)
         assert model.log.stopped_early
         assert model.log.epochs_run < 5000
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weights_that_overflow_the_inference_forward_are_a_numeric_failure(
+            self):
+        # One huge SGD step leaves finite weights under which the networks
+        # overflow on the training points when the model is assembled.
+        data = sine_dataset(n=40)
+        huge = OptimizerConfig("sgd", learning_rate=1e300)
+        config = TrainConfig(optimizer=huge, max_epochs=1, batch_size=40)
+        with pytest.raises(NonFiniteLoss, match="for the training points$"):
+            trainer.fit(data, config)
+        model = trainer.fit(data, dataclasses.replace(config, optimizer=(
+            OptimizerConfig("sgd", learning_rate=1e-3))))
+        # One step over all 50 points, as the fit's.
+        model = dataclasses.replace(model, config=dataclasses.replace(
+            config, batch_size=50))
+        with pytest.raises(NonFiniteLoss, match="for the training points$"):
+            trainer.update(model, sine_dataset(n=10, seed=1), epochs=1)
 
     def test_multioutput_target_rejected(self):
         data = Dataset(np.ones((4, 1)), np.ones((4, 2)))
@@ -965,7 +998,8 @@ class TestPersistence:
         zero = dataclasses.replace(
             model, theta_net=theta_net, sigma_net=sigma_net, x=x, columns=[],
             scaler=scaler, hyper=trainer.hyper_for(theta_net, sigma_net, x,
-                                    model.config.sigma2_floor))
+                                    model.config.sigma2_floor,
+                                    "for the training points"))
         path = tmp_path / "model.dgcn"
         trainer.save(zero, path)
         with pytest.raises(FormatVersionMismatch, match="take 0 inputs"):
@@ -983,6 +1017,21 @@ class TestPersistence:
         rewrite_manifest(path, apply)
         with pytest.raises(ChecksumMismatch):
             trainer.load(path)
+
+
+class TestStepAllocProbe:
+    """scripts/step_alloc_probe.py runs training steps by hand, on the
+    training step's own signatures; its steps must run."""
+
+    def test_one_cold_and_one_warm_step(self):
+        script = (Path(__file__).resolve().parents[1] / "scripts"
+                  / "step_alloc_probe.py")
+        spec = importlib.util.spec_from_file_location("_step_alloc_probe",
+                                                      script)
+        probe = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(probe)
+        for warm in (False, True):
+            probe.stepper(40, 2, warm)()
 
 
 def array_entry(manifest, name):
